@@ -96,6 +96,22 @@ class VerifySummary:
         return self.failed == 0
 
 
+def _seq(values, what: str, where: str) -> tuple:
+    try:
+        return tuple(values)
+    except TypeError:
+        raise CertError(f"{where}: {what} must be a list, got {values!r}") from None
+
+
+def _ints(values, what: str, where: str) -> tuple[int, ...]:
+    """The entries of a list field; each must be an exact int, never a bool, float or str."""
+    out = _seq(values, what, where)
+    for v in out:
+        if type(v) is not int:
+            raise CertError(f"{where}: {what} entry {v!r} is not an integer")
+    return out
+
+
 def make_cert(
     rstype: RootSystemType,
     pi,
@@ -106,25 +122,32 @@ def make_cert(
 ) -> ExclusionCert:
     """Validate fields and build a certificate."""
     rs = build(rstype)
-    pi = frozenset(int(i) for i in pi)
+    where = label or "cert"
+    indices = _ints(pi, "pi", where)
+    pi = frozenset(indices)
+    if len(pi) != len(indices):
+        raise CertError(f"{where}: pi {list(indices)} repeats an index")
     for i in pi:
         if not 1 <= i <= rs.rank:
-            raise CertError(f"{label or 'cert'}: pi index {i} out of range for {rstype}")
-    gamma = tuple(int(c) for c in gamma)
+            raise CertError(f"{where}: pi index {i} out of range for {rstype}")
+    gamma = _ints(gamma, "gamma", where)
     if len(gamma) != rs.rank or not rs.is_positive_root(gamma):
-        raise CertError(f"{label or 'cert'}: gamma {list(gamma)} is not a positive root of {rstype}")
-    word = tuple(int(a) for a in sigma_word)
+        raise CertError(f"{where}: gamma {list(gamma)} is not a positive root of {rstype}")
+    word = _ints(sigma_word, "sigma", where)
     if not word:
-        raise CertError(f"{label or 'cert'}: sigma word must be nonempty")
+        raise CertError(f"{where}: sigma word must be nonempty")
     for a in word:
         if not 1 <= a <= rs.rank:
-            raise CertError(f"{label or 'cert'}: sigma letter {a} out of range for {rstype}")
+            raise CertError(f"{where}: sigma letter {a} out of range for {rstype}")
     expected = None
     if expected_cond2 is not None:
-        expected = tuple(tuple(int(c) for c in v) for v in expected_cond2)
+        expected = tuple(
+            _ints(v, "expected_cond2", where)
+            for v in _seq(expected_cond2, "expected_cond2", where)
+        )
         for v in expected:
             if len(v) != rs.rank:
-                raise CertError(f"{label or 'cert'}: expected_cond2 entry {list(v)} has wrong rank")
+                raise CertError(f"{where}: expected_cond2 entry {list(v)} has wrong rank")
     return ExclusionCert(rstype, pi, gamma, word, expected, label)
 
 

@@ -44,6 +44,8 @@ class RootSystemType:
 
     @classmethod
     def from_string(cls, text: str) -> "RootSystemType":
+        if not isinstance(text, str):
+            raise TypeError(f"root system type must be a string such as 'B3', got {text!r}")
         text = text.strip()
         if len(text) < 2 or not text[1:].isdigit():
             raise ValueError(f"cannot parse root system type {text!r}, expected e.g. 'B3'")

@@ -2,9 +2,17 @@
 
 For a subset Pi of the simple roots, the candidate element is w = w0 * w_Pi.
 Pi is admissible when w fixes exactly the simple roots in Pi; the attached
-dimension is l(w) + rk(1 - w). A second, diagram-level filter removes
-isolated components of Pi that admit a same-length neighbour fixed by -w0 and
-orthogonal to the rest of Pi.
+dimension is l(w) + rk(1 - w), and l(w) = l(w0) - l(w_Pi). A second,
+diagram-level filter removes isolated components of Pi that admit a
+same-length neighbour fixed by -w0 and orthogonal to the rest of Pi.
+
+Admissibility is decided on the Dynkin diagram, with theta = -w0:
+
+  - for i not in Pi, w_Pi(alpha_i) lies in alpha_i + Z.Pi and is positive,
+    so w(alpha_i) is negative and alpha_i is never fixed;
+  - for i in Pi, w_Pi(alpha_i) = -alpha_{theta_Pi(i)} with theta_Pi = -w_Pi,
+    so alpha_i is fixed exactly when theta(i) = theta_Pi(i);
+  - theta_Pi acts on each connected component C of Pi as -w_C.
 
 Every subset evaluation is a pure function of the immutable root system, so
 the enumeration is embarrassingly parallel if a caller wants it to be.
@@ -13,18 +21,19 @@ the enumeration is embarrassingly parallel if a caller wants it to be.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 from . import intmat
-from .rootsys import RootSystem, Vector, subsystem_positive_roots
+from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
 from .weyl import (
     WeylElement,
     apply,
-    fixed_simples,
     longest_element,
     multiply,
     rank_one_minus,
     reduced_word,
+    theta,
     w0,
 )
 
@@ -55,20 +64,29 @@ class SphericalDatum:
 
 
 def candidate_element(rs: RootSystem, pi) -> WeylElement:
-    """w0 * w_Pi, cached per subset."""
+    """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi)."""
     pi = frozenset(pi)
     key = ("w0wpi", pi)
     if key not in rs._cache:
-        rs._cache[key] = multiply(w0(rs), longest_element(rs, pi))
+        prod = multiply(w0(rs), longest_element(rs, pi))
+        length = len(rs.positive_roots) - len(subsystem_positive_roots(rs, pi))
+        rs._cache[key] = WeylElement(rs, prod.rows, length)
     return rs._cache[key]
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:
-    """True when w0 * w_Pi fixes exactly the simple roots indexed by pi."""
+    """True when w0 * w_Pi fixes exactly the simple roots indexed by pi.
+
+    Decided on the diagram, without building w0 * w_Pi: a simple root outside
+    pi is sent negative, and alpha_i with i in pi is fixed exactly when
+    -w_Pi(alpha_i) = alpha_{theta(i)}, theta = -w0. Since w_Pi is the product
+    of the w_C over the connected components C of pi, each component is
+    checked on its own.
+    """
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
-    return fixed_simples(candidate_element(rs, pi)) == pi
+    return all(_theta_agrees_on(rs.rstype, comp) for comp in _components(rs, pi))
 
 
 def _adjacent(rs: RootSystem, i: int, j: int) -> bool:
@@ -91,6 +109,17 @@ def _components(rs: RootSystem, pi: frozenset[int]) -> list[frozenset[int]]:
                     frontier.append(b)
         comps.append(frozenset(comp))
     return comps
+
+
+@cache
+def _theta_agrees_on(rstype: RootSystemType, comp: frozenset[int]) -> bool:
+    """-w_C(alpha_i) = alpha_{theta(i)} for every i in the connected component C."""
+    rs = build(rstype)
+    w_c = longest_element(rs, comp)
+    perm = theta(rs)
+    return all(
+        w_c.column(i) == tuple(-c for c in rs.simples[perm[i] - 1]) for i in comp
+    )
 
 
 def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:

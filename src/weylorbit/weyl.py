@@ -82,6 +82,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
     """w * s_i. Column j gains -<alpha_j, alpha_i^vee> * column i; column i flips."""
     rs = w.rs
+    rs._check_index(i)
     c = i - 1
     n = rs.rank
     cartan_col = [rs.cartan[j][c] for j in range(n)]
@@ -104,6 +105,7 @@ def rmul_s(w: WeylElement, i: int) -> WeylElement:
 def lmul_s(w: WeylElement, i: int) -> WeylElement:
     """s_i * w by a row operation: row i drops the coroot pairing of each column."""
     rs = w.rs
+    rs._check_index(i)
     c = i - 1
     n = rs.rank
     pair = [
@@ -135,7 +137,6 @@ def from_word(rs: RootSystem, word) -> WeylElement:
     """Product s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...]."""
     w = identity(rs)
     for letter in word:
-        rs._check_index(letter)
         w = rmul_s(w, letter)
     return w
 

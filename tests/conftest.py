@@ -4,7 +4,28 @@ from __future__ import annotations
 
 import pytest
 
-from weylorbit import apply, build_named, identity, multiply, reflection, simple_reflection
+from weylorbit import (
+    apply,
+    build_named,
+    fixed_simples,
+    identity,
+    longest_element,
+    multiply,
+    reflection,
+    simple_reflection,
+    w0,
+)
+
+
+def matrix_admissible(rs, pi):
+    """The dense rule: w0 * w_pi, built as a matrix product, fixes exactly pi."""
+    pi = frozenset(pi)
+    return fixed_simples(multiply(w0(rs), longest_element(rs, pi))) == pi
+
+
+def inversion_count(w):
+    """Cold length: positive roots sent negative, counted from the matrix alone."""
+    return sum(1 for a in w.rs.positive_roots if any(c < 0 for c in apply(w, a)))
 
 
 def enumerate_group(rs):

@@ -75,6 +75,40 @@ def test_parse_rejects_unknown_type_and_indices():
         parse_certs("{nope")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("gamma", [3.9, 1.2]),
+        ("gamma", "10"),
+        ("gamma", 31),
+        ("pi", "2"),
+        ("pi", [2, 2]),
+        ("pi", [2.0]),
+        ("sigma", [True]),
+        ("sigma", [2, "1"]),
+        ("expected_cond2", [["1", 0]]),
+        ("expected_cond2", [[1.0, 0]]),
+    ],
+)
+def test_parse_rejects_inexact_fields(field, value):
+    entry = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1]}
+    entry[field] = value
+    with pytest.raises(CertError, match="cert #0"):
+        parse_certs(json.dumps([entry]))
+
+
+def test_float_gamma_is_not_truncated():
+    # [3.9, 1.2] used to be read as the root (3, 1) and then pass
+    with pytest.raises(CertError, match="3.9"):
+        make_cert(G2, [2], [3.9, 1.2], [2, 1])
+
+
+def test_parse_rejects_non_string_type():
+    doc = json.dumps([{"type": 5, "pi": [2], "gamma": [3, 1], "sigma": [2, 1]}])
+    with pytest.raises(CertError, match="cert #0.*string"):
+        parse_certs(doc)
+
+
 def test_verify_rejects_inadmissible_pi():
     cert = make_cert(RootSystemType("A", 3), [1], (0, 1, 0), [2], label="bad pi")
     with pytest.raises(CertError, match="admissible"):

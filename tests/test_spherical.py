@@ -1,6 +1,7 @@
 """Admissible subsets, the dimension formula, and the eigenlattice."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -24,6 +25,16 @@ from weylorbit import (
 )
 from weylorbit.spherical import candidate_element, inversion_set_is_complement
 
+from conftest import inversion_count, matrix_admissible
+
+# Every type the tables command covers at its default rank bound: 2498 subsets.
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
 
 def pis(rs):
     return {frozenset(d.pi) for d in enumerate_pi(rs) if d.pi and not d.central}
@@ -35,6 +46,16 @@ def test_is_admissible_examples(a3):
     assert is_admissible(a3, {1, 2, 3})
     assert candidate_element(a3, {1, 2, 3}) == identity(a3)
     assert is_admissible(a3, set())
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_diagram_rule_matches_matrix_rule(name):
+    rs = build_named(name)
+    for size in range(rs.rank + 1):
+        for pi in combinations(range(1, rs.rank + 1), size):
+            assert is_admissible(rs, pi) == matrix_admissible(rs, pi), pi
+            w = candidate_element(rs, pi)
+            assert w.length == inversion_count(w), pi
 
 
 def test_quali_no_examples(b3):

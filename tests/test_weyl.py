@@ -24,6 +24,8 @@ from weylorbit import (
     w0,
 )
 
+from weylorbit.weyl import lmul_s, rmul_s
+
 from conftest import brute_bruhat_order, enumerate_group
 
 
@@ -42,6 +44,16 @@ def test_braid_relation(a2):
     w212 = from_word(a2, [2, 1, 2])
     assert w121 == w212
     assert w121.length == 3 == len(a2.positive_roots)
+
+
+def test_column_operations_reject_bad_index(a3):
+    # index 0 would otherwise wrap to column -1 and act as s_3
+    for op in (rmul_s, lmul_s):
+        for i in (0, a3.rank + 1):
+            with pytest.raises(ValueError, match="out of range"):
+                op(identity(a3), i)
+    with pytest.raises(ValueError, match="out of range"):
+        from_word(a3, [1, 4])
 
 
 def test_apply_examples(a2):
