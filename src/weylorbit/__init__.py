@@ -11,11 +11,9 @@ from .rootsys import (
     RootSystemType,
     build,
     build_named,
-    cartan_pairing,
     depth,
     highest_root,
     is_root,
-    root_sum,
     subsystem_positive_roots,
 )
 from .weyl import (
@@ -49,8 +47,6 @@ from .spherical import (
     dimension,
     enumerate_pi,
     is_admissible,
-    is_dominant,
-    is_theta_symmetric,
     neg_eigenlattice_basis,
     passes_quali_no,
     spherical_datum,

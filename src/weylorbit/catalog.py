@@ -9,11 +9,10 @@ in this file fails fast instead of shipping.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
-from .certs import ExclusionCert, make_cert, verify
+from .certs import ExclusionCert, certs_to_json, make_cert, verify
 from .rootsys import RootSystemType
 
 
@@ -303,8 +302,7 @@ def write_files(directory) -> dict[str, int]:
     directory.mkdir(parents=True, exist_ok=True)
     counts = {}
     for name, certs in shipped_files().items():
-        payload = json.dumps([c.as_dict() for c in certs], indent=1)
-        (directory / name).write_text(payload + "\n")
+        (directory / name).write_text(certs_to_json(certs) + "\n")
         counts[name] = len(certs)
     return counts
 

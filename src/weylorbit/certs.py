@@ -96,19 +96,22 @@ class VerifySummary:
         return self.failed == 0
 
 
-def _seq(values, what: str, where: str) -> tuple:
+CERT_KEYS = frozenset({"type", "pi", "gamma", "sigma", "expected_cond2", "label"})
+
+
+def _seq(values, what: str) -> tuple:
     try:
         return tuple(values)
     except TypeError:
-        raise CertError(f"{where}: {what} must be a list, got {values!r}") from None
+        raise CertError(f"{what} must be a list, got {values!r}") from None
 
 
-def _ints(values, what: str, where: str) -> tuple[int, ...]:
+def _ints(values, what: str) -> tuple[int, ...]:
     """The entries of a list field; each must be an exact int, never a bool, float or str."""
-    out = _seq(values, what, where)
+    out = _seq(values, what)
     for v in out:
         if type(v) is not int:
-            raise CertError(f"{where}: {what} entry {v!r} is not an integer")
+            raise CertError(f"{what} entry {v!r} is not an integer")
     return out
 
 
@@ -120,39 +123,48 @@ def make_cert(
     expected_cond2=None,
     label: str = "",
 ) -> ExclusionCert:
-    """Validate fields and build a certificate."""
+    """Validate fields and build a certificate; a defect's message starts with the label."""
+    try:
+        return _validated_cert(rstype, pi, gamma, sigma_word, expected_cond2, label)
+    except CertError as exc:
+        raise CertError(f"{label or 'cert'}: {exc}") from None
+
+
+def _validated_cert(rstype, pi, gamma, sigma_word, expected_cond2, label) -> ExclusionCert:
     rs = build(rstype)
-    where = label or "cert"
-    indices = _ints(pi, "pi", where)
+    indices = _ints(pi, "pi")
     pi = frozenset(indices)
     if len(pi) != len(indices):
-        raise CertError(f"{where}: pi {list(indices)} repeats an index")
+        raise CertError(f"pi {list(indices)} repeats an index")
     for i in pi:
         if not 1 <= i <= rs.rank:
-            raise CertError(f"{where}: pi index {i} out of range for {rstype}")
-    gamma = _ints(gamma, "gamma", where)
+            raise CertError(f"pi index {i} out of range for {rstype}")
+    gamma = _ints(gamma, "gamma")
     if len(gamma) != rs.rank or not rs.is_positive_root(gamma):
-        raise CertError(f"{where}: gamma {list(gamma)} is not a positive root of {rstype}")
-    word = _ints(sigma_word, "sigma", where)
+        raise CertError(f"gamma {list(gamma)} is not a positive root of {rstype}")
+    word = _ints(sigma_word, "sigma")
     if not word:
-        raise CertError(f"{where}: sigma word must be nonempty")
+        raise CertError("sigma word must be nonempty")
     for a in word:
         if not 1 <= a <= rs.rank:
-            raise CertError(f"{where}: sigma letter {a} out of range for {rstype}")
+            raise CertError(f"sigma letter {a} out of range for {rstype}")
     expected = None
     if expected_cond2 is not None:
         expected = tuple(
-            _ints(v, "expected_cond2", where)
-            for v in _seq(expected_cond2, "expected_cond2", where)
+            _ints(v, "expected_cond2") for v in _seq(expected_cond2, "expected_cond2")
         )
         for v in expected:
             if len(v) != rs.rank:
-                raise CertError(f"{where}: expected_cond2 entry {list(v)} has wrong rank")
+                raise CertError(f"expected_cond2 entry {list(v)} has wrong rank")
     return ExclusionCert(rstype, pi, gamma, word, expected, label)
 
 
 def parse_certs(document: str) -> list[ExclusionCert]:
-    """Parse a JSON certificate file; any defect aborts with its position."""
+    """Parse a JSON certificate file.
+
+    Any defect aborts with a CertError naming the entry's position and, when
+    it has one, its label. An entry may hold only the keys in CERT_KEYS.
+    """
     try:
         data = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -161,27 +173,37 @@ def parse_certs(document: str) -> list[ExclusionCert]:
         raise CertError("certificate document must be a JSON array")
     certs = []
     for pos, entry in enumerate(data):
-        label = ""
         try:
             if not isinstance(entry, dict):
                 raise CertError("entry is not an object")
-            label = str(entry.get("label", f"cert #{pos}"))
+            unknown = entry.keys() - CERT_KEYS
+            if unknown:
+                raise CertError(
+                    f"unknown key {min(unknown)!r}, expected only {', '.join(sorted(CERT_KEYS))}"
+                )
             rstype = RootSystemType.from_string(entry["type"])
             certs.append(
-                make_cert(
+                _validated_cert(
                     rstype,
                     entry.get("pi", []),
                     entry["gamma"],
                     entry["sigma"],
                     entry.get("expected_cond2"),
-                    label,
+                    str(entry.get("label", f"cert #{pos}")),
                 )
             )
-        except CertError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CertError(f"cert #{pos} ({label or 'unlabelled'}): {exc}") from exc
+        except KeyError as exc:
+            raise CertError(f"{_where(pos, entry)}: missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CertError(f"{_where(pos, entry)}: {exc}") from exc
     return certs
+
+
+def _where(pos: int, entry) -> str:
+    """An entry's position, and its label when it has one."""
+    if isinstance(entry, dict) and "label" in entry:
+        return f"cert #{pos} ({entry['label']})"
+    return f"cert #{pos}"
 
 
 def certs_to_json(certs) -> str:

@@ -18,9 +18,7 @@ from .rootsys import RootSystem, RootSystemType
 from .weyl import (
     WeylElement,
     identity,
-    inverse,
     is_involution,
-    lmul_s,
     multiply,
     reduced_word,
     rmul_s,
@@ -46,19 +44,17 @@ class StepOutcome:
 def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """The w with m(w) = m(w1) m(w2).
 
-    Peels a reduced word of w1 from the right onto w2 using the defining
-    relations; the result is never shorter than either factor.
+    Peels a reduced word of w2 from the left onto w1 by the right-hand form
+    of the relations: m(x)m(s) = m(xs) when l(xs) > l(x), that is when
+    x(alpha_s) > 0, and m(x)m(s) = m(x) otherwise. The result is never
+    shorter than either factor, and carries its length when w1 does.
     """
     if w1.rs.rstype != w2.rs.rstype:
         raise ValueError("elements live in different root systems")
-    cur = w2
-    cur_inv = inverse(w2)
-    for a in reversed(reduced_word(w1)):
-        # l(s_a cur) > l(cur) iff cur^-1(alpha_a) > 0; tracking the inverse
-        # makes the test a column sign check.
-        if all(c >= 0 for c in cur_inv.column(a)):
-            cur = lmul_s(cur, a)
-            cur_inv = rmul_s(cur_inv, a)
+    cur = w1
+    for b in reduced_word(w2):
+        if all(c >= 0 for c in cur.column(b)):
+            cur = rmul_s(cur, b)
     return cur
 
 

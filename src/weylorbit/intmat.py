@@ -1,31 +1,6 @@
-"""Exact rank and kernel computations for small integer matrices."""
+"""Exact integer kernel computation for small integer matrices."""
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def rank(rows) -> int:
-    """Rank over the rationals, by Gaussian elimination on Fractions."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(m):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 def kernel_basis(rows) -> list[tuple[int, ...]]:

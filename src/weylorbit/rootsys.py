@@ -154,9 +154,6 @@ class RootSystem:
             if any(a < b for a, b in zip(self._highest, r)):
                 raise AssertionError(f"no coefficientwise-maximal root in {rstype}")
 
-        # scratch space for the weyl module (w0, parabolic longest elements, ...)
-        self._cache: dict = {}
-
     def _close_under_reflections(self) -> set[Vector]:
         roots = set(self.simples)
         frontier = list(self.simples)
@@ -236,19 +233,8 @@ def build_named(name: str) -> RootSystem:
     return build(RootSystemType.from_string(name))
 
 
-def cartan_pairing(rs: RootSystem, v: Vector, i: int) -> int:
-    """<v, alpha_i^vee>, linear in v."""
-    return rs.pairing(tuple(v), i)
-
-
 def is_root(rs: RootSystem, v: Vector) -> bool:
     return tuple(v) in rs._all_roots
-
-
-def root_sum(rs: RootSystem, a: Vector, b: Vector) -> Vector | None:
-    """a + b when it is a root, else None."""
-    s = tuple(x + y for x, y in zip(a, b))
-    return s if s in rs._all_roots else None
 
 
 def depth(rs: RootSystem, beta: Vector) -> int:

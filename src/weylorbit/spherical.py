@@ -65,13 +65,14 @@ class SphericalDatum:
 
 def candidate_element(rs: RootSystem, pi) -> WeylElement:
     """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi)."""
-    pi = frozenset(pi)
-    key = ("w0wpi", pi)
-    if key not in rs._cache:
-        prod = multiply(w0(rs), longest_element(rs, pi))
-        length = len(rs.positive_roots) - len(subsystem_positive_roots(rs, pi))
-        rs._cache[key] = WeylElement(rs, prod.rows, length)
-    return rs._cache[key]
+    return _candidate(rs, frozenset(pi))
+
+
+@cache
+def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
+    prod = multiply(w0(rs), longest_element(rs, pi))
+    length = len(rs.positive_roots) - len(subsystem_positive_roots(rs, pi))
+    return WeylElement(rs, prod.rows, length)
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:
@@ -246,29 +247,6 @@ def neg_eigenlattice_basis(rs: RootSystem, pi) -> list[Vector]:
         [(1 if i == j else 0) + w.rows[i][j] for j in range(n)] for i in range(n)
     ]
     return intmat.kernel_basis(one_plus)
-
-
-def is_theta_symmetric(rs: RootSystem, v: Vector) -> bool:
-    """-w0 v = v."""
-    return apply(w0(rs), tuple(v)) == tuple(-c for c in v)
-
-
-def is_dominant(rs: RootSystem, v: Vector) -> bool:
-    """All Cartan pairings <v, alpha_i^vee> are nonnegative."""
-    v = tuple(v)
-    return all(rs.pairing(v, i) >= 0 for i in range(1, rs.rank + 1))
-
-
-def inversion_set_is_complement(rs: RootSystem, pi) -> bool:
-    """Inversions of w0 w_Pi = positive roots outside the pi subsystem."""
-    pi = frozenset(pi)
-    w = candidate_element(rs, pi)
-    sub = set(subsystem_positive_roots(rs, pi))
-    for a in rs.positive_roots:
-        inverted = any(c < 0 for c in apply(w, a))
-        if inverted == (a in sub):
-            return False
-    return True
 
 
 def type_a_cascade(rs: RootSystem, steps: int) -> WeylElement:

@@ -3,11 +3,17 @@
 An element is the integer matrix of its action on the root lattice in the
 simple-root basis (column i-1 is the image of alpha_i), so equality is matrix
 equality and words are derived data. Lengths are inversion counts, cached per
-element. Elements are immutable and every operation is a pure function, so
-all of this is safe to use concurrently.
+element, and every product by a simple reflection carries the length along.
+Elements that depend only on the root system (the identity, the simple
+reflections, parabolic longest elements and theta) are memoized by
+functools.cache, keyed on the immutable root system; nothing is stored on the
+root system itself. Elements are immutable and every operation is a pure
+function, so all of this is safe to use concurrently.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from . import intmat
 from .rootsys import RootSystem, Vector
@@ -42,9 +48,7 @@ class WeylElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            self._length = sum(
-                1 for a in self.rs.positive_roots if _is_negative(apply(self, a))
-            )
+            self._length = len(inversions(self))
         return self._length
 
     def column(self, i: int) -> Vector:
@@ -57,26 +61,22 @@ def _is_negative(v: Vector) -> bool:
     return any(c < 0 for c in v)
 
 
+@cache
 def identity(rs: RootSystem) -> WeylElement:
-    key = "identity"
-    if key not in rs._cache:
-        n = rs.rank
-        rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        rs._cache[key] = WeylElement(rs, rows, 0)
-    return rs._cache[key]
+    n = rs.rank
+    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return WeylElement(rs, rows, 0)
 
 
+@cache
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     rs._check_index(i)
-    key = ("s", i)
-    if key not in rs._cache:
-        n = rs.rank
-        rows = [[1 if r == j else 0 for j in range(n)] for r in range(n)]
-        for j in range(n):
-            # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^vee> alpha_i
-            rows[i - 1][j] -= rs.cartan[j][i - 1]
-        rs._cache[key] = WeylElement(rs, tuple(map(tuple, rows)), 1)
-    return rs._cache[key]
+    n = rs.rank
+    rows = [[1 if r == j else 0 for j in range(n)] for r in range(n)]
+    for j in range(n):
+        # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^vee> alpha_i
+        rows[i - 1][j] -= rs.cartan[j][i - 1]
+    return WeylElement(rs, tuple(map(tuple, rows)), 1)
 
 
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
@@ -100,22 +100,6 @@ def rmul_s(w: WeylElement, i: int) -> WeylElement:
         wi = w.column(i)
         length = w._length + (1 if not _is_negative(wi) else -1)
     return WeylElement(rs, tuple(new_rows), length)
-
-
-def lmul_s(w: WeylElement, i: int) -> WeylElement:
-    """s_i * w by a row operation: row i drops the coroot pairing of each column."""
-    rs = w.rs
-    rs._check_index(i)
-    c = i - 1
-    n = rs.rank
-    pair = [
-        sum(rs.cartan[r][c] * w.rows[r][j] for r in range(n)) for j in range(n)
-    ]
-    new_rows = tuple(
-        tuple(row[j] - pair[j] for j in range(n)) if r == c else row
-        for r, row in enumerate(w.rows)
-    )
-    return WeylElement(rs, new_rows)
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -142,9 +126,7 @@ def from_word(rs: RootSystem, word) -> WeylElement:
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    inv = from_word(w.rs, tuple(reversed(reduced_word(w))))
-    inv._length = w.length
-    return inv
+    return from_word(w.rs, reversed(reduced_word(w)))
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -178,9 +160,11 @@ def longest_element(rs: RootSystem, pi) -> WeylElement:
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
-    key = ("longest", pi)
-    if key in rs._cache:
-        return rs._cache[key]
+    return _longest(rs, pi)
+
+
+@cache
+def _longest(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
     order = sorted(pi)
     w = identity(rs)
     while True:
@@ -189,9 +173,7 @@ def longest_element(rs: RootSystem, pi) -> WeylElement:
                 w = rmul_s(w, i)
                 break
         else:
-            break
-    rs._cache[key] = w
-    return w
+            return w
 
 
 def w0(rs: RootSystem) -> WeylElement:
@@ -229,12 +211,16 @@ def fixed_simples(w: WeylElement) -> frozenset[int]:
 
 
 def rank_one_minus(w: WeylElement) -> int:
-    """Rank of 1 - w over the rationals."""
+    """Rank of 1 - w over the rationals.
+
+    By rank-nullity this is n minus the rank of the kernel of 1 - w, and the
+    integer kernel lattice has a basis of exactly that many vectors.
+    """
     n = w.rs.rank
     mat = [
         [(1 if i == j else 0) - w.rows[i][j] for j in range(n)] for i in range(n)
     ]
-    return intmat.rank(mat)
+    return n - len(intmat.kernel_basis(mat))
 
 
 def inversions(w: WeylElement) -> tuple[Vector, ...]:
@@ -242,44 +228,43 @@ def inversions(w: WeylElement) -> tuple[Vector, ...]:
     return tuple(a for a in w.rs.positive_roots if _is_negative(apply(w, a)))
 
 
+@cache
 def theta(rs: RootSystem) -> dict[int, int]:
     """The diagram automorphism -w0 as a permutation of simple indices."""
-    key = "theta"
-    if key not in rs._cache:
-        long = w0(rs)
-        perm = {}
-        for i in range(1, rs.rank + 1):
-            img = tuple(-c for c in long.column(i))
-            for j in range(1, rs.rank + 1):
-                if img == rs.simples[j - 1]:
-                    perm[i] = j
-                    break
-            else:
-                raise AssertionError("-w0 does not permute the simple roots")
-        rs._cache[key] = perm
-    return rs._cache[key]
+    long = w0(rs)
+    perm = {}
+    for i in range(1, rs.rank + 1):
+        img = tuple(-c for c in long.column(i))
+        for j in range(1, rs.rank + 1):
+            if img == rs.simples[j - 1]:
+                perm[i] = j
+                break
+        else:
+            raise AssertionError("-w0 does not permute the simple roots")
+    return perm
 
 
 def reflection(rs: RootSystem, gamma: Vector) -> WeylElement:
     """The reflection in an arbitrary root gamma.
 
-    Descends gamma to a simple root alpha_j by simple reflections u and
-    returns u^-1 s_j u.
+    Descends gamma to a simple root alpha_j = u(gamma) by the simple
+    reflections s_{d_1}, ..., s_{d_k} (u = s_{d_k} ... s_{d_1}), so that
+    s_gamma = u^-1 s_j u is the word d_1 ... d_k j d_k ... d_1.
     """
     gamma = tuple(gamma)
     if _is_negative(gamma):
         gamma = tuple(-c for c in gamma)
     if not rs.is_positive_root(gamma):
         raise ValueError(f"{gamma} is not a root of {rs.rstype}")
-    u = identity(rs)
+    descents = []
     v = gamma
     while v not in rs.simples:
         for i in range(1, rs.rank + 1):
-            if rs.pairing(v, i) > 0 and v != rs.simples[i - 1]:
+            if rs.pairing(v, i) > 0:
                 v = rs.reflect_simple(v, i)
-                u = multiply(simple_reflection(rs, i), u)
+                descents.append(i)
                 break
         else:
             raise AssertionError("positive non-simple root without a descent")
     j = rs.simples.index(v) + 1
-    return multiply(inverse(u), multiply(simple_reflection(rs, j), u))
+    return from_word(rs, descents + [j] + descents[::-1])

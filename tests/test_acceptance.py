@@ -101,9 +101,11 @@ def expected_table(family: str, n: int) -> set[frozenset[int]]:
     elif family == "D":
         for l in range(1, n // 2):
             out.add(_interval(2 * l + 1, n))
-        for l in range(1, (n + 1) // 2):
-            if 2 * l < n:
-                out.add(_alternating(l, n))
+        # 2l <= n - 2, i.e. l < n // 2: for odd n, l = (n - 1)/2 would give
+        # {1, 3, ..., n - 2, n}, which theta = -w0 (swapping n - 1 and n) does
+        # not preserve
+        for l in range(1, n // 2):
+            out.add(_alternating(l, n))
         if n % 2 == 0:
             m = n // 2
             odds = frozenset(range(1, 2 * m - 2, 2))
@@ -123,7 +125,12 @@ def expected_table(family: str, n: int) -> set[frozenset[int]]:
     return out
 
 
-TABLE_TYPES = ["G2", "F4", "B3", "B4", "C3", "C4", "D4", "A2", "A3", "A4", "A5", "E6"]
+TABLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "F4", "G2"]
+)
 
 
 def test_criterion_01_pi_tables():

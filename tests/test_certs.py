@@ -64,6 +64,24 @@ def test_parse_rejects_bad_gamma():
         parse_certs(doc)
 
 
+def test_parse_error_names_position_and_label():
+    good = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1]}
+    bad = {"type": "G2", "pi": [2], "gamma": [5, 5], "sigma": [1], "label": "x"}
+    with pytest.raises(CertError, match=r"^cert #1 \(x\): gamma \[5, 5\] is not a positive root"):
+        parse_certs(json.dumps([good, bad]))
+    with pytest.raises(CertError, match="^cert #1: entry is not an object"):
+        parse_certs(json.dumps([good, 5]))
+
+
+def test_parse_rejects_unknown_key():
+    entry = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1], "simga": [9]}
+    with pytest.raises(CertError, match="^cert #0: unknown key 'simga'"):
+        parse_certs(json.dumps([entry]))
+    entry["label"] = "typo"
+    with pytest.raises(CertError, match=r"^cert #0 \(typo\): unknown key 'simga'"):
+        parse_certs(json.dumps([entry]))
+
+
 def test_parse_rejects_unknown_type_and_indices():
     with pytest.raises(CertError):
         parse_certs(json.dumps([{"type": "Z9", "pi": [], "gamma": [1], "sigma": [1]}]))

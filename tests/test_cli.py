@@ -108,6 +108,16 @@ def test_verify_non_string_type(tmp_path, capsys):
     assert out == ""
 
 
+def test_verify_unknown_key(tmp_path, capsys):
+    bad = [{"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1], "simga": [9]}]
+    path = tmp_path / "bad.certs.json"
+    path.write_text(json.dumps(bad))
+    status, out, err = run(capsys, "verify", str(path))
+    assert status == 1
+    assert err.startswith("error: cert #0: unknown key 'simga'")
+    assert "Traceback" not in err and out == ""
+
+
 def test_verify_mutation_flag(capsys):
     status, out, _ = run(capsys, "verify", G2_FILE, "--mutate", "10", "--seed", "3")
     assert status == 0

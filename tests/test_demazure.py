@@ -13,12 +13,13 @@ from weylorbit import (
     involution_step,
     is_involution,
     multiply,
+    reduced_word,
     simple_reflection,
     w0,
     weyl_group_order,
 )
 
-from conftest import brute_involutions, enumerate_group
+from conftest import brute_involutions, enumerate_group, inversion_count, left_peel_demazure
 
 
 def test_idempotent_generators(b3):
@@ -35,6 +36,29 @@ def test_defining_relations(a2):
             prod = demazure_mul(s, w)
             sw = multiply(s, w)
             assert prod == (sw if sw.length > w.length else w)
+
+
+def _agrees_with_left_peel(u, v):
+    got, want = demazure_mul(u, v), left_peel_demazure(u, v)
+    # the product carries its length from u; no cold count is needed
+    return got == want and got._length == inversion_count(want)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_demazure_matches_left_peel_exhaustive(name):
+    rs = build_named(name)
+    group = [from_word(rs, reduced_word(w)) for w in enumerate_group(rs)]
+    for u in group:
+        for v in group:
+            assert _agrees_with_left_peel(u, v), (reduced_word(u), reduced_word(v))
+
+
+def test_demazure_matches_left_peel_e8():
+    rs = build_named("E8")
+    rng = random.Random(8)
+    for _ in range(100):
+        u, v = (from_word(rs, [rng.randint(1, 8) for _ in range(30)]) for _ in range(2))
+        assert _agrees_with_left_peel(u, v), (reduced_word(u), reduced_word(v))
 
 
 def test_identity_is_neutral(b3):

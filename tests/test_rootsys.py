@@ -6,11 +6,9 @@ from weylorbit import (
     RootSystemType,
     build,
     build_named,
-    cartan_pairing,
     depth,
     highest_root,
     is_root,
-    root_sum,
     subsystem_positive_roots,
 )
 from weylorbit.rootsys import LONG, SHORT
@@ -57,26 +55,20 @@ def test_g2_table():
     rs = build_named("G2")
     assert highest_root(rs) == (3, 2)
     assert rs.cartan == ((2, -1), (-3, 2))
-    assert cartan_pairing(rs, (0, 1), 1) == -3
-    assert cartan_pairing(rs, (1, 0), 2) == -1
+    assert rs.pairing((0, 1), 1) == -3
+    assert rs.pairing((1, 0), 2) == -1
     assert is_root(rs, (3, 2)) and is_root(rs, (2, 1))
     assert not is_root(rs, (2, 2))
 
 
 def test_cartan_pairing_examples():
     a2 = build_named("A2")
-    assert cartan_pairing(a2, (1, 0), 1) == 2
-    assert cartan_pairing(a2, (1, 0), 2) == -1
+    assert a2.pairing((1, 0), 1) == 2
+    assert a2.pairing((1, 0), 2) == -1
     # bilinearity
-    assert cartan_pairing(a2, (2, 3), 1) == 2 * 2 + 3 * (-1)
+    assert a2.pairing((2, 3), 1) == 2 * 2 + 3 * (-1)
     with pytest.raises(ValueError):
-        cartan_pairing(a2, (1, 0), 3)
-
-
-def test_root_sum():
-    a2 = build_named("A2")
-    assert root_sum(a2, (1, 0), (0, 1)) == (1, 1)
-    assert root_sum(a2, (1, 0), (1, 0)) is None
+        a2.pairing((1, 0), 3)
 
 
 def test_sign_symmetry():
@@ -161,7 +153,7 @@ def test_descent_to_simple():
             hits = [
                 i
                 for i in range(1, rs.rank + 1)
-                if cartan_pairing(rs, beta, i) > 0
+                if rs.pairing(beta, i) > 0
                 and rs.is_positive_root(tuple(b - a for b, a in zip(beta, rs.simple(i))))
             ]
             assert hits, f"{beta} in {name} has no descent to a simple"

@@ -1,5 +1,7 @@
 """Weyl element arithmetic: words, lengths, Bruhat order, eigen data."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +26,17 @@ from weylorbit import (
     w0,
 )
 
-from weylorbit.weyl import lmul_s, rmul_s
+from weylorbit.spherical import candidate_element
+from weylorbit.weyl import rmul_s
 
-from conftest import brute_bruhat_order, enumerate_group
+from conftest import (
+    brute_bruhat_order,
+    dense_reflection,
+    enumerate_group,
+    fraction_rank,
+    inversion_count,
+    one_minus,
+)
 
 
 def test_identity_and_group_axioms(a2):
@@ -48,10 +58,9 @@ def test_braid_relation(a2):
 
 def test_column_operations_reject_bad_index(a3):
     # index 0 would otherwise wrap to column -1 and act as s_3
-    for op in (rmul_s, lmul_s):
-        for i in (0, a3.rank + 1):
-            with pytest.raises(ValueError, match="out of range"):
-                op(identity(a3), i)
+    for i in (0, a3.rank + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            rmul_s(identity(a3), i)
     with pytest.raises(ValueError, match="out of range"):
         from_word(a3, [1, 4])
 
@@ -142,14 +151,26 @@ def test_rank_one_minus(b3):
 
 
 def test_rank_plus_fixed_space(b3):
-    from weylorbit.intmat import rank as matrank
-
     for w in enumerate_group(b3):
-        n = b3.rank
-        fix = n - matrank(
-            [[(1 if i == j else 0) - w.rows[i][j] for j in range(n)] for i in range(n)]
-        )
-        assert rank_one_minus(w) + fix == n
+        fix = b3.rank - fraction_rank(one_minus(w))
+        assert rank_one_minus(w) + fix == b3.rank
+
+
+def test_rank_one_minus_matches_fraction_rank():
+    # all of four small groups, then every w0 w_pi of five rank 6-8 types
+    checked = 0
+    for name in ("A4", "B4", "D4", "F4"):
+        for w in enumerate_group(build_named(name)):
+            assert rank_one_minus(w) == fraction_rank(one_minus(w))
+            checked += 1
+    for name in ("E6", "E7", "E8", "B8", "D8"):
+        rs = build_named(name)
+        for size in range(rs.rank + 1):
+            for pi in combinations(range(1, rs.rank + 1), size):
+                w = candidate_element(rs, pi)
+                assert rank_one_minus(w) == fraction_rank(one_minus(w)), (name, pi)
+                checked += 1
+    assert checked == 1848 + 960
 
 
 def test_theta():
@@ -193,6 +214,15 @@ def test_reflection_in_nonsimple_root(a3):
     assert t == reflection(a3, (-1, -1, -1))
     with pytest.raises(ValueError):
         reflection(a3, (1, 0, 1))
+
+
+@pytest.mark.parametrize("name", ["A8", "D8", "E8", "F4", "G2"])
+def test_reflection_matches_dense_product(name):
+    rs = build_named(name)
+    for gamma in rs.positive_roots:
+        t = reflection(rs, gamma)
+        assert t == dense_reflection(rs, gamma), gamma
+        assert t.length == inversion_count(t)
 
 
 @st.composite
