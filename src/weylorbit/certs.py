@@ -22,21 +22,13 @@ concurrently or in any order.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from random import Random
 
 from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
-from .spherical import candidate_element, is_admissible
-from .weyl import (
-    WeylElement,
-    apply,
-    from_word,
-    identity,
-    inverse,
-    is_involution,
-    multiply,
-    simple_reflection,
-)
+from .spherical import ENUMERATION_MAX_RANK, candidate_element, is_admissible
+from .weyl import apply, from_word, identity, is_involution, multiply, rmul_s
 
 
 class CertError(ValueError):
@@ -100,10 +92,16 @@ CERT_KEYS = frozenset({"type", "pi", "gamma", "sigma", "expected_cond2", "label"
 
 
 def _seq(values, what: str) -> tuple:
-    try:
-        return tuple(values)
-    except TypeError:
-        raise CertError(f"{what} must be a list, got {values!r}") from None
+    """A list field's entries; a string or an object is not a list.
+
+    Messages show values by reprlib, which bounds their size and nesting.
+    """
+    if not isinstance(values, (str, dict)):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise CertError(f"{what} must be a list, got {reprlib.repr(values)}")
 
 
 def _ints(values, what: str) -> tuple[int, ...]:
@@ -111,7 +109,7 @@ def _ints(values, what: str) -> tuple[int, ...]:
     out = _seq(values, what)
     for v in out:
         if type(v) is not int:
-            raise CertError(f"{what} entry {v!r} is not an integer")
+            raise CertError(f"{what} entry {reprlib.repr(v)} is not an integer")
     return out
 
 
@@ -131,6 +129,8 @@ def make_cert(
 
 
 def _validated_cert(rstype, pi, gamma, sigma_word, expected_cond2, label) -> ExclusionCert:
+    if rstype.rank > ENUMERATION_MAX_RANK:
+        raise CertError(f"type {rstype} has rank above {ENUMERATION_MAX_RANK}")
     rs = build(rstype)
     indices = _ints(pi, "pi")
     pi = frozenset(indices)
@@ -163,11 +163,13 @@ def parse_certs(document: str) -> list[ExclusionCert]:
     """Parse a JSON certificate file.
 
     Any defect aborts with a CertError naming the entry's position and, when
-    it has one, its label. An entry may hold only the keys in CERT_KEYS.
+    it has one, its label. An entry may hold only the keys in CERT_KEYS, the
+    label must be a string and the rank at most ENUMERATION_MAX_RANK.
     """
     try:
         data = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers too long to convert
         raise CertError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CertError("certificate document must be a JSON array")
@@ -181,6 +183,9 @@ def parse_certs(document: str) -> list[ExclusionCert]:
                 raise CertError(
                     f"unknown key {min(unknown)!r}, expected only {', '.join(sorted(CERT_KEYS))}"
                 )
+            label = entry.get("label", f"cert #{pos}")
+            if not isinstance(label, str):
+                raise CertError(f"label must be a string, got {type(label).__name__}")
             rstype = RootSystemType.from_string(entry["type"])
             certs.append(
                 _validated_cert(
@@ -189,7 +194,7 @@ def parse_certs(document: str) -> list[ExclusionCert]:
                     entry["gamma"],
                     entry["sigma"],
                     entry.get("expected_cond2"),
-                    str(entry.get("label", f"cert #{pos}")),
+                    label,
                 )
             )
         except KeyError as exc:
@@ -200,8 +205,8 @@ def parse_certs(document: str) -> list[ExclusionCert]:
 
 
 def _where(pos: int, entry) -> str:
-    """An entry's position, and its label when it has one."""
-    if isinstance(entry, dict) and "label" in entry:
+    """An entry's position, and its label when it has a string one."""
+    if isinstance(entry, dict) and isinstance(entry.get("label"), str):
         return f"cert #{pos} ({entry['label']})"
     return f"cert #{pos}"
 
@@ -232,23 +237,25 @@ def verify(cert: ExclusionCert) -> CertReport:
     cond1 = apply(sigma, cert.gamma) == _negate(alpha_top)
 
     # gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}), reading the word from its
-    # right end; j = 0 contributes alpha_{i_1} itself.
+    # right end; j = 0 contributes alpha_{i_1} itself. The prefix ends as
+    # s_{i_1} ... s_{i_{t-1}}, and one more letter makes it sigma^-1.
     rev = tuple(reversed(word))
     witnesses = []
     prefix = identity(rs)
     for j in range(len(word) - 1):
-        witnesses.append(apply(prefix, rs.simples[rev[j] - 1]))
-        prefix = multiply(prefix, simple_reflection(rs, rev[j]))
+        witnesses.append(prefix.column(rev[j]))
+        prefix = rmul_s(prefix, rev[j])
+    sigma_inv = rmul_s(prefix, top)
     cond2_match = None
     if cert.expected_cond2 is not None:
         cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
 
     w = candidate_element(rs, cert.pi)
-    u = multiply(multiply(sigma, w), inverse(sigma))
-    image = apply(u, alpha_top)
+    u = multiply(multiply(sigma, w), sigma_inv)
+    image = u.column(top)
     cond3 = all(c >= 0 for c in image) and image != alpha_top
 
-    twisted = multiply(u, simple_reflection(rs, top))
+    twisted = rmul_s(u, top)
     cond4 = not is_involution(twisted)
 
     return CertReport(

@@ -32,6 +32,12 @@ def _parse_indices(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(rows: list[list], header: list[str], fmt: str, json_payload) -> None:
     if fmt == "json":
         print(json.dumps(json_payload, indent=1))
@@ -165,7 +171,8 @@ def _cmd_tables(args) -> int:
     types += [RootSystemType("E", n) for n in (6, 7, 8) if n <= args.max_rank]
     if args.max_rank >= 4:
         types.append(RootSystemType("F", 4))
-    types.append(RootSystemType("G", 2))
+    if args.max_rank >= 2:
+        types.append(RootSystemType("G", 2))
 
     all_payload = []
     rows = []
@@ -220,7 +227,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("verify", _cmd_verify, "verify a certificate file, exit 1 on failure")
     p.add_argument("file")
-    p.add_argument("--mutate", type=int, default=0,
+    p.add_argument("--mutate", type=_count, default=0,
                    help="additionally corrupt N random sigma letters and report detections")
     p.add_argument("--seed", type=int, default=0, help="seed for --mutate")
 

@@ -15,15 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .rootsys import RootSystem, RootSystemType
-from .weyl import (
-    WeylElement,
-    identity,
-    is_involution,
-    multiply,
-    reduced_word,
-    rmul_s,
-    simple_reflection,
-)
+from .weyl import WeylElement, identity, is_involution, reduced_word, rmul_s
 
 CASE_DESCRIPTIONS = {
     1: "l(sws) = l(w) + 2",
@@ -61,36 +53,28 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
 def involution_step(w: WeylElement, i: int) -> StepOutcome:
     """Classify the step (w, s_i) for an involution w and list candidates.
 
-    Cases 2 and 3 come with the commutation s w = w s; this is recomputed and
-    enforced rather than assumed.
+    Everything is read off beta = w(alpha_i). Since w is an involution,
+    l(sw) = l(ws), and l(ws) > l(w) exactly when beta > 0. Since
+    w s_i w^-1 = s_beta, sw = ws holds exactly when beta = +-alpha_i, which
+    gives cases 2 and 3. Otherwise s_i(beta) has the sign of beta, so l(sws)
+    moves two steps the same way: case 1 when beta > 0, case 4 when beta < 0.
     """
     if not is_involution(w):
         raise ValueError("involution_step requires an involution")
     rs = w.rs
     rs._check_index(i)
-    s = simple_reflection(rs, i)
-    sw = multiply(s, w)
-    w_alpha_up = all(c >= 0 for c in w.column(i))
-    # w is an involution, so l(sw) = l(ws) and the sign of w(alpha_i) settles both.
-    sw_alpha_up = all(c >= 0 for c in sw.column(i))
-    if w_alpha_up:
-        if sw_alpha_up:
-            sws = rmul_s(sw, i)
-            return StepOutcome(1, frozenset({sws}))
-        _require_commutation(w, s, case=2)
-        return StepOutcome(2, frozenset({sw, w}))
-    if sw_alpha_up:
-        _require_commutation(w, s, case=3)
+    beta = w.column(i)
+    alpha = rs.simples[i - 1]
+    if beta == alpha:
+        return StepOutcome(2, frozenset({rmul_s(w, i), w}))
+    if beta == tuple(-c for c in alpha):
+        return StepOutcome(3, frozenset({w, rmul_s(w, i)}))
+    if all(c >= 0 for c in beta):
+        # s * (ws): s_i acts on each column of ws
         ws = rmul_s(w, i)
-        return StepOutcome(3, frozenset({w, ws}))
+        cols = [rs.reflect_simple(ws.column(j), i) for j in range(1, rs.rank + 1)]
+        return StepOutcome(1, frozenset({WeylElement(rs, tuple(zip(*cols)))}))
     return StepOutcome(4, frozenset({w}))
-
-
-def _require_commutation(w: WeylElement, s: WeylElement, case: int) -> None:
-    if multiply(s, w) != multiply(w, s):
-        raise AssertionError(
-            f"case {case} reached without sw = ws; the input was not an involution"
-        )
 
 
 def weyl_group_order(rstype: RootSystemType) -> int:

@@ -28,13 +28,11 @@ from . import intmat
 from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
 from .weyl import (
     WeylElement,
-    apply,
     longest_element,
     multiply,
     rank_one_minus,
     reduced_word,
     theta,
-    w0,
 )
 
 ENUMERATION_MAX_RANK = 8
@@ -64,15 +62,21 @@ class SphericalDatum:
 
 
 def candidate_element(rs: RootSystem, pi) -> WeylElement:
-    """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi)."""
+    """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi).
+
+    Built without a product: w0(alpha_j) = -alpha_{theta(j)} and theta is an
+    involution, so row r of w0 * w_Pi is minus row theta(r) of w_Pi.
+    """
     return _candidate(rs, frozenset(pi))
 
 
 @cache
 def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    prod = multiply(w0(rs), longest_element(rs, pi))
+    w_pi = longest_element(rs, pi).rows
+    perm = theta(rs)
+    rows = tuple(tuple(-c for c in w_pi[perm[r] - 1]) for r in range(1, rs.rank + 1))
     length = len(rs.positive_roots) - len(subsystem_positive_roots(rs, pi))
-    return WeylElement(rs, prod.rows, length)
+    return WeylElement(rs, rows, length)
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:
@@ -127,12 +131,12 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
     """Diagram filter on isolated components of an admissible pi.
 
     Fails exactly when some isolated component {a} admits a distinct simple b
-    of the same length with w0(alpha_b) = -alpha_b, b adjacent to a, and b
-    orthogonal to every other element of pi; the witness (a, b) is returned
-    with the failure.
+    of the same length with w0(alpha_b) = -alpha_b, that is theta(b) = b,
+    b adjacent to a, and b orthogonal to every other element of pi; the
+    witness (a, b) is returned with the failure.
     """
     pi = frozenset(pi)
-    long = w0(rs)
+    perm = theta(rs)
     for comp in _components(rs, pi):
         if len(comp) != 1:
             continue
@@ -144,7 +148,7 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
             beta = rs.simples[b - 1]
             if rs.length_class(beta) != rs.length_class(alpha):
                 continue
-            if apply(long, beta) != tuple(-c for c in beta):
+            if perm[b] != b:
                 continue
             if rs.inner(alpha, beta) == 0:
                 continue
@@ -210,16 +214,12 @@ def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     return _datum(rs, pi)
 
 
-def _is_minus_identity(w: WeylElement) -> bool:
-    n = w.rs.rank
-    return w.rows == tuple(
-        tuple(-1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def toro1_rank(rs: RootSystem, pi) -> int:
-    """rank - |pi|, valid when w0 = -1; cross-checked against the matrix rank."""
-    if not _is_minus_identity(w0(rs)):
+    """rank - |pi|, valid when w0 = -1; cross-checked against the matrix rank.
+
+    w0 = -1 exactly when theta = -w0 is the identity permutation.
+    """
+    if any(i != j for i, j in theta(rs).items()):
         raise ValueError(
             f"w0 is not -1 in {rs.rstype}; use rank_one_minus directly"
         )

@@ -5,12 +5,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from weylorbit import (
+    CertReport,
     apply,
+    build,
     build_named,
     fixed_simples,
+    from_word,
     identity,
+    inverse,
+    is_involution,
     longest_element,
     multiply,
     reduced_word,
@@ -18,6 +24,7 @@ from weylorbit import (
     simple_reflection,
     w0,
 )
+from weylorbit.certs import CERT_KEYS
 
 
 def matrix_admissible(rs, pi):
@@ -87,6 +94,54 @@ def dense_reflection(rs, gamma):
     return multiply(u_inv, multiply(s_j, u))
 
 
+def dense_involution_step(w, i):
+    """(case, candidates) of the step (w, s_i) by dense products and the signs of columns.
+
+    Cases 2 and 3 must come with sw = ws; the rule asserts it.
+    """
+    s = simple_reflection(w.rs, i)
+    sw = multiply(s, w)
+    w_up = all(c >= 0 for c in w.column(i))
+    sw_up = all(c >= 0 for c in sw.column(i))
+    if w_up and sw_up:
+        return 1, frozenset({multiply(sw, s)})
+    if w_up or sw_up:
+        assert sw == multiply(w, s), "case 2 or 3 without sw = ws"
+        return (2 if w_up else 3), frozenset({sw, w})
+    return 4, frozenset({w})
+
+
+def dense_verify(cert):
+    """The certificate conditions by matrix products, an inverse and dense applications."""
+    rs = build(cert.rstype)
+    word = cert.sigma_word
+    top = word[0]
+    alpha_top = rs.simples[top - 1]
+    sigma = from_word(rs, word)
+    cond1 = apply(sigma, cert.gamma) == tuple(-c for c in alpha_top)
+    witnesses = []
+    prefix = identity(rs)
+    for a in reversed(word[1:]):
+        witnesses.append(apply(prefix, rs.simples[a - 1]))
+        prefix = multiply(prefix, simple_reflection(rs, a))
+    cond2_match = None
+    if cert.expected_cond2 is not None:
+        cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
+    w = multiply(w0(rs), longest_element(rs, cert.pi))
+    u = multiply(multiply(sigma, w), inverse(sigma))
+    image = apply(u, alpha_top)
+    cond3 = all(c >= 0 for c in image) and image != alpha_top
+    cond4 = not is_involution(multiply(u, simple_reflection(rs, top)))
+    return CertReport(
+        cond1=cond1,
+        cond2_witnesses=tuple(witnesses),
+        cond2_match=cond2_match,
+        cond3=cond3,
+        cond4_noninvolution=cond4,
+        passed=cond1 and cond3 and cond4,
+    )
+
+
 def enumerate_group(rs):
     """All of W by breadth-first closure under right multiplication."""
     seen = {identity(rs)}
@@ -145,6 +200,32 @@ def brute_bruhat_order(rs):
                     if row_mid[c]:
                         row_a[c] = True
     return group, leq
+
+
+# Arbitrary JSON values, with object keys drawn partly from the certificate keys.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(sorted(CERT_KEYS)) | st.text(max_size=4), children, max_size=6),
+    max_leaves=20,
+)
+_G2_CERT = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1],
+            "expected_cond2": [[1, 0]], "label": "x"}
+
+
+@st.composite
+def _cert_entries(draw):
+    """A valid G2 entry with a few keys dropped, or set to arbitrary JSON values."""
+    entry = dict(_G2_CERT)
+    for key in draw(st.sets(st.sampled_from(sorted(CERT_KEYS) + ["unknown"]), max_size=3)):
+        if draw(st.booleans()):
+            entry[key] = draw(json_values)
+        else:
+            entry.pop(key, None)
+    return entry
+
+
+cert_documents = json_values | st.lists(_cert_entries(), max_size=3)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from weylorbit import (
     CertError,
@@ -25,6 +26,8 @@ from weylorbit.catalog import (
     shipped_files,
 )
 from weylorbit.certs import certs_to_json
+
+from conftest import cert_documents, dense_verify
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -106,6 +109,7 @@ def test_parse_rejects_unknown_type_and_indices():
         ("sigma", [2, "1"]),
         ("expected_cond2", [["1", 0]]),
         ("expected_cond2", [[1.0, 0]]),
+        ("pi", {}),
     ],
 )
 def test_parse_rejects_inexact_fields(field, value):
@@ -113,6 +117,47 @@ def test_parse_rejects_inexact_fields(field, value):
     entry[field] = value
     with pytest.raises(CertError, match="cert #0"):
         parse_certs(json.dumps([entry]))
+
+
+@pytest.mark.parametrize("label", [None, ["x"], 7, {"a": "b"}])
+def test_parse_rejects_non_string_label(label):
+    # null used to become the label 'None' and ["x"] the label "['x']"
+    entry = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1], "label": label}
+    with pytest.raises(CertError, match=r"^cert #0: label must be a string"):
+        parse_certs(json.dumps([entry]))
+
+
+@pytest.mark.parametrize("doc", ["[" * 5000, "[" * 5000 + "]" * 5000], ids=["open", "closed"])
+def test_parse_rejects_deep_nesting(doc):
+    with pytest.raises(CertError, match="not valid JSON"):
+        parse_certs(doc)
+
+
+def test_parse_bounds_message_of_nested_value():
+    entry = '{"type": "G2", "pi": ' + "[" * 500 + "]" * 500 + ', "gamma": [3, 1], "sigma": [2, 1]}'
+    with pytest.raises(CertError, match=r"^cert #0: pi entry \[+\.\.\.\]+ is not an integer$"):
+        parse_certs(f"[{entry}]")
+
+
+def test_parse_rejects_rank_above_enumeration_bound():
+    # the root system of A60 took seconds to build before the rank was checked
+    entry = {"type": "A60", "pi": [], "gamma": [1] + [0] * 59, "sigma": [1]}
+    with pytest.raises(CertError, match="^cert #0: type A60 has rank above 8"):
+        parse_certs(json.dumps([entry]))
+    with pytest.raises(CertError, match="rank above 8"):
+        make_cert(RootSystemType("D", 9), [], (1,) + (0,) * 8, [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cert_documents)
+def test_parse_fuzz_returns_certs_or_cert_error(data):
+    """Only CertError escapes parse_certs, and a parsed label is the string given."""
+    try:
+        certs = parse_certs(json.dumps(data))
+    except CertError:
+        return
+    for pos, (entry, cert) in enumerate(zip(data, certs, strict=True)):
+        assert cert.label == entry.get("label", f"cert #{pos}")
 
 
 def test_float_gamma_is_not_truncated():
@@ -193,6 +238,17 @@ def test_mutation_mostly_detected():
         if not verify(mutant).passed:
             detected += 1
     assert detected >= 0.95 * len(certs)
+
+
+def test_verify_matches_dense_oracle():
+    rng = random.Random(5)
+    inputs = []
+    for certs in shipped_files().values():
+        for cert in certs:
+            inputs += [cert, mutate_sigma(cert, rng)]
+    assert len(inputs) == 2 * 1477
+    for cert in inputs:
+        assert verify(cert) == dense_verify(cert), cert.label
 
 
 def test_passing_cert_gains_length_after_twist():

@@ -1,13 +1,19 @@
 """Command line behaviour and its JSON serializations."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from weylorbit.cli import main
+
+from conftest import cert_documents
 
 REPO = Path(__file__).resolve().parent.parent
 G2_FILE = str(REPO / "certs" / "g2.certs.json")
@@ -124,6 +130,39 @@ def test_verify_mutation_flag(capsys):
     assert "mutations:" in out
 
 
+def test_verify_rejects_negative_mutate(capsys):
+    # -3 used to print "mutations: 0/-3 detected" and exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", G2_FILE, "--mutate", "-3"])
+    assert exc.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_verify_deep_nesting_has_no_traceback(tmp_path):
+    path = tmp_path / "deep.certs.json"
+    path.write_text("[" * 5000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "weylorbit.cli", "verify", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: not valid JSON")
+    assert "Traceback" not in proc.stderr
+
+
+@settings(max_examples=50, deadline=None)
+@given(cert_documents)
+def test_verify_fuzz_exits_0_or_1(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.certs.json"
+        path.write_text(json.dumps(data))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            # an escaping exception would be the traceback
+            assert main(["verify", str(path)]) in (0, 1)
+
+
 def test_verify_missing_file(capsys):
     status, _, err = run(capsys, "verify", "no-such-file.json")
     assert status == 1
@@ -144,6 +183,12 @@ def test_tables_tsv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].split("\t") == ["type", "pi", "length", "rank", "dimension", "central"]
     assert any(line.startswith("B3\t") for line in lines)
+
+
+def test_tables_max_rank_one_has_no_g2(capsys):
+    status, out, _ = run(capsys, "tables", "--max-rank", "1", "--format", "tsv")
+    assert status == 0
+    assert {line.split("\t")[0] for line in out.strip().splitlines()[1:]} == {"A1"}
 
 
 def test_console_entry_point():

@@ -19,7 +19,13 @@ from weylorbit import (
     weyl_group_order,
 )
 
-from conftest import brute_involutions, enumerate_group, inversion_count, left_peel_demazure
+from conftest import (
+    brute_involutions,
+    dense_involution_step,
+    enumerate_group,
+    inversion_count,
+    left_peel_demazure,
+)
 
 
 def test_idempotent_generators(b3):
@@ -112,6 +118,16 @@ def test_step_examples(a2):
     out = involution_step(w0(a2), 1)
     assert out.case_id == 4
     assert out.candidates == frozenset({w0(a2)})
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_step_matches_dense_oracle(name):
+    rs = build_named(name)
+    for w in brute_involutions(rs):
+        for i in range(1, rs.rank + 1):
+            out = involution_step(w, i)
+            assert (out.case_id, out.candidates) == dense_involution_step(w, i), (
+                reduced_word(w), i)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])

@@ -14,12 +14,15 @@ from weylorbit import (
     identity,
     is_admissible,
     is_involution,
+    longest_element,
+    multiply,
     neg_eigenlattice_basis,
     passes_quali_no,
     spherical_datum,
     subsystem_positive_roots,
     toro1_rank,
     type_a_cascade,
+    w0,
 )
 from weylorbit.spherical import candidate_element
 
@@ -53,6 +56,7 @@ def test_diagram_rule_matches_matrix_rule(name):
         for pi in combinations(range(1, rs.rank + 1), size):
             assert is_admissible(rs, pi) == matrix_admissible(rs, pi), pi
             w = candidate_element(rs, pi)
+            assert w == multiply(w0(rs), longest_element(rs, pi)), pi
             assert w.length == inversion_count(w), pi
 
 
