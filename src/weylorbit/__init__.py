@@ -13,7 +13,6 @@ from .rootsys import (
     build_named,
     depth,
     highest_root,
-    is_root,
     subsystem_positive_roots,
 )
 from .weyl import (
@@ -23,7 +22,6 @@ from .weyl import (
     fixed_simples,
     from_word,
     identity,
-    inverse,
     inversions,
     is_involution,
     longest_element,

@@ -277,6 +277,8 @@ def verify_all(certs) -> VerifySummary:
 def mutate_sigma(cert: ExclusionCert, rng: Random) -> ExclusionCert:
     """Corrupt one letter of the sigma word into a different valid letter."""
     rs = build(cert.rstype)
+    if rs.rank < 2:
+        raise CertError(f"{cert.label}: a sigma word of rank {rs.rank} has no other letter")
     pos = rng.randrange(len(cert.sigma_word))
     old = cert.sigma_word[pos]
     choices = [a for a in range(1, rs.rank + 1) if a != old]

@@ -81,7 +81,7 @@ def _cmd_weyl(args) -> int:
         "involution": weyl.is_involution(w),
         "rank_one_minus": weyl.rank_one_minus(w),
         "fixed_simples": sorted(weyl.fixed_simples(w)),
-        "matrix": [list(row) for row in w.rows],
+        "matrix": [[col[i] for col in w.cols] for i in range(rs.rank)],
     }
     rows = [[k, info[k]] for k in
             ("reduced_word", "length", "involution", "rank_one_minus", "fixed_simples")]
@@ -153,10 +153,13 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {c.label}: {r.as_dict()}")
     status = 0 if summary.ok else 1
     if args.mutate:
+        pool = [c for c in cert_list if c.rstype.rank >= 2]
+        if not pool:
+            raise ValueError("nothing to mutate: the file has no certificate of rank >= 2")
         rng = Random(args.seed)
         broken = 0
         for _ in range(args.mutate):
-            cert = cert_list[rng.randrange(len(cert_list))]
+            cert = pool[rng.randrange(len(pool))]
             mutant = certs_mod.mutate_sigma(cert, rng)
             if not certs_mod.verify(mutant).passed:
                 broken += 1

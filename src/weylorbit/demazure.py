@@ -45,7 +45,7 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
         raise ValueError("elements live in different root systems")
     cur = w1
     for b in reduced_word(w2):
-        if all(c >= 0 for c in cur.column(b)):
+        if all(c >= 0 for c in cur.cols[b - 1]):
             cur = rmul_s(cur, b)
     return cur
 
@@ -62,7 +62,6 @@ def involution_step(w: WeylElement, i: int) -> StepOutcome:
     if not is_involution(w):
         raise ValueError("involution_step requires an involution")
     rs = w.rs
-    rs._check_index(i)
     beta = w.column(i)
     alpha = rs.simples[i - 1]
     if beta == alpha:
@@ -72,8 +71,8 @@ def involution_step(w: WeylElement, i: int) -> StepOutcome:
     if all(c >= 0 for c in beta):
         # s * (ws): s_i acts on each column of ws
         ws = rmul_s(w, i)
-        cols = [rs.reflect_simple(ws.column(j), i) for j in range(1, rs.rank + 1)]
-        return StepOutcome(1, frozenset({WeylElement(rs, tuple(zip(*cols)))}))
+        cols = tuple(rs.reflect_simple(col, i) for col in ws.cols)
+        return StepOutcome(1, frozenset({WeylElement(rs, cols)}))
     return StepOutcome(4, frozenset({w}))
 
 

@@ -138,7 +138,6 @@ class RootSystem:
         )
         self.positive_roots: tuple[Vector, ...] = tuple(pos)
         self._positive_set = frozenset(pos)
-        self._all_roots = frozenset(roots)
         if 2 * len(pos) != len(roots):
             raise AssertionError(f"sign-asymmetric root table for {rstype}")
 
@@ -172,10 +171,6 @@ class RootSystem:
         return roots
 
     # -- elementwise queries ------------------------------------------------
-
-    def simple(self, i: int) -> Vector:
-        self._check_index(i)
-        return self.simples[i - 1]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
@@ -231,10 +226,6 @@ def build(rstype: RootSystemType) -> RootSystem:
 
 def build_named(name: str) -> RootSystem:
     return build(RootSystemType.from_string(name))
-
-
-def is_root(rs: RootSystem, v: Vector) -> bool:
-    return tuple(v) in rs._all_roots
 
 
 def depth(rs: RootSystem, beta: Vector) -> int:

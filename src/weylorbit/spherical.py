@@ -64,19 +64,22 @@ class SphericalDatum:
 def candidate_element(rs: RootSystem, pi) -> WeylElement:
     """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi).
 
-    Built without a product: w0(alpha_j) = -alpha_{theta(j)} and theta is an
-    involution, so row r of w0 * w_Pi is minus row theta(r) of w_Pi.
+    Built without a product: w0(alpha_k) = -alpha_{theta(k)} and theta is an
+    involution, so entry r of each column of w0 * w_Pi is minus entry
+    theta(r) of the same column of w_Pi.
     """
     return _candidate(rs, frozenset(pi))
 
 
 @cache
 def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    w_pi = longest_element(rs, pi).rows
     perm = theta(rs)
-    rows = tuple(tuple(-c for c in w_pi[perm[r] - 1]) for r in range(1, rs.rank + 1))
+    cols = tuple(
+        tuple(-col[perm[r] - 1] for r in range(1, rs.rank + 1))
+        for col in longest_element(rs, pi).cols
+    )
     length = len(rs.positive_roots) - len(subsystem_positive_roots(rs, pi))
-    return WeylElement(rs, rows, length)
+    return WeylElement(rs, cols, length)
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:
@@ -136,6 +139,8 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
     witness (a, b) is returned with the failure.
     """
     pi = frozenset(pi)
+    for i in pi:
+        rs._check_index(i)
     perm = theta(rs)
     for comp in _components(rs, pi):
         if len(comp) != 1:
@@ -244,7 +249,7 @@ def neg_eigenlattice_basis(rs: RootSystem, pi) -> list[Vector]:
     w = candidate_element(rs, pi)
     n = rs.rank
     one_plus = [
-        [(1 if i == j else 0) + w.rows[i][j] for j in range(n)] for i in range(n)
+        [(1 if i == j else 0) + w.cols[j][i] for j in range(n)] for i in range(n)
     ]
     return intmat.kernel_basis(one_plus)
 

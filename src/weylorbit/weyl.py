@@ -1,9 +1,10 @@
 """Exact Weyl group arithmetic in the reflection representation.
 
-An element is the integer matrix of its action on the root lattice in the
-simple-root basis (column i-1 is the image of alpha_i), so equality is matrix
-equality and words are derived data. Lengths are inversion counts, cached per
-element, and every product by a simple reflection carries the length along.
+An element is stored as the images of the simple roots, cols[i-1] = w(alpha_i)
+in the simple-root basis (the columns of its matrix on the root lattice), so
+equality is equality of these vectors and words are derived data. Lengths are
+inversion counts, cached per element, and every product by a simple
+reflection carries the length along.
 Elements that depend only on the root system (the identity, the simple
 reflections, parabolic longest elements and theta) are memoized by
 functools.cache, keyed on the immutable root system; nothing is stored on the
@@ -22,22 +23,22 @@ from .rootsys import RootSystem, Vector
 class WeylElement:
     """An element of W(rs) as a lattice automorphism."""
 
-    __slots__ = ("rs", "rows", "_length")
+    __slots__ = ("rs", "cols", "_length")
 
-    def __init__(self, rs: RootSystem, rows: tuple[tuple[int, ...], ...], length: int | None = None):
+    def __init__(self, rs: RootSystem, cols: tuple[Vector, ...], length: int | None = None):
         self.rs = rs
-        self.rows = rows
+        self.cols = cols
         self._length = length
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
             and self.rs.rstype == other.rs.rstype
-            and self.rows == other.rows
+            and self.cols == other.cols
         )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.cols)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return multiply(self, other)
@@ -53,8 +54,8 @@ class WeylElement:
 
     def column(self, i: int) -> Vector:
         """Image of alpha_i (1-based)."""
-        c = i - 1
-        return tuple(row[c] for row in self.rows)
+        self.rs._check_index(i)
+        return self.cols[i - 1]
 
 
 def _is_negative(v: Vector) -> bool:
@@ -63,58 +64,47 @@ def _is_negative(v: Vector) -> bool:
 
 @cache
 def identity(rs: RootSystem) -> WeylElement:
-    n = rs.rank
-    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return WeylElement(rs, rows, 0)
+    return WeylElement(rs, rs.simples, 0)
 
 
 @cache
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    rs._check_index(i)
-    n = rs.rank
-    rows = [[1 if r == j else 0 for j in range(n)] for r in range(n)]
-    for j in range(n):
-        # s_i(alpha_j) = alpha_j - <alpha_j, alpha_i^vee> alpha_i
-        rows[i - 1][j] -= rs.cartan[j][i - 1]
-    return WeylElement(rs, tuple(map(tuple, rows)), 1)
+    return rmul_s(identity(rs), i)
 
 
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
-    """w * s_i. Column j gains -<alpha_j, alpha_i^vee> * column i; column i flips."""
+    """w * s_i.
+
+    Column j becomes col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and
+    a column with a zero pairing is shared.
+    """
     rs = w.rs
     rs._check_index(i)
     c = i - 1
-    n = rs.rank
-    cartan_col = [rs.cartan[j][c] for j in range(n)]
-    new_rows = []
-    for row in w.rows:
-        base = row[c]
-        new_rows.append(
-            tuple(
-                -base if j == c else row[j] - cartan_col[j] * base
-                for j in range(n)
-            )
-        )
+    wi = w.cols[c]
+    cols = []
+    for col, row in zip(w.cols, rs.cartan):
+        a = row[c]
+        cols.append(tuple(x - a * y for x, y in zip(col, wi)) if a else col)
     length = None
     if w._length is not None:
-        wi = w.column(i)
-        length = w._length + (1 if not _is_negative(wi) else -1)
-    return WeylElement(rs, tuple(new_rows), length)
+        length = w._length + (-1 if _is_negative(wi) else 1)
+    return WeylElement(rs, tuple(cols), length)
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
     if a.rs.rstype != b.rs.rstype:
         raise ValueError("elements live in different root systems")
-    bt = tuple(zip(*b.rows))
-    rows = tuple(
-        tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt) for arow in a.rows
-    )
-    return WeylElement(a.rs, rows)
+    return WeylElement(a.rs, tuple(apply(a, col) for col in b.cols))
 
 
 def apply(w: WeylElement, v: Vector) -> Vector:
-    """Image of a lattice vector under w."""
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in w.rows)
+    """Image of a lattice vector under w: the sum of v_j * w(alpha_j)."""
+    out = [0] * w.rs.rank
+    for c, col in zip(v, w.cols):
+        if c:
+            out = [o + c * x for o, x in zip(out, col)]
+    return tuple(out)
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
@@ -123,10 +113,6 @@ def from_word(rs: RootSystem, word) -> WeylElement:
     for letter in word:
         w = rmul_s(w, letter)
     return w
-
-
-def inverse(w: WeylElement) -> WeylElement:
-    return from_word(w.rs, reversed(reduced_word(w)))
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -140,8 +126,8 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     cur = w
     ident = identity(rs)
     while cur != ident:
-        for i in range(1, rs.rank + 1):
-            if _is_negative(cur.column(i)):
+        for i, col in enumerate(cur.cols, 1):
+            if _is_negative(col):
                 letters.append(i)
                 cur = rmul_s(cur, i)
                 break
@@ -169,7 +155,7 @@ def _longest(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
     w = identity(rs)
     while True:
         for i in order:
-            if not _is_negative(w.column(i)):
+            if not _is_negative(w.cols[i - 1]):
                 w = rmul_s(w, i)
                 break
         else:
@@ -197,16 +183,15 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         return False
     cur = u
     for s in reversed(reduced_word(w)):
-        if _is_negative(cur.column(s)):
+        if _is_negative(cur.cols[s - 1]):
             cur = rmul_s(cur, s)
     return cur == identity(u.rs)
 
 
 def fixed_simples(w: WeylElement) -> frozenset[int]:
     """{i : w(alpha_i) = alpha_i}."""
-    rs = w.rs
     return frozenset(
-        i for i in range(1, rs.rank + 1) if w.column(i) == rs.simples[i - 1]
+        i for i, (col, a) in enumerate(zip(w.cols, w.rs.simples), 1) if col == a
     )
 
 
@@ -218,7 +203,7 @@ def rank_one_minus(w: WeylElement) -> int:
     """
     n = w.rs.rank
     mat = [
-        [(1 if i == j else 0) - w.rows[i][j] for j in range(n)] for i in range(n)
+        [(1 if i == j else 0) - w.cols[j][i] for j in range(n)] for i in range(n)
     ]
     return n - len(intmat.kernel_basis(mat))
 
@@ -233,8 +218,8 @@ def theta(rs: RootSystem) -> dict[int, int]:
     """The diagram automorphism -w0 as a permutation of simple indices."""
     long = w0(rs)
     perm = {}
-    for i in range(1, rs.rank + 1):
-        img = tuple(-c for c in long.column(i))
+    for i, col in enumerate(long.cols, 1):
+        img = tuple(-c for c in col)
         for j in range(1, rs.rank + 1):
             if img == rs.simples[j - 1]:
                 perm[i] = j

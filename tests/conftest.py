@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from weylorbit import (
     fixed_simples,
     from_word,
     identity,
-    inverse,
     is_involution,
     longest_element,
     multiply,
@@ -25,6 +25,84 @@ from weylorbit import (
     w0,
 )
 from weylorbit.certs import CERT_KEYS
+
+
+def rows(w):
+    """The matrix of w as a tuple of rows; the columns are the stored w(alpha_i)."""
+    return tuple(zip(*w.cols))
+
+
+def inverse(w):
+    """w^-1 as the reversed reduced word."""
+    return from_word(w.rs, reversed(reduced_word(w)))
+
+
+@cache
+def _reflection_closure(rs):
+    """Every root, as the closure of the simple roots under the simple reflections."""
+    roots = set(rs.simples)
+    frontier = list(roots)
+    while frontier:
+        v = frontier.pop()
+        for i in range(1, rs.rank + 1):
+            img = rs.reflect_simple(v, i)
+            if img not in roots:
+                roots.add(img)
+                frontier.append(img)
+    return frozenset(roots)
+
+
+def is_root(rs, v):
+    return tuple(v) in _reflection_closure(rs)
+
+
+def row_reflection(rs, i):
+    """The row matrix of s_i from the Cartan matrix: row i-1 holds -<alpha_j, alpha_i^vee>."""
+    n = rs.rank
+    return tuple(
+        tuple((1 if r == j else 0) - (rs.cartan[j][i - 1] if r == i - 1 else 0) for j in range(n))
+        for r in range(n)
+    )
+
+
+def row_multiply(a, b):
+    """Dense product of two row matrices."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt) for arow in a)
+
+
+def row_apply(m, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+
+
+def row_word(rs, word):
+    """The row matrix of s_{a_1} s_{a_2} ... by dense products."""
+    n = rs.rank
+    m = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    for a in word:
+        m = row_multiply(m, row_reflection(rs, a))
+    return m
+
+
+def row_group(rs):
+    """All of W as {row matrix: a word for it}, closed under the row reflections."""
+    found = {row_word(rs, ()): ()}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(1, rs.rank + 1):
+                v = row_multiply(m, row_reflection(rs, i))
+                if v not in found:
+                    found[v] = found[m] + (i,)
+                    nxt.append(v)
+        frontier = nxt
+    return found
+
+
+def row_length(rs, m):
+    """Cold length of a row matrix: positive roots it sends negative."""
+    return sum(1 for a in rs.positive_roots if any(c < 0 for c in row_apply(m, a)))
 
 
 def matrix_admissible(rs, pi):
@@ -63,7 +141,8 @@ def fraction_rank(rows):
 
 def one_minus(w):
     n = w.rs.rank
-    return [[(1 if i == j else 0) - w.rows[i][j] for j in range(n)] for i in range(n)]
+    m = rows(w)
+    return [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
 
 
 def left_peel_demazure(w1, w2):
@@ -179,7 +258,7 @@ def brute_bruhat_order(rs):
     u < u*t whenever t is a root reflection and the length goes up; the order
     is the closure of these steps.
     """
-    group = sorted(enumerate_group(rs), key=lambda w: (w.length, w.rows))
+    group = sorted(enumerate_group(rs), key=lambda w: (w.length, rows(w)))
     index = {w: k for k, w in enumerate(group)}
     n = len(group)
     leq = [[False] * n for _ in range(n)]

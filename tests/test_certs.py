@@ -27,7 +27,7 @@ from weylorbit.catalog import (
 )
 from weylorbit.certs import certs_to_json
 
-from conftest import cert_documents, dense_verify
+from conftest import cert_documents, dense_verify, inverse
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -240,6 +240,12 @@ def test_mutation_mostly_detected():
     assert detected >= 0.95 * len(certs)
 
 
+def test_mutate_rank_one_raises_cert_error():
+    cert = make_cert(RootSystemType("A", 1), [], [1], [1], label="lone")
+    with pytest.raises(CertError, match="lone: .*rank 1"):
+        mutate_sigma(cert, random.Random(0))
+
+
 def test_verify_matches_dense_oracle():
     rng = random.Random(5)
     inputs = []
@@ -253,7 +259,7 @@ def test_verify_matches_dense_oracle():
 
 def test_passing_cert_gains_length_after_twist():
     # the condition-3 image being positive forces the twisted element longer
-    from weylorbit import build, from_word, inverse, multiply, simple_reflection
+    from weylorbit import build, from_word, multiply, simple_reflection
     from weylorbit.spherical import candidate_element
 
     for cert in f4_certificates():

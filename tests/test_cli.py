@@ -72,6 +72,13 @@ def test_weyl_subcommand(capsys):
     assert payload["involution"] is True
 
 
+def test_weyl_matrix_has_images_as_columns(capsys):
+    # s_1(alpha_2) = 3 alpha_1 + alpha_2 in G2, so the matrix is not symmetric
+    status, out, _ = run(capsys, "weyl", "G2", "--word", "1", "--format", "json")
+    assert status == 0
+    assert json.loads(out)["matrix"] == [[-1, 3], [0, 1]]
+
+
 def test_step_subcommand(capsys):
     status, out, _ = run(capsys, "step", "A2", "--word", "", "--s", "1", "--format", "json")
     payload = json.loads(out)
@@ -128,6 +135,48 @@ def test_verify_mutation_flag(capsys):
     status, out, _ = run(capsys, "verify", G2_FILE, "--mutate", "10", "--seed", "3")
     assert status == 0
     assert "mutations:" in out
+
+
+def run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "weylorbit.cli", *argv],
+        capture_output=True,
+        text=True,
+        cwd=REPO,
+    )
+
+
+def test_verify_mutate_empty_file(tmp_path):
+    # used to end in "error: empty range for randrange()"
+    path = tmp_path / "empty.certs.json"
+    path.write_text("[]")
+    proc = run_module("verify", str(path), "--mutate", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == "0 passed, 0 failed\n"
+    assert proc.stderr.startswith("error: nothing to mutate")
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_mutate_rank_one_file(tmp_path):
+    # used to end in an IndexError traceback from rng.choice([])
+    path = tmp_path / "a1.certs.json"
+    path.write_text(json.dumps([{"type": "A1", "pi": [], "gamma": [1], "sigma": [1]}]))
+    proc = run_module("verify", str(path), "--mutate", "3")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: nothing to mutate")
+    assert "Traceback" not in proc.stderr
+
+
+def test_verify_mutate_skips_rank_one_certs(tmp_path, capsys):
+    entries = json.loads(Path(G2_FILE).read_text())
+    entries.append({"type": "A1", "pi": [], "gamma": [1], "sigma": [1], "label": "lone"})
+    path = tmp_path / "mixed.certs.json"
+    path.write_text(json.dumps(entries))
+    status, out, err = run(capsys, "verify", str(path), "--mutate", "20", "--seed", "3")
+    assert status == 1  # the A1 entry itself fails condition 3
+    assert "FAIL lone" in out
+    assert "mutations: " in out and "/20 detected" in out
+    assert err == ""
 
 
 def test_verify_rejects_negative_mutate(capsys):

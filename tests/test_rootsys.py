@@ -8,12 +8,11 @@ from weylorbit import (
     build_named,
     depth,
     highest_root,
-    is_root,
     subsystem_positive_roots,
 )
 from weylorbit.rootsys import LONG, SHORT
 
-from conftest import brute_min_length_to_negative
+from conftest import brute_min_length_to_negative, is_root
 
 # classical positive-root counts
 COUNTS = {
@@ -99,7 +98,7 @@ def test_depth_examples():
     for name in ("A3", "B3", "G2"):
         rs = build_named(name)
         for i in range(1, rs.rank + 1):
-            assert depth(rs, rs.simple(i)) == 1
+            assert depth(rs, rs.simples[i - 1]) == 1
     with pytest.raises(ValueError):
         depth(build_named("A2"), (-1, 0))
 
@@ -154,7 +153,7 @@ def test_descent_to_simple():
                 i
                 for i in range(1, rs.rank + 1)
                 if rs.pairing(beta, i) > 0
-                and rs.is_positive_root(tuple(b - a for b, a in zip(beta, rs.simple(i))))
+                and rs.is_positive_root(tuple(b - a for b, a in zip(beta, rs.simples[i - 1])))
             ]
             assert hits, f"{beta} in {name} has no descent to a simple"
 

@@ -69,6 +69,13 @@ def test_quali_no_examples(b3):
     assert ok
 
 
+@pytest.mark.parametrize("pi", [{0}, {5}, {1, 4}])
+def test_quali_no_rejects_bad_index(a3, pi):
+    # {0} used to give the witness (0, 2), and {5} a bare IndexError
+    with pytest.raises(ValueError, match="out of range"):
+        passes_quali_no(a3, pi)
+
+
 def test_enumerate_pi_examples(a3, g2, b3):
     assert pis(g2) == {frozenset({1}), frozenset({2})}
     assert pis(a3) == {frozenset({2})}

@@ -1,5 +1,6 @@
 """Weyl element arithmetic: words, lengths, Bruhat order, eigen data."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,6 @@ from weylorbit import (
     fixed_simples,
     from_word,
     identity,
-    inverse,
     inversions,
     is_involution,
     longest_element,
@@ -35,7 +35,16 @@ from conftest import (
     enumerate_group,
     fraction_rank,
     inversion_count,
+    inverse,
+    is_root,
     one_minus,
+    row_apply,
+    row_group,
+    row_length,
+    row_multiply,
+    row_reflection,
+    row_word,
+    rows,
 )
 
 
@@ -58,9 +67,11 @@ def test_braid_relation(a2):
 
 def test_column_operations_reject_bad_index(a3):
     # index 0 would otherwise wrap to column -1 and act as s_3
-    for i in (0, a3.rank + 1):
+    for i in (-1, 0, a3.rank + 1):
         with pytest.raises(ValueError, match="out of range"):
             rmul_s(identity(a3), i)
+        with pytest.raises(ValueError, match="out of range"):
+            identity(a3).column(i)
     with pytest.raises(ValueError, match="out of range"):
         from_word(a3, [1, 4])
 
@@ -76,7 +87,7 @@ def test_longest_element_parabolic(b3):
     assert longest_element(b3, []) == identity(b3)
     assert longest_element(b3, [1]) == simple_reflection(b3, 1)
     long = longest_element(b3, [1, 2, 3])
-    assert long.rows == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert rows(long) == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
     assert long.length == 9
     # w_pi sends the pi-positive roots negative and nothing else
     sub = longest_element(b3, [2, 3])
@@ -132,7 +143,7 @@ def test_bruhat_matches_reflection_closure(name):
 
 
 def test_bruhat_is_a_partial_order(a3):
-    group = sorted(enumerate_group(a3), key=lambda w: (w.length, w.rows))
+    group = sorted(enumerate_group(a3), key=lambda w: (w.length, rows(w)))
     for u in group:
         assert bruhat_leq(u, u)
     for u in group:
@@ -194,7 +205,7 @@ def test_theta_identity_iff_w0_is_minus_one(name):
     # involutive diagram automorphism
     assert all(perm[perm[i]] == i for i in perm)
     is_id = all(perm[i] == i for i in perm)
-    minus = w0(rs).rows == tuple(
+    minus = rows(w0(rs)) == tuple(
         tuple(-1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank)
     )
     assert is_id == minus
@@ -259,7 +270,47 @@ def test_length_cocycle_property(rw, data):
 def test_matrix_permutes_roots(rw):
     rs, word = rw
     w = from_word(rs, word)
-    from weylorbit import is_root
-
     for a in rs.positive_roots:
         assert is_root(rs, apply(w, a))
+
+
+def _agrees_with_rows(rs, w, m):
+    """w against its row matrix m: the layout, the carried length, apply and rmul_s."""
+    assert rows(w) == m
+    assert w.length == row_length(rs, m)
+    for a in rs.positive_roots:
+        assert apply(w, a) == row_apply(m, a)
+    for i in range(1, rs.rank + 1):
+        ws = rmul_s(w, i)
+        assert rows(ws) == row_multiply(m, row_reflection(rs, i))
+        assert ws.length == row_length(rs, rows(ws))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_column_layout_matches_row_oracle(name):
+    rs = build_named(name)
+    elements = [(from_word(rs, word), m) for m, word in row_group(rs).items()]
+    for w, m in elements:
+        _agrees_with_rows(rs, w, m)
+        twin = rmul_s(rmul_s(w, 1), 1)
+        assert twin == w and hash(twin) == hash(w)
+    for u, mu in elements:
+        for v, mv in elements:
+            assert rows(multiply(u, v)) == row_multiply(mu, mv)
+            assert (u == v) == (mu == mv)
+
+
+def test_column_layout_matches_row_oracle_e8():
+    rs = build_named("E8")
+    rng = random.Random(8)
+    elements = []
+    for _ in range(30):
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randrange(40))]
+        w, m = from_word(rs, word), row_word(rs, word)
+        _agrees_with_rows(rs, w, m)
+        twin = from_word(rs, list(reduced_word(w)))
+        assert twin == w and hash(twin) == hash(w)
+        elements.append((w, m))
+    for (u, mu), (v, mv) in zip(elements, elements[1:]):
+        assert rows(multiply(u, v)) == row_multiply(mu, mv)
+        assert (u == v) == (mu == mv)
