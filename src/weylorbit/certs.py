@@ -15,6 +15,12 @@ gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}) are computed for audit and,
 when an expected list is supplied, compared against it. A certificate passes
 when 1, 3 and 4 hold.
 
+Conditions 3 and 4 are decided on the root beta = sigma^-1(alpha) alone, by
+x s_beta x^-1 = s_{x beta} for x in W. Condition 3 asks for sigma(w beta).
+For condition 4, sigma^-1 (sigma w sigma^-1 s_alpha) sigma = w s_beta, and w
+is an involution for admissible pi, so (w s_beta)^2 = s_{w beta} s_beta; that
+is the identity exactly when w beta = +-beta.
+
 Verification is deterministic and side-effect free; a batch may be checked
 concurrently or in any order.
 """
@@ -28,7 +34,7 @@ from random import Random
 
 from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
 from .spherical import ENUMERATION_MAX_RANK, candidate_element, is_admissible
-from .weyl import apply, from_word, identity, is_involution, multiply, rmul_s
+from .weyl import apply, from_word, identity, rmul_s
 
 
 class CertError(ValueError):
@@ -250,13 +256,11 @@ def verify(cert: ExclusionCert) -> CertReport:
     if cert.expected_cond2 is not None:
         cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
 
-    w = candidate_element(rs, cert.pi)
-    u = multiply(multiply(sigma, w), sigma_inv)
-    image = u.column(top)
+    beta = sigma_inv.column(top)
+    w_beta = apply(candidate_element(rs, cert.pi), beta)
+    image = apply(sigma, w_beta)
     cond3 = all(c >= 0 for c in image) and image != alpha_top
-
-    twisted = rmul_s(u, top)
-    cond4 = not is_involution(twisted)
+    cond4 = w_beta not in (beta, _negate(beta))
 
     return CertReport(
         cond1=cond1,

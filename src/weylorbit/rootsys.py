@@ -4,6 +4,10 @@ Roots and lattice vectors are integer coefficient tuples over the simple-root
 basis; index 0 of a tuple is the coefficient of alpha_1. All *public* indices
 (simple roots, word letters, subsets Pi) are 1-based, matching the Bourbaki
 plates.
+
+Root lengths need no bilinear form: the simple roots take their classes from
+the plates, and since W preserves lengths every other root inherits the class
+of the root it is reflected from while the reflection closure is built.
 """
 
 from __future__ import annotations
@@ -120,41 +124,33 @@ class RootSystem:
         self.cartan: tuple[tuple[int, ...], ...] = tuple(map(tuple, cartan))
 
         norms = _simple_norms(rstype)
-        # symmetric form (alpha_i, alpha_j) = c_ij * norm_j / 2, integral by scaling
-        sym = [[self.cartan[i][j] * norms[j] // 2 for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if sym[i][j] != sym[j][i]:
-                    raise AssertionError(f"asymmetric form for {rstype}")
-        self._sym: tuple[tuple[int, ...], ...] = tuple(map(tuple, sym))
+        # the form (alpha_i, alpha_j) = c_ij * norm_j / 2 must be symmetric
+        for i, j, cij, cji in _dynkin_bonds(rstype):
+            if cij * norms[j - 1] != cji * norms[i - 1]:
+                raise AssertionError(f"asymmetric form for {rstype}")
 
         self.simples: tuple[Vector, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
-        roots = self._close_under_reflections()
+        self.lengths: dict[Vector, str] = self._close_under_reflections(norms)
         pos = sorted(
-            (r for r in roots if all(c >= 0 for c in r)),
+            (r for r in self.lengths if all(c >= 0 for c in r)),
             key=lambda r: (sum(r), r),
         )
         self.positive_roots: tuple[Vector, ...] = tuple(pos)
         self._positive_set = frozenset(pos)
-        if 2 * len(pos) != len(roots):
+        if 2 * len(pos) != len(self.lengths):
             raise AssertionError(f"sign-asymmetric root table for {rstype}")
-
-        max_norm = max(self.norm(r) for r in pos)
-        self.lengths: dict[Vector, str] = {}
-        for r in pos:
-            cls = LONG if self.norm(r) == max_norm else SHORT
-            self.lengths[r] = cls
-            self.lengths[tuple(-c for c in r)] = cls
 
         self._highest = pos[-1]
         for r in pos:
             if any(a < b for a, b in zip(self._highest, r)):
                 raise AssertionError(f"no coefficientwise-maximal root in {rstype}")
 
-    def _close_under_reflections(self) -> set[Vector]:
-        roots = set(self.simples)
+    def _close_under_reflections(self, norms: tuple[int, ...]) -> dict[Vector, str]:
+        """Every root, with the length class of the root it was reflected from."""
+        long = max(norms)
+        roots = {a: LONG if m == long else SHORT for a, m in zip(self.simples, norms)}
         frontier = list(self.simples)
         while frontier:
             nxt = []
@@ -162,7 +158,7 @@ class RootSystem:
                 for i in range(1, self.rank + 1):
                     img = self.reflect_simple(v, i)
                     if img not in roots:
-                        roots.add(img)
+                        roots[img] = roots[v]
                         nxt.append(img)
             frontier = nxt
         for r in roots:
@@ -189,18 +185,6 @@ class RootSystem:
         out = list(v)
         out[i - 1] -= c
         return tuple(out)
-
-    def inner(self, a: Vector, b: Vector) -> int:
-        """Symmetric form, scaled so short roots have squared length 2."""
-        return sum(
-            a[i] * self._sym[i][j] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if a[i] and self._sym[i][j]
-        )
-
-    def norm(self, v: Vector) -> int:
-        return self.inner(v, v)
 
     def is_positive_root(self, v: Vector) -> bool:
         return tuple(v) in self._positive_set

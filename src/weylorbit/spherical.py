@@ -136,7 +136,9 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
     Fails exactly when some isolated component {a} admits a distinct simple b
     of the same length with w0(alpha_b) = -alpha_b, that is theta(b) = b,
     b adjacent to a, and b orthogonal to every other element of pi; the
-    witness (a, b) is returned with the failure.
+    witness (a, b) is returned with the failure. Simple roots are orthogonal
+    exactly when their Cartan entry is zero, so all of this is read off the
+    diagram.
     """
     pi = frozenset(pi)
     for i in pi:
@@ -146,18 +148,14 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
         if len(comp) != 1:
             continue
         (a,) = comp
-        alpha = rs.simples[a - 1]
+        # b is adjacent to the isolated a, so b lies outside pi
         for b in range(1, rs.rank + 1):
-            if b == a:
-                continue
-            beta = rs.simples[b - 1]
-            if rs.length_class(beta) != rs.length_class(alpha):
-                continue
-            if perm[b] != b:
-                continue
-            if rs.inner(alpha, beta) == 0:
-                continue
-            if all(rs.inner(beta, rs.simples[c - 1]) == 0 for c in pi - {a}):
+            if (
+                _adjacent(rs, a, b)
+                and perm[b] == b
+                and rs.length_class(rs.simples[b - 1]) == rs.length_class(rs.simples[a - 1])
+                and not any(_adjacent(rs, b, c) for c in pi - {a})
+            ):
                 return False, (a, b)
     return True, None
 

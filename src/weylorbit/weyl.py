@@ -100,6 +100,8 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def apply(w: WeylElement, v: Vector) -> Vector:
     """Image of a lattice vector under w: the sum of v_j * w(alpha_j)."""
+    if len(v) != w.rs.rank:
+        raise ValueError(f"vector {tuple(v)} does not have rank {w.rs.rank}")
     out = [0] * w.rs.rank
     for c, col in zip(v, w.cols):
         if c:

@@ -22,9 +22,11 @@ from weylorbit import (
     reduced_word,
     reflection,
     simple_reflection,
+    theta,
     w0,
 )
 from weylorbit.certs import CERT_KEYS
+from weylorbit.rootsys import LONG, SHORT, _simple_norms
 
 
 def rows(w):
@@ -109,6 +111,50 @@ def matrix_admissible(rs, pi):
     """The dense rule: w0 * w_pi, built as a matrix product, fixes exactly pi."""
     pi = frozenset(pi)
     return fixed_simples(multiply(w0(rs), longest_element(rs, pi))) == pi
+
+
+def _form(rs, a, b):
+    """The symmetric form (alpha_i, alpha_j) = c_ij * norm_j / 2, short roots of norm 2."""
+    norms = _simple_norms(rs.rstype)
+    n = rs.rank
+    return sum(a[i] * rs.cartan[i][j] * norms[j] // 2 * b[j] for i in range(n) for j in range(n))
+
+
+def form_lengths(rs):
+    """Length classes of all roots by their norms under the symmetric form."""
+    longest = max(_form(rs, r, r) for r in rs.positive_roots)
+    out = {}
+    for r in rs.positive_roots:
+        cls = LONG if _form(rs, r, r) == longest else SHORT
+        out[r] = out[tuple(-c for c in r)] = cls
+    return out
+
+
+def form_quali_no(rs, pi):
+    """Every witness (a, b) that passes_quali_no may report, found by the symmetric form.
+
+    pi passes exactly when the set is empty; which witness the filter reports
+    depends on the order it meets the components in.
+    """
+    pi = frozenset(pi)
+    perm = theta(rs)
+    lengths = form_lengths(rs)
+    found = set()
+    for a in pi:
+        alpha = rs.simples[a - 1]
+        if any(_form(rs, alpha, rs.simples[c - 1]) for c in pi - {a}):
+            continue
+        for b in range(1, rs.rank + 1):
+            beta = rs.simples[b - 1]
+            if (
+                b != a
+                and lengths[beta] == lengths[alpha]
+                and perm[b] == b
+                and _form(rs, alpha, beta) != 0
+                and all(_form(rs, beta, rs.simples[c - 1]) == 0 for c in pi - {a})
+            ):
+                found.add((a, b))
+    return found
 
 
 def inversion_count(w):

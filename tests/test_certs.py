@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,12 @@ from hypothesis import given, settings
 from weylorbit import (
     CertError,
     RootSystemType,
+    build_named,
+    is_admissible,
     make_cert,
     mutate_sigma,
     parse_certs,
+    subsystem_positive_roots,
     verify,
     verify_all,
 )
@@ -255,6 +259,47 @@ def test_verify_matches_dense_oracle():
     assert len(inputs) == 2 * 1477
     for cert in inputs:
         assert verify(cert) == dense_verify(cert), cert.label
+
+
+def _seeded_certs(rng, name, count):
+    """Certificates of one type: random admissible pi and gamma outside its subsystem.
+
+    Half take sigma = s_j u, where u descends gamma to alpha_j by random
+    descents, so that condition 1 holds; the rest take random words.
+    """
+    rs = build_named(name)
+    pis = []
+    for size in range(rs.rank):
+        pis += [pi for pi in combinations(range(1, rs.rank + 1), size) if is_admissible(rs, pi)]
+    certs = []
+    for k in range(count):
+        pi = rng.choice(pis)
+        inside = subsystem_positive_roots(rs, pi)
+        gamma = rng.choice([r for r in rs.positive_roots if r not in inside])
+        if k % 2:
+            word = [rng.randint(1, rs.rank) for _ in range(rng.randint(1, 2 * rs.rank))]
+        else:
+            v, word = gamma, []
+            while v not in rs.simples:
+                i = rng.choice([i for i in range(1, rs.rank + 1) if rs.pairing(v, i) > 0])
+                v = rs.reflect_simple(v, i)
+                word.insert(0, i)
+            word.insert(0, rs.simples.index(v) + 1)
+        certs.append(make_cert(rs.rstype, pi, gamma, word, label=f"{name} #{k}"))
+    return certs
+
+
+def test_verify_matches_dense_oracle_in_d_and_e():
+    # no shipped file reaches these types; theta is nontrivial in D5, D7 and E6
+    rng = random.Random(7)
+    names = ["D4", "D5", "D6", "D7", "D8", "E6", "E7", "E8"]
+    certs = [c for name in names for c in _seeded_certs(rng, name, 38)]
+    reports = [verify(cert) for cert in certs]
+    for cert, report in zip(certs, reports):
+        assert report == dense_verify(cert), cert.label
+    # both verdicts, and condition 1 both ways, must be reached
+    assert 0 < sum(r.passed for r in reports) < len(reports)
+    assert 0 < sum(r.cond1 for r in reports) < len(reports)
 
 
 def test_passing_cert_gains_length_after_twist():

@@ -1,6 +1,7 @@
 """Command line behaviour and its JSON serializations."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -38,6 +39,18 @@ def test_roots_json(capsys):
     assert status == 0
     assert len(payload["positive_roots"]) == 9
     assert payload["highest_root"] == [1, 2, 2]
+
+
+# The whole tables output, pinned: the criterion tests compare sets of pi, so
+# a changed w_word or row order would otherwise pass.
+TABLES_SHA256 = "56f164d2cd2e6d5fcc52af6b8fe73c60469f00f59bace547e9c812eb693bc1b6"
+
+
+def test_tables_json_is_pinned(capsys):
+    status, out, _ = run(capsys, "tables", "--max-rank", "8", "--format", "json")
+    assert status == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (57930, TABLES_SHA256)
 
 
 def test_pi_json_g2(capsys):

@@ -26,7 +26,13 @@ from weylorbit import (
 )
 from weylorbit.spherical import candidate_element
 
-from conftest import fraction_rank, inversion_count, matrix_admissible
+from conftest import (
+    form_lengths,
+    form_quali_no,
+    fraction_rank,
+    inversion_count,
+    matrix_admissible,
+)
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
 ALL_TYPES = (
@@ -52,9 +58,13 @@ def test_is_admissible_examples(a3):
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_diagram_rule_matches_matrix_rule(name):
     rs = build_named(name)
+    assert rs.lengths == form_lengths(rs)
     for size in range(rs.rank + 1):
         for pi in combinations(range(1, rs.rank + 1), size):
             assert is_admissible(rs, pi) == matrix_admissible(rs, pi), pi
+            ok, witness = passes_quali_no(rs, pi)
+            witnesses = form_quali_no(rs, pi)
+            assert ok == (not witnesses) and witness in (witnesses or {None}), pi
             w = candidate_element(rs, pi)
             assert w == multiply(w0(rs), longest_element(rs, pi)), pi
             assert w.length == inversion_count(w), pi

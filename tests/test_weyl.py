@@ -83,6 +83,13 @@ def test_apply_examples(a2):
     assert apply(w0(a2), (1, 0)) == (0, -1)
 
 
+@pytest.mark.parametrize("v", [(1, 2), (1, 2, 3, 4)])
+def test_apply_rejects_wrong_rank(a3, v):
+    # zip alone would pad (1, 2) to (1, 2, 0) and cut (1, 2, 3, 4) to (1, 2, 3)
+    with pytest.raises(ValueError, match="rank 3"):
+        apply(identity(a3), v)
+
+
 def test_longest_element_parabolic(b3):
     assert longest_element(b3, []) == identity(b3)
     assert longest_element(b3, [1]) == simple_reflection(b3, 1)
