@@ -32,6 +32,20 @@ def _parse_indices(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _parse_pi(text: str) -> list[int]:
+    indices = _parse_indices(text)
+    if len(set(indices)) != len(indices):
+        raise argparse.ArgumentTypeError(f"pi {text!r} repeats an index")
+    return indices
+
+
+def _max_rank(text: str) -> int:
+    limit = spherical.ENUMERATION_MAX_RANK
+    if not text.isdecimal() or not 1 <= int(text) <= limit:
+        raise argparse.ArgumentTypeError(f"expected an integer in 1..{limit}, got {text!r}")
+    return int(text)
+
+
 def _count(text: str) -> int:
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
@@ -220,7 +234,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = add("dim", _cmd_dim, "dimension data for one admissible pi")
     p.add_argument("type")
-    p.add_argument("--pi", type=_parse_indices, required=True,
+    p.add_argument("--pi", type=_parse_pi, required=True,
                    help="comma-separated 1-based simple indices, e.g. 2,3")
 
     p = add("step", _cmd_step, "involution step of a word by a simple reflection")
@@ -235,7 +249,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for --mutate")
 
     p = add("tables", _cmd_tables, "admissible-pi tables for every simple type")
-    p.add_argument("--max-rank", type=int, default=8)
+    p.add_argument("--max-rank", type=_max_rank, default=spherical.ENUMERATION_MAX_RANK,
+                   help=f"largest rank to tabulate, 1..{spherical.ENUMERATION_MAX_RANK}")
 
     return parser
 

@@ -2,9 +2,15 @@
 
 An element is stored as the images of the simple roots, cols[i-1] = w(alpha_i)
 in the simple-root basis (the columns of its matrix on the root lattice), so
-equality is equality of these vectors and words are derived data. Lengths are
-inversion counts, cached per element, and every product by a simple
-reflection carries the length along.
+equality is equality of these vectors and words are derived data. Every
+product by a simple reflection carries the length along.
+Descents are read off the regular orbit point v = w^-1(rho) in
+fundamental-weight coordinates, v_b = <rho, w(alpha_b)^vee>: s_b is a right
+descent of w exactly when v_b < 0, w s_b has the orbit point s_b(v), an O(n)
+update, and w is the identity exactly when v = rho = (1, ..., 1), since W acts
+simply transitively on the regular weights. Reduced words, cold lengths, the
+Bruhat peel and parabolic longest elements walk v; cols stays the element's
+identity.
 Elements that depend only on the root system (the identity, the simple
 reflections, parabolic longest elements and theta) are memoized by
 functools.cache, keyed on the immutable root system; nothing is stored on the
@@ -17,7 +23,7 @@ from __future__ import annotations
 from functools import cache
 
 from . import intmat
-from .rootsys import RootSystem, Vector
+from .rootsys import RootSystem, Vector, _simple_norms
 
 
 class WeylElement:
@@ -49,7 +55,7 @@ class WeylElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            self._length = len(inversions(self))
+            self._length = sum(1 for _ in _peel(self.rs, _orbit_point(self)))
         return self._length
 
     def column(self, i: int) -> Vector:
@@ -117,33 +123,61 @@ def from_word(rs: RootSystem, word) -> WeylElement:
     return w
 
 
+def _orbit_point(w: WeylElement) -> list[int]:
+    """v = w^-1(rho) in fundamental-weight coordinates.
+
+    v_b = <rho, w(alpha_b)^vee> = (sum_j cols[b][j] norm_j) / norm_b, since
+    (rho, alpha_j) = norm_j / 2.
+    """
+    norms = _simple_norms(w.rs.rstype)
+    return [sum(c * m for c, m in zip(col, norms)) // nb for col, nb in zip(w.cols, norms)]
+
+
+def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
+    """v <- s_b(v) in place, for a 0-based b: v_j -= v_b <alpha_b, alpha_j^vee>."""
+    vb = v[b]
+    for j, a in enumerate(rs.cartan[b]):
+        if a:
+            v[j] -= vb * a
+
+
+def _peel(rs: RootSystem, v: list[int]):
+    """Peel right descents off the orbit point v, yielding each letter (1-based).
+
+    Each step takes the first b with v_b < 0 and moves v to s_b(v) in place,
+    until v = rho. A reduced word has at most len(positive_roots) letters, so a
+    longer peel, or one that stops at another dominant point (the element was
+    not in W, or an update was wrong), is an error, not a loop.
+    """
+    for _ in range(len(rs.positive_roots)):
+        for b, x in enumerate(v):
+            if x < 0:
+                break
+        else:
+            break
+        yield b + 1
+        _reflect_point(rs, v, b)
+    if any(x != 1 for x in v):
+        raise AssertionError("peel did not reach rho within len(positive_roots) letters")
+
+
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """A reduced word for w, obtained by right-descent peeling.
 
     Always returns the lexicographically-first descent at each step, so the
     result is deterministic.
     """
-    rs = w.rs
-    letters = []
-    cur = w
-    ident = identity(rs)
-    while cur != ident:
-        for i, col in enumerate(cur.cols, 1):
-            if _is_negative(col):
-                letters.append(i)
-                cur = rmul_s(cur, i)
-                break
-        else:
-            raise AssertionError("non-identity element without a descent")
-    return tuple(reversed(letters))
+    letters = list(_peel(w.rs, _orbit_point(w)))
+    letters.reverse()
+    return tuple(letters)
 
 
 def longest_element(rs: RootSystem, pi) -> WeylElement:
     """Longest element of the parabolic subgroup generated by pi.
 
-    Greedy ascent: right-multiply by any s_i (i in pi) that still increases
-    the length, until every such column is negative. pi = all simple indices
-    yields w0.
+    Greedy ascent: right-multiply by the first s_i (i in pi) that still
+    increases the length, until every i in pi is a descent. pi = all simple
+    indices yields w0.
     """
     pi = frozenset(pi)
     for i in pi:
@@ -153,15 +187,16 @@ def longest_element(rs: RootSystem, pi) -> WeylElement:
 
 @cache
 def _longest(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    order = sorted(pi)
-    w = identity(rs)
-    while True:
-        for i in order:
-            if not _is_negative(w.cols[i - 1]):
-                w = rmul_s(w, i)
-                break
-        else:
-            return w
+    order = [i - 1 for i in sorted(pi)]
+    v = [1] * rs.rank
+    word = []
+    for _ in range(len(rs.positive_roots) + 1):
+        b = next((b for b in order if v[b] > 0), None)
+        if b is None:
+            return from_word(rs, word)
+        word.append(b + 1)
+        _reflect_point(rs, v, b)
+    raise AssertionError("ascent did not stop within len(positive_roots) letters")
 
 
 def w0(rs: RootSystem) -> WeylElement:
@@ -177,17 +212,18 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the subword criterion.
 
     Peels a fixed reduced word of w from the right, lowering u along the way:
-    u <= w iff u ends at the identity.
+    u <= w iff u ends at the identity. Both walks run on orbit points.
     """
     if u.rs.rstype != w.rs.rstype:
         raise ValueError("elements live in different root systems")
     if u.length > w.length:
         return False
-    cur = u
-    for s in reversed(reduced_word(w)):
-        if _is_negative(cur.cols[s - 1]):
-            cur = rmul_s(cur, s)
-    return cur == identity(u.rs)
+    rs = u.rs
+    vu = _orbit_point(u)
+    for s in _peel(rs, _orbit_point(w)):
+        if vu[s - 1] < 0:
+            _reflect_point(rs, vu, s - 1)
+    return all(x == 1 for x in vu)
 
 
 def fixed_simples(w: WeylElement) -> frozenset[int]:

@@ -27,6 +27,7 @@ from weylorbit import (
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
+from weylorbit.weyl import rmul_s
 
 
 def rows(w):
@@ -155,6 +156,37 @@ def form_quali_no(rs, pi):
             ):
                 found.add((a, b))
     return found
+
+
+def column_reduced_word(w):
+    """Reduced word by peeling the first negative column with rmul_s, O(n^2) per letter."""
+    letters = []
+    cur = w
+    while cur != identity(w.rs):
+        i = next(i for i, col in enumerate(cur.cols, 1) if any(c < 0 for c in col))
+        letters.append(i)
+        cur = rmul_s(cur, i)
+    return tuple(reversed(letters))
+
+
+def column_bruhat_leq(u, w):
+    """Subword criterion: peel column_reduced_word(w), lowering u by rmul_s on its descents."""
+    cur = u
+    for s in reversed(column_reduced_word(w)):
+        if any(c < 0 for c in cur.cols[s - 1]):
+            cur = rmul_s(cur, s)
+    return cur == identity(u.rs)
+
+
+def column_longest(rs, pi):
+    """w_pi by the greedy ascent on columns: rmul_s by the first i in pi with w(alpha_i) > 0."""
+    order = sorted(pi)
+    w = identity(rs)
+    while True:
+        i = next((i for i in order if all(c >= 0 for c in w.cols[i - 1])), None)
+        if i is None:
+            return w
+        w = rmul_s(w, i)
 
 
 def inversion_count(w):

@@ -77,6 +77,23 @@ def test_dim_rejects_inadmissible(capsys):
     assert "admissible" in err
 
 
+def test_dim_rejects_repeated_pi_index(capsys):
+    # "2,2" used to answer for {2}
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "A3", "--pi", "2,2"])
+    assert exc.value.code == 2
+    assert "repeats an index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "9", "x"])
+def test_tables_rejects_max_rank_outside_enumeration(capsys, value):
+    # 0 and -1 used to print an empty table and exit 0, 9 to fail inside enumerate_pi
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--max-rank", value])
+    assert exc.value.code == 2
+    assert "1..8" in capsys.readouterr().err
+
+
 def test_weyl_subcommand(capsys):
     status, out, _ = run(capsys, "weyl", "A2", "--word", "1,2,1", "--format", "json")
     payload = json.loads(out)

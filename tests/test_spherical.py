@@ -27,6 +27,7 @@ from weylorbit import (
 from weylorbit.spherical import candidate_element
 
 from conftest import (
+    column_longest,
     form_lengths,
     form_quali_no,
     fraction_rank,
@@ -65,8 +66,11 @@ def test_diagram_rule_matches_matrix_rule(name):
             ok, witness = passes_quali_no(rs, pi)
             witnesses = form_quali_no(rs, pi)
             assert ok == (not witnesses) and witness in (witnesses or {None}), pi
+            w_pi = longest_element(rs, pi)
+            oracle = column_longest(rs, pi)
+            assert w_pi == oracle and w_pi.length == oracle.length, pi
             w = candidate_element(rs, pi)
-            assert w == multiply(w0(rs), longest_element(rs, pi)), pi
+            assert w == multiply(w0(rs), w_pi), pi
             assert w.length == inversion_count(w), pi
 
 

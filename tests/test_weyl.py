@@ -26,11 +26,14 @@ from weylorbit import (
     w0,
 )
 
+from weylorbit import weyl
 from weylorbit.spherical import candidate_element
-from weylorbit.weyl import rmul_s
+from weylorbit.weyl import WeylElement, rmul_s
 
 from conftest import (
     brute_bruhat_order,
+    column_bruhat_leq,
+    column_reduced_word,
     dense_reflection,
     enumerate_group,
     fraction_rank,
@@ -149,6 +152,61 @@ def test_bruhat_matches_reflection_closure(name):
             assert bruhat_leq(u, w) == leq[a][b], (reduced_word(u), reduced_word(w))
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+def test_orbit_walks_match_column_oracles_exhaustive(name):
+    rs = build_named(name)
+    group = list(enumerate_group(rs))
+    words = {w: column_reduced_word(w) for w in group}
+    for w in group:
+        assert reduced_word(w) == words[w]
+    for u in group:
+        for w in group:
+            assert bruhat_leq(u, w) == column_bruhat_leq(u, w), (words[u], words[w])
+
+
+def _seeded_pairs(rs, rng, count):
+    """(u, w) with w from a random word; u is a random subword of it half of the time."""
+    for _ in range(count):
+        word = [rng.randint(1, rs.rank) for _ in range(rng.randrange(2 * len(rs.positive_roots)))]
+        if rng.random() < 0.5:
+            sub = [a for a in word if rng.random() < 0.7]
+        else:
+            sub = [rng.randint(1, rs.rank) for _ in range(rng.randrange(len(word) + 1))]
+        yield from_word(rs, sub), from_word(rs, word)
+
+
+@pytest.mark.parametrize("name,count", [("E8", 80), ("B8", 70), ("F4", 70)])
+def test_orbit_walks_match_column_oracles_seeded(name, count):
+    rs = build_named(name)
+    verdicts = set()
+    for u, w in _seeded_pairs(rs, random.Random(name), count):
+        assert reduced_word(w) == column_reduced_word(w)
+        assert reduced_word(u) == column_reduced_word(u)
+        verdict = bruhat_leq(u, w)
+        assert verdict == column_bruhat_leq(u, w), (reduced_word(u), reduced_word(w))
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_peel_is_bounded(a3, monkeypatch):
+    # without the bounds, an orbit-point update that does nothing would walk forever
+    s2, long = simple_reflection(a3, 2), WeylElement(a3, w0(a3).cols)
+    monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
+    with pytest.raises(AssertionError, match="within len"):
+        reduced_word(s2)
+    with pytest.raises(AssertionError, match="within len"):
+        long.length
+    with pytest.raises(AssertionError, match="within len"):
+        weyl._longest.__wrapped__(a3, frozenset({1, 3}))  # past the cache
+
+
+def test_peel_rejects_a_dominant_point_other_than_rho(a3):
+    # a matrix that is not in W can have a dominant, singular orbit point
+    fake = WeylElement(a3, ((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+    with pytest.raises(AssertionError, match="did not reach rho"):
+        reduced_word(fake)
+
+
 def test_bruhat_is_a_partial_order(a3):
     group = sorted(enumerate_group(a3), key=lambda w: (w.length, rows(w)))
     for u in group:
@@ -219,9 +277,15 @@ def test_theta_identity_iff_w0_is_minus_one(name):
     assert minus == (name in MINUS_ONE_TYPES)
 
 
-def test_inversions_count_is_length(g2):
-    for w in enumerate_group(g2):
+def test_inversions_count_is_length(g2, b3):
+    # multiply leaves the length cold, so these are cold lengths
+    for w in enumerate_group(g2) | enumerate_group(b3):
         assert len(inversions(w)) == w.length
+    rs = build_named("E8")
+    rng = random.Random(88)
+    for _ in range(40):
+        w = from_word(rs, [rng.randint(1, 8) for _ in range(rng.randrange(1000))])
+        assert WeylElement(rs, w.cols).length == len(inversions(w)) == w.length
 
 
 def test_reflection_in_nonsimple_root(a3):
