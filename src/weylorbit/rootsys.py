@@ -43,7 +43,8 @@ class RootSystemType:
         rule = _RANK_RULES.get(self.family)
         if rule is None:
             raise ValueError(f"unknown family {self.family!r}, expected one of A-G")
-        if not isinstance(self.rank, int) or not rule(self.rank):
+        # type() and not isinstance(): a bool is an int, and True would build A1
+        if type(self.rank) is not int or not rule(self.rank):
             raise ValueError(f"rank {self.rank} is not valid for family {self.family}")
 
     @classmethod
@@ -122,6 +123,10 @@ class RootSystem:
             cartan[i - 1][j - 1] = cij
             cartan[j - 1][i - 1] = cji
         self.cartan: tuple[tuple[int, ...], ...] = tuple(map(tuple, cartan))
+        # neighbours[i]: the nonzero (j, <alpha_j, alpha_i^vee>), 0-based, j = i included
+        self.neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(n)
+        )
 
         norms = _simple_norms(rstype)
         # the form (alpha_i, alpha_j) = c_ij * norm_j / 2 must be symmetric
@@ -155,11 +160,13 @@ class RootSystem:
         while frontier:
             nxt = []
             for v in frontier:
-                for i in range(1, self.rank + 1):
-                    img = self.reflect_simple(v, i)
-                    if img not in roots:
-                        roots[img] = roots[v]
-                        nxt.append(img)
+                for i, column in enumerate(self.neighbours):
+                    c = sum(v[j] * a for j, a in column)
+                    if c:
+                        img = v[:i] + (v[i] - c,) + v[i + 1:]
+                        if img not in roots:
+                            roots[img] = roots[v]
+                            nxt.append(img)
             frontier = nxt
         for r in roots:
             if not (all(c >= 0 for c in r) or all(c <= 0 for c in r)):
@@ -175,8 +182,7 @@ class RootSystem:
     def pairing(self, v: Vector, i: int) -> int:
         """<v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee>."""
         self._check_index(i)
-        col = i - 1
-        return sum(v[j] * self.cartan[j][col] for j in range(self.rank))
+        return sum(v[j] * a for j, a in self.neighbours[i - 1])
 
     def reflect_simple(self, v: Vector, i: int) -> Vector:
         c = self.pairing(v, i)

@@ -14,6 +14,10 @@ Admissibility is decided on the Dynkin diagram, with theta = -w0:
     so alpha_i is fixed exactly when theta(i) = theta_Pi(i);
   - theta_Pi acts on each connected component C of Pi as -w_C.
 
+No element is built for this: -w_C is read off as a permutation of C by
+walking a weight that is regular on C down to the antidominant chamber of
+W_C (weyl._twist), and theta is the same walk on the whole diagram.
+
 Every subset evaluation is a pure function of the immutable root system, so
 the enumeration is embarrassingly parallel if a caller wants it to be.
 """
@@ -25,9 +29,10 @@ from functools import cache
 from itertools import combinations
 
 from . import intmat
-from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
+from .rootsys import RootSystem, Vector
 from .weyl import (
     WeylElement,
+    _twist,
     longest_element,
     multiply,
     rank_one_minus,
@@ -74,12 +79,9 @@ def candidate_element(rs: RootSystem, pi) -> WeylElement:
 @cache
 def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
     perm = theta(rs)
-    cols = tuple(
-        tuple(-col[perm[r] - 1] for r in range(1, rs.rank + 1))
-        for col in longest_element(rs, pi).cols
-    )
-    length = len(rs.positive_roots) - len(subsystem_positive_roots(rs, pi))
-    return WeylElement(rs, cols, length)
+    w_pi = longest_element(rs, pi)
+    cols = tuple(tuple(-col[perm[r] - 1] for r in range(1, rs.rank + 1)) for col in w_pi.cols)
+    return WeylElement(rs, cols, len(rs.positive_roots) - w_pi.length)
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:
@@ -94,7 +96,7 @@ def is_admissible(rs: RootSystem, pi) -> bool:
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
-    return all(_theta_agrees_on(rs.rstype, comp) for comp in _components(rs, pi))
+    return all(_theta_agrees_on(rs, comp) for comp in _components(rs, pi))
 
 
 def _adjacent(rs: RootSystem, i: int, j: int) -> bool:
@@ -105,29 +107,23 @@ def _components(rs: RootSystem, pi: frozenset[int]) -> list[frozenset[int]]:
     remaining = set(pi)
     comps = []
     while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        frontier = [seed]
+        comp, frontier = set(), [remaining.pop()]
         while frontier:
             a = frontier.pop()
-            for b in list(remaining):
-                if _adjacent(rs, a, b):
-                    remaining.discard(b)
-                    comp.add(b)
-                    frontier.append(b)
+            comp.add(a)
+            for j, _ in rs.neighbours[a - 1]:
+                if j + 1 in remaining:
+                    remaining.discard(j + 1)
+                    frontier.append(j + 1)
         comps.append(frozenset(comp))
     return comps
 
 
 @cache
-def _theta_agrees_on(rstype: RootSystemType, comp: frozenset[int]) -> bool:
+def _theta_agrees_on(rs: RootSystem, comp: frozenset[int]) -> bool:
     """-w_C(alpha_i) = alpha_{theta(i)} for every i in the connected component C."""
-    rs = build(rstype)
-    w_c = longest_element(rs, comp)
     perm = theta(rs)
-    return all(
-        w_c.column(i) == tuple(-c for c in rs.simples[perm[i] - 1]) for i in comp
-    )
+    return all(perm[i] == j for i, j in _twist(rs, comp).items())
 
 
 def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:

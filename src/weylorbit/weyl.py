@@ -10,12 +10,13 @@ descent of w exactly when v_b < 0, w s_b has the orbit point s_b(v), an O(n)
 update, and w is the identity exactly when v = rho = (1, ..., 1), since W acts
 simply transitively on the regular weights. Reduced words, cold lengths, the
 Bruhat peel and parabolic longest elements walk v; cols stays the element's
-identity.
-Elements that depend only on the root system (the identity, the simple
-reflections, parabolic longest elements and theta) are memoized by
-functools.cache, keyed on the immutable root system; nothing is stored on the
-root system itself. Elements are immutable and every operation is a pure
-function, so all of this is safe to use concurrently.
+identity. theta = -w0 is no element: like -w_C on a subset C, it is read off
+a weight walk to the antidominant chamber (_twist).
+What depends only on the root system (the identity, the simple reflections,
+parabolic longest elements, 2 rho and theta) is memoized by functools.cache,
+keyed on the immutable root system; nothing is stored on the root system
+itself. Elements are immutable and every operation is a pure function, so all
+of this is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -82,19 +83,17 @@ def rmul_s(w: WeylElement, i: int) -> WeylElement:
     """w * s_i.
 
     Column j becomes col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and
-    a column with a zero pairing is shared.
+    only the Cartan neighbours of i change; every other column is shared.
     """
     rs = w.rs
     rs._check_index(i)
-    c = i - 1
-    wi = w.cols[c]
-    cols = []
-    for col, row in zip(w.cols, rs.cartan):
-        a = row[c]
-        cols.append(tuple(x - a * y for x, y in zip(col, wi)) if a else col)
+    wi = w.cols[i - 1]
+    cols = list(w.cols)
+    for j, a in rs.neighbours[i - 1]:
+        cols[j] = tuple(x - a * y for x, y in zip(cols[j], wi))
     length = None
     if w._length is not None:
-        length = w._length + (-1 if _is_negative(wi) else 1)
+        length = w._length + (-1 if min(wi) < 0 else 1)
     return WeylElement(rs, tuple(cols), length)
 
 
@@ -187,15 +186,22 @@ def longest_element(rs: RootSystem, pi) -> WeylElement:
 
 @cache
 def _longest(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    order = [i - 1 for i in sorted(pi)]
-    v = [1] * rs.rank
+    return from_word(rs, _antidominant(rs, [1] * rs.rank, sorted(pi)))
+
+
+def _antidominant(rs: RootSystem, v: list[int], order: list[int]) -> list[int]:
+    """Walk v in place by s_b, b the first index in order with v_b > 0; return the letters.
+
+    Each letter lengthens the element of W_order that the walk has applied, so
+    more than len(positive_roots) letters is an error, not a loop.
+    """
     word = []
     for _ in range(len(rs.positive_roots) + 1):
-        b = next((b for b in order if v[b] > 0), None)
+        b = next((b for b in order if v[b - 1] > 0), None)
         if b is None:
-            return from_word(rs, word)
-        word.append(b + 1)
-        _reflect_point(rs, v, b)
+            return word
+        word.append(b)
+        _reflect_point(rs, v, b - 1)
     raise AssertionError("ascent did not stop within len(positive_roots) letters")
 
 
@@ -203,9 +209,16 @@ def w0(rs: RootSystem) -> WeylElement:
     return longest_element(rs, range(1, rs.rank + 1))
 
 
+@cache
+def _two_rho(rs: RootSystem) -> Vector:
+    """The sum of the positive roots: a regular vector, fixed by no w != 1."""
+    return tuple(map(sum, zip(*rs.positive_roots)))
+
+
 def is_involution(w: WeylElement) -> bool:
-    """True when w*w = 1; the identity counts."""
-    return multiply(w, w) == identity(w.rs)
+    """True when w*w = 1 (the identity counts): only then does w^2 fix 2 rho."""
+    two_rho = _two_rho(w.rs)
+    return apply(w, apply(w, two_rho)) == two_rho
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -254,16 +267,24 @@ def inversions(w: WeylElement) -> tuple[Vector, ...]:
 @cache
 def theta(rs: RootSystem) -> dict[int, int]:
     """The diagram automorphism -w0 as a permutation of simple indices."""
-    long = w0(rs)
-    perm = {}
-    for i, col in enumerate(long.cols, 1):
-        img = tuple(-c for c in col)
-        for j in range(1, rs.rank + 1):
-            if img == rs.simples[j - 1]:
-                perm[i] = j
-                break
-        else:
-            raise AssertionError("-w0 does not permute the simple roots")
+    return _twist(rs, range(1, rs.rank + 1))
+
+
+def _twist(rs: RootSystem, comp) -> dict[int, int]:
+    """-w_C as a permutation of the simple indices in C, read off a weight walk.
+
+    lambda_{c_k} = k on the k-th index c_k of C (0 elsewhere) is regular for
+    W_C; the walk takes it to w_C(lambda), and w_C(omega_j) = -omega_{theta_C(j)}
+    on C gives v_j = -lambda_{theta_C(j)}.
+    """
+    order = sorted(comp)
+    v = [0] * rs.rank
+    for k, j in enumerate(order, 1):
+        v[j - 1] = k
+    _antidominant(rs, v, order)
+    perm = {j: order[-v[j - 1] - 1] for j in order if 0 < -v[j - 1] <= len(order)}
+    if sorted(perm.values()) != order:
+        raise AssertionError("-w_C does not permute the simple roots of C")
     return perm
 
 

@@ -22,12 +22,19 @@ from weylorbit import (
     reduced_word,
     reflection,
     simple_reflection,
-    theta,
     w0,
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
-from weylorbit.weyl import rmul_s
+from weylorbit.weyl import WeylElement, rmul_s
+
+# Every type the tables command covers at its default rank bound: 2498 subsets.
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def rows(w):
@@ -138,7 +145,7 @@ def form_quali_no(rs, pi):
     depends on the order it meets the components in.
     """
     pi = frozenset(pi)
-    perm = theta(rs)
+    perm = column_theta(rs)
     lengths = form_lengths(rs)
     found = set()
     for a in pi:
@@ -176,6 +183,66 @@ def column_bruhat_leq(u, w):
         if any(c < 0 for c in cur.cols[s - 1]):
             cur = rmul_s(cur, s)
     return cur == identity(u.rs)
+
+
+def column_theta(rs):
+    """theta = -w0 read off the columns of the element w0: -w0(alpha_i) = alpha_theta(i)."""
+    perm = {}
+    for i, col in enumerate(column_longest(rs, range(1, rs.rank + 1)).cols, 1):
+        img = tuple(-c for c in col)
+        perm[i] = next(j for j, a in enumerate(rs.simples, 1) if a == img)
+    return perm
+
+
+def element_theta_agrees_on(rs, comp):
+    """-w_C(alpha_i) = alpha_theta(i) for every i in C, by the columns of the element w_C."""
+    w_c = column_longest(rs, comp)
+    perm = column_theta(rs)
+    return all(w_c.column(i) == tuple(-c for c in rs.simples[perm[i] - 1]) for i in comp)
+
+
+def connected_subsets(rs):
+    """Every nonempty subset of the simple indices that is connected in the Dynkin diagram."""
+    n = rs.rank
+    out = []
+    for mask in range(1, 2**n):
+        sub = {i + 1 for i in range(n) if mask >> i & 1}
+        seen, todo = set(), [min(sub)]
+        while todo:
+            a = todo.pop()
+            seen.add(a)
+            todo += [b for b in sub - seen if rs.cartan[a - 1][b - 1]]
+        if seen == sub:
+            out.append(frozenset(sub))
+    return out
+
+
+def full_rmul_s(w, i):
+    """w * s_i by rewriting every column, col_j - <alpha_j, alpha_i^vee> col_i, with a sign scan."""
+    rs, c = w.rs, i - 1
+    wi = w.cols[c]
+    cols = tuple(tuple(x - row[c] * y for x, y in zip(col, wi)) for col, row in zip(w.cols, rs.cartan))
+    length = None
+    if w._length is not None:
+        length = w._length + (-1 if any(x < 0 for x in wi) else 1)
+    return WeylElement(rs, cols, length)
+
+
+def pairing_closure(rs):
+    """Every root with its length class: the simples closed under s_i, each pairing
+    summed over a full Cartan column."""
+    norms = _simple_norms(rs.rstype)
+    roots = {a: LONG if m == max(norms) else SHORT for a, m in zip(rs.simples, norms)}
+    frontier = list(rs.simples)
+    while frontier:
+        v = frontier.pop()
+        for i in range(rs.rank):
+            c = sum(v[j] * rs.cartan[j][i] for j in range(rs.rank))
+            img = tuple(x - c if j == i else x for j, x in enumerate(v))
+            if img not in roots:
+                roots[img] = roots[v]
+                frontier.append(img)
+    return roots
 
 
 def column_longest(rs, pi):

@@ -37,7 +37,7 @@ from weylorbit import (
 from weylorbit.certs import mutate_sigma
 from weylorbit.spherical import candidate_element
 
-from conftest import brute_bruhat_order, brute_involutions, enumerate_group, rows
+from conftest import ALL_TYPES, brute_bruhat_order, brute_involutions, enumerate_group, rows
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -245,14 +245,6 @@ def test_criterion_05_bruhat_oracle():
 
 
 # -- criterion 6: monoid laws ------------------------------------------------
-
-ALL_TYPES = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"B{n}" for n in range(2, 9)]
-    + [f"C{n}" for n in range(2, 9)]
-    + [f"D{n}" for n in range(3, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
 
 
 def test_criterion_06_monoid_laws():

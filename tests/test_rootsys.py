@@ -12,7 +12,7 @@ from weylorbit import (
 )
 from weylorbit.rootsys import LONG, SHORT
 
-from conftest import brute_min_length_to_negative, is_root
+from conftest import ALL_TYPES, brute_min_length_to_negative, is_root, pairing_closure
 
 # classical positive-root counts
 COUNTS = {
@@ -38,6 +38,13 @@ def test_invalid_types_rejected():
         RootSystemType.from_string("B")
     with pytest.raises(ValueError):
         RootSystemType.from_string("3B")
+
+
+def test_bool_rank_rejected():
+    # True is an int to isinstance, and used to build A1 under the name ATrue
+    for rank in (True, False, 2.0, "2"):
+        with pytest.raises(ValueError):
+            RootSystemType("A", rank)
 
 
 def test_type_string_round_trip():
@@ -68,6 +75,15 @@ def test_cartan_pairing_examples():
     assert a2.pairing((2, 3), 1) == 2 * 2 + 3 * (-1)
     with pytest.raises(ValueError):
         a2.pairing((1, 0), 3)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_closure_matches_full_column_closure(name):
+    rs = build_named(name)
+    roots = pairing_closure(rs)
+    assert rs.lengths == roots
+    pos = sorted((r for r in roots if min(r) >= 0), key=lambda r: (sum(r), r))
+    assert rs.positive_roots == tuple(pos)
 
 
 def test_sign_symmetry():

@@ -24,23 +24,19 @@ from weylorbit import (
     type_a_cascade,
     w0,
 )
-from weylorbit.spherical import candidate_element
+from weylorbit.spherical import _theta_agrees_on, candidate_element
+from weylorbit.weyl import _twist
 
 from conftest import (
+    ALL_TYPES,
     column_longest,
+    connected_subsets,
+    element_theta_agrees_on,
     form_lengths,
     form_quali_no,
     fraction_rank,
     inversion_count,
     matrix_admissible,
-)
-
-# Every type the tables command covers at its default rank bound: 2498 subsets.
-ALL_TYPES = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
-    + [f"D{n}" for n in range(3, 9)]
-    + ["E6", "E7", "E8", "F4", "G2"]
 )
 
 
@@ -72,6 +68,20 @@ def test_diagram_rule_matches_matrix_rule(name):
             w = candidate_element(rs, pi)
             assert w == multiply(w0(rs), w_pi), pi
             assert w.length == inversion_count(w), pi
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_twist_matches_longest_columns(name):
+    # the weight walk's -w_C against the columns of w_C built by rmul_s, and the
+    # admissibility of each component against the element-based rule
+    rs = build_named(name)
+    for comp in connected_subsets(rs):
+        perm = _twist(rs, comp)
+        w_c = column_longest(rs, comp)
+        assert sorted(perm) == sorted(comp), comp
+        for i in comp:
+            assert w_c.column(i) == tuple(-c for c in rs.simples[perm[i] - 1]), (comp, i)
+        assert _theta_agrees_on(rs, comp) == element_theta_agrees_on(rs, comp), comp
 
 
 def test_quali_no_examples(b3):

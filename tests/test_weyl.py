@@ -31,12 +31,15 @@ from weylorbit.spherical import candidate_element
 from weylorbit.weyl import WeylElement, rmul_s
 
 from conftest import (
+    ALL_TYPES,
     brute_bruhat_order,
     column_bruhat_leq,
     column_reduced_word,
+    column_theta,
     dense_reflection,
     enumerate_group,
     fraction_rank,
+    full_rmul_s,
     inversion_count,
     inverse,
     is_root,
@@ -256,6 +259,34 @@ def test_theta():
     assert theta(build_named("E6")) == {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
 
 
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_theta_matches_w0_columns(name):
+    rs = build_named(name)
+    assert theta(rs) == column_theta(rs)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_rmul_s_matches_full_column_scan(name):
+    rs = build_named(name)
+    rng = random.Random(9)
+    steps = {-1: 0, 1: 0}
+    for _ in range(4):
+        w = identity(rs)
+        for _ in range(3 * len(rs.positive_roots)):
+            i = rng.randint(1, rs.rank)
+            fast, slow = rmul_s(w, i), full_rmul_s(w, i)
+            assert fast.cols == slow.cols and fast._length == slow._length, (w, i)
+            steps[fast._length - w._length] += 1
+            w = fast
+        assert w._length == inversion_count(w)
+        cold = WeylElement(rs, w.cols)
+        i = rng.randint(1, rs.rank)
+        assert rmul_s(cold, i).cols == full_rmul_s(cold, i).cols
+        assert rmul_s(cold, i)._length is None
+    # ascents and descents both occur
+    assert steps[-1] and steps[1]
+
+
 MINUS_ONE_TYPES = {
     "A1", "B2", "B3", "B4", "C3", "C4", "D4", "D6",
     "E7", "E8", "F4", "G2",
@@ -275,6 +306,13 @@ def test_theta_identity_iff_w0_is_minus_one(name):
     )
     assert is_id == minus
     assert minus == (name in MINUS_ONE_TYPES)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2", "D4"])
+def test_is_involution_matches_square(name):
+    rs = build_named(name)
+    for w in enumerate_group(rs):
+        assert is_involution(w) == (multiply(w, w) == identity(rs)), w
 
 
 def test_inversions_count_is_length(g2, b3):
