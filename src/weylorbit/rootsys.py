@@ -6,8 +6,9 @@ basis; index 0 of a tuple is the coefficient of alpha_1. All *public* indices
 plates.
 
 Root lengths need no bilinear form: the simple roots take their classes from
-the plates, and since W preserves lengths every other root inherits the class
-of the root it is reflected from while the reflection closure is built.
+the plates, and since W preserves lengths every other positive root inherits
+the class of the root it is reflected from while the reflection closure is
+built, and a negative root the class of its positive root.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ class RootSystem:
         self.neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(n)
         )
+        # row_neighbours[i]: the nonzero (j, <alpha_i, alpha_j^vee>), the same j
+        self.row_neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in cartan
+        )
 
         norms = _simple_norms(rstype)
         # the form (alpha_i, alpha_j) = c_ij * norm_j / 2 must be symmetric
@@ -137,15 +142,13 @@ class RootSystem:
         self.simples: tuple[Vector, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
-        self.lengths: dict[Vector, str] = self._close_under_reflections(norms)
-        pos = sorted(
-            (r for r in self.lengths if all(c >= 0 for c in r)),
-            key=lambda r: (sum(r), r),
-        )
+        positive = self._close_under_reflections(norms)
+        pos = sorted(positive, key=lambda r: (sum(r), r))
         self.positive_roots: tuple[Vector, ...] = tuple(pos)
         self._positive_set = frozenset(pos)
-        if 2 * len(pos) != len(self.lengths):
-            raise AssertionError(f"sign-asymmetric root table for {rstype}")
+        self.lengths: dict[Vector, str] = dict(positive)
+        for r, cls in positive.items():
+            self.lengths[tuple(-c for c in r)] = cls
 
         self._highest = pos[-1]
         for r in pos:
@@ -153,7 +156,13 @@ class RootSystem:
                 raise AssertionError(f"no coefficientwise-maximal root in {rstype}")
 
     def _close_under_reflections(self, norms: tuple[int, ...]) -> dict[Vector, str]:
-        """Every root, with the length class of the root it was reflected from."""
+        """Every positive root, with the length class of the root it was reflected from.
+
+        s_i permutes the positive roots other than alpha_i, and every positive
+        root that is not simple has some s_i lowering it to a positive root, so
+        the simple roots reach them all without leaving the positive cone. An
+        image that is not positive is an error in the table, not a root.
+        """
         long = max(norms)
         roots = {a: LONG if m == long else SHORT for a, m in zip(self.simples, norms)}
         frontier = list(self.simples)
@@ -162,15 +171,16 @@ class RootSystem:
             for v in frontier:
                 for i, column in enumerate(self.neighbours):
                     c = sum(v[j] * a for j, a in column)
-                    if c:
+                    if c and v != self.simples[i]:
                         img = v[:i] + (v[i] - c,) + v[i + 1:]
                         if img not in roots:
+                            if img[i] < 0:
+                                raise AssertionError(
+                                    f"s_{i + 1}{v} = {img} is not positive in {self.rstype}"
+                                )
                             roots[img] = roots[v]
                             nxt.append(img)
             frontier = nxt
-        for r in roots:
-            if not (all(c >= 0 for c in r) or all(c <= 0 for c in r)):
-                raise AssertionError(f"mixed-sign root {r} in {self.rstype}")
         return roots
 
     # -- elementwise queries ------------------------------------------------
@@ -182,6 +192,8 @@ class RootSystem:
     def pairing(self, v: Vector, i: int) -> int:
         """<v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee>."""
         self._check_index(i)
+        if len(v) != self.rank:
+            raise ValueError(f"vector {tuple(v)} does not have rank {self.rank}")
         return sum(v[j] * a for j, a in self.neighbours[i - 1])
 
     def reflect_simple(self, v: Vector, i: int) -> Vector:

@@ -18,6 +18,25 @@ No element is built for this: -w_C is read off as a permutation of C by
 walking a weight that is regular on C down to the antidominant chamber of
 W_C (weyl._twist), and theta is the same walk on the whole diagram.
 
+A table row needs no element either. The walk of rho to w_Pi(rho)
+(weyl._walk) gives a reduced word for w_Pi, so l(w) = N - l(w_Pi) with N
+the number of positive roots, and the orbit point of w is
+w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho), whose peel is the reduced word of w.
+The rank is read off theta:
+
+  rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
+
+Admissible means that w fixes span(Pi) pointwise, and that theta agrees
+with theta_Pi on Pi, so theta maps Pi, and the indices outside it, to
+themselves. For every x, w_Pi(x) - x lies in span(Pi), so on the quotient
+V / span(Pi), with basis the alpha_i for i not in Pi, w acts as w0, that is
+alpha_i -> -alpha_theta(i). w has finite order, so V splits into span(Pi)
+and a w-stable complement isomorphic to that quotient, and the fixed space
+of w has dimension |Pi| plus that of w on the quotient. There w fixes
+alpha_i - alpha_theta(i) for each 2-cycle of theta and negates alpha_i for
+each fixed point, so the fixed space has dimension
+|Pi| + #{2-cycles outside Pi}, and rk(1 - w) is n minus that.
+
 Every subset evaluation is a pure function of the immutable root system, so
 the enumeration is embarrassingly parallel if a caller wants it to be.
 """
@@ -33,10 +52,11 @@ from .rootsys import RootSystem, Vector
 from .weyl import (
     WeylElement,
     _twist,
+    _walk,
+    _word_at,
     longest_element,
     multiply,
     rank_one_minus,
-    reduced_word,
     theta,
 )
 
@@ -45,20 +65,25 @@ ENUMERATION_MAX_RANK = 8
 
 @dataclass(frozen=True)
 class SphericalDatum:
-    """One admissible Pi with its element w = w0 * w_Pi and its invariants."""
+    """One admissible Pi with the invariants of w = w0 * w_Pi; w is built on demand."""
 
+    rs: RootSystem
     pi: frozenset[int]
-    w: WeylElement
+    w_word: tuple[int, ...]
     length: int
     rank_one_minus: int
     dimension: int
     central: bool
 
+    @property
+    def w(self) -> WeylElement:
+        return candidate_element(self.rs, self.pi)
+
     def as_dict(self) -> dict:
         return {
-            "type": str(self.w.rs.rstype),
+            "type": str(self.rs.rstype),
             "pi": sorted(self.pi),
-            "w_word": list(reduced_word(self.w)),
+            "w_word": list(self.w_word),
             "length": self.length,
             "rank": self.rank_one_minus,
             "dimension": self.dimension,
@@ -96,11 +121,11 @@ def is_admissible(rs: RootSystem, pi) -> bool:
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
-    return all(_theta_agrees_on(rs, comp) for comp in _components(rs, pi))
+    return _admissible(rs, _components(rs, pi))
 
 
-def _adjacent(rs: RootSystem, i: int, j: int) -> bool:
-    return i != j and rs.cartan[i - 1][j - 1] != 0
+def _admissible(rs: RootSystem, comps: list[frozenset[int]]) -> bool:
+    return all(_theta_agrees_on(rs, comp) for comp in comps)
 
 
 def _components(rs: RootSystem, pi: frozenset[int]) -> list[frozenset[int]]:
@@ -139,28 +164,40 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
+    witness = _quali_witness(rs, pi, _components(rs, pi))
+    return witness is None, witness
+
+
+def _quali_witness(
+    rs: RootSystem, pi: frozenset[int], comps: list[frozenset[int]]
+) -> tuple[int, int] | None:
+    """The witness (a, b) of passes_quali_no, given the components of pi, or None."""
     perm = theta(rs)
-    for comp in _components(rs, pi):
+    for comp in comps:
         if len(comp) != 1:
             continue
         (a,) = comp
-        # b is adjacent to the isolated a, so b lies outside pi
-        for b in range(1, rs.rank + 1):
+        cls = rs.lengths[rs.simples[a - 1]]
+        # b runs over the neighbours of the isolated a, in increasing order, so
+        # b lies outside pi; it must have no neighbour in pi but a
+        for j, _ in rs.neighbours[a - 1]:
+            b = j + 1
             if (
-                _adjacent(rs, a, b)
+                b != a
                 and perm[b] == b
-                and rs.length_class(rs.simples[b - 1]) == rs.length_class(rs.simples[a - 1])
-                and not any(_adjacent(rs, b, c) for c in pi - {a})
+                and rs.lengths[rs.simples[j]] == cls
+                and not any(k + 1 in pi and k + 1 != a for k, _ in rs.neighbours[j])
             ):
-                return False, (a, b)
-    return True, None
+                return a, b
+    return None
 
 
 def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     """All admissible pi passing both filters, sorted by dimension.
 
     The empty set and the full diagram always appear; the latter is flagged
-    central (its element is the identity).
+    central (its element is the identity). Each subset is split into its
+    components once, for both filters.
     """
     if rs.rank > ENUMERATION_MAX_RANK:
         raise ValueError(
@@ -172,12 +209,9 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     for size in range(rs.rank + 1):
         for combo in combinations(indices, size):
             pi = frozenset(combo)
-            if not is_admissible(rs, pi):
-                continue
-            ok, _ = passes_quali_no(rs, pi)
-            if not ok:
-                continue
-            found.append(_datum(rs, pi))
+            comps = _components(rs, pi)
+            if _admissible(rs, comps) and _quali_witness(rs, pi, comps) is None:
+                found.append(_datum(rs, pi))
     found.sort(key=lambda d: (d.dimension, len(d.pi), sorted(d.pi)))
     full = frozenset(indices)
     if not any(d.pi == frozenset() for d in found) or not any(d.pi == full for d in found):
@@ -186,14 +220,18 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 
 
 def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
-    w = candidate_element(rs, pi)
-    rk = rank_one_minus(w)
+    """The row of an admissible pi, off the walk of w_Pi and theta (module docstring)."""
+    letters, end = _walk(rs, pi)
+    length = len(rs.positive_roots) - len(letters)
+    swaps = sum(1 for i, j in theta(rs).items() if i < j and i not in pi)
+    rk = rs.rank - len(pi) - swaps
     return SphericalDatum(
+        rs=rs,
         pi=pi,
-        w=w,
-        length=w.length,
+        w_word=_word_at(rs, [-x for x in end]),
+        length=length,
         rank_one_minus=rk,
-        dimension=w.length + rk,
+        dimension=length + rk,
         central=(len(pi) == rs.rank),
     )
 

@@ -13,10 +13,10 @@ Bruhat peel and parabolic longest elements walk v; cols stays the element's
 identity. theta = -w0 is no element: like -w_C on a subset C, it is read off
 a weight walk to the antidominant chamber (_twist).
 What depends only on the root system (the identity, the simple reflections,
-parabolic longest elements, 2 rho and theta) is memoized by functools.cache,
-keyed on the immutable root system; nothing is stored on the root system
-itself. Elements are immutable and every operation is a pure function, so all
-of this is safe to use concurrently.
+the weight walk of each parabolic subgroup, 2 rho and theta) is memoized by
+functools.cache, keyed on the immutable root system; nothing is stored on the
+root system itself. Elements are immutable and every operation is a pure
+function, so all of this is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -135,9 +135,8 @@ def _orbit_point(w: WeylElement) -> list[int]:
 def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
     """v <- s_b(v) in place, for a 0-based b: v_j -= v_b <alpha_b, alpha_j^vee>."""
     vb = v[b]
-    for j, a in enumerate(rs.cartan[b]):
-        if a:
-            v[j] -= vb * a
+    for j, a in rs.row_neighbours[b]:
+        v[j] -= vb * a
 
 
 def _peel(rs: RootSystem, v: list[int]):
@@ -166,27 +165,41 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     Always returns the lexicographically-first descent at each step, so the
     result is deterministic.
     """
-    letters = list(_peel(w.rs, _orbit_point(w)))
+    return _word_at(w.rs, _orbit_point(w))
+
+
+def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
+    """reduced_word of the element whose orbit point is v; v is consumed."""
+    letters = list(_peel(rs, v))
     letters.reverse()
     return tuple(letters)
 
 
 def longest_element(rs: RootSystem, pi) -> WeylElement:
-    """Longest element of the parabolic subgroup generated by pi.
+    """Longest element w_Pi of the parabolic subgroup generated by pi.
 
-    Greedy ascent: right-multiply by the first s_i (i in pi) that still
-    increases the length, until every i in pi is a descent. pi = all simple
-    indices yields w0.
+    Built by rmul_s from the letters of the cached weight walk _walk(rs, pi),
+    which are a reduced word for w_Pi. pi = all simple indices yields w0.
     """
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
-    return _longest(rs, pi)
+    return from_word(rs, _walk(rs, pi)[0])
 
 
 @cache
-def _longest(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    return from_word(rs, _antidominant(rs, [1] * rs.rank, sorted(pi)))
+def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
+    """The ascent of rho to the antidominant chamber of W_Pi: its letters and end point.
+
+    Starting at rho = (1, ..., 1), s_b is applied for the first b in pi with
+    v_b > 0, each letter lengthening the element u = s_{b_k} ... s_{b_1}
+    applied so far, until v_b <= 0 for every b in pi: then u = w_Pi. So the
+    letters b_1 ... b_k are a reduced word for u^-1 = w_Pi (an involution),
+    and the end point is u(rho) = w_Pi(rho).
+    """
+    v = [1] * rs.rank
+    letters = _antidominant(rs, v, sorted(pi))
+    return tuple(letters), tuple(v)
 
 
 def _antidominant(rs: RootSystem, v: list[int], order: list[int]) -> list[int]:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from weylorbit import (
     CertReport,
+    SphericalDatum,
     apply,
     build,
     build_named,
@@ -19,6 +20,7 @@ from weylorbit import (
     is_involution,
     longest_element,
     multiply,
+    rank_one_minus,
     reduced_word,
     reflection,
     simple_reflection,
@@ -26,6 +28,7 @@ from weylorbit import (
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
+from weylorbit.spherical import candidate_element
 from weylorbit.weyl import WeylElement, rmul_s
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
@@ -192,6 +195,24 @@ def column_theta(rs):
         img = tuple(-c for c in col)
         perm[i] = next(j for j, a in enumerate(rs.simples, 1) if a == img)
     return perm
+
+
+def column_datum(rs, pi):
+    """The row of an admissible pi from its element: w = candidate_element, the word
+    and length by reduced_word(w), and the integer-kernel rank of 1 - w."""
+    pi = frozenset(pi)
+    w = candidate_element(rs, pi)
+    word = reduced_word(w)
+    rk = rank_one_minus(w)
+    return SphericalDatum(
+        rs=rs,
+        pi=pi,
+        w_word=word,
+        length=len(word),
+        rank_one_minus=rk,
+        dimension=len(word) + rk,
+        central=(len(pi) == rs.rank),
+    )
 
 
 def element_theta_agrees_on(rs, comp):

@@ -3,6 +3,7 @@
 import pytest
 
 from weylorbit import (
+    RootSystem,
     RootSystemType,
     build,
     build_named,
@@ -75,6 +76,24 @@ def test_cartan_pairing_examples():
     assert a2.pairing((2, 3), 1) == 2 * 2 + 3 * (-1)
     with pytest.raises(ValueError):
         a2.pairing((1, 0), 3)
+
+
+@pytest.mark.parametrize("v", [(1, 0, 0, 5), (1,), ()])
+def test_pairing_rejects_a_vector_of_another_rank(a3, v):
+    # (1, 0, 0, 5) used to pair to 2 with alpha_1^vee, and (1,) to raise a bare IndexError
+    with pytest.raises(ValueError, match="does not have rank 3"):
+        a3.pairing(v, 1)
+    with pytest.raises(ValueError, match="does not have rank 3"):
+        a3.reflect_simple(v, 1)
+
+
+def test_closure_rejects_an_image_that_is_not_positive():
+    # a wrong sign in the Cartan data sends s_2(alpha_1) to (1, -1)
+    rs = RootSystem.__new__(RootSystem)
+    rs.rstype, rs.simples = RootSystemType("A", 2), ((1, 0), (0, 1))
+    rs.neighbours = (((0, 2), (1, 1)), ((0, 1), (1, 2)))
+    with pytest.raises(AssertionError, match="is not positive"):
+        rs._close_under_reflections((2, 2))
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)

@@ -18,6 +18,7 @@ from weylorbit import (
     multiply,
     neg_eigenlattice_basis,
     passes_quali_no,
+    rank_one_minus,
     spherical_datum,
     subsystem_positive_roots,
     toro1_rank,
@@ -29,6 +30,7 @@ from weylorbit.weyl import _twist
 
 from conftest import (
     ALL_TYPES,
+    column_datum,
     column_longest,
     connected_subsets,
     element_theta_agrees_on,
@@ -82,6 +84,32 @@ def test_twist_matches_longest_columns(name):
         for i in comp:
             assert w_c.column(i) == tuple(-c for c in rs.simples[perm[i] - 1]), (comp, i)
         assert _theta_agrees_on(rs, comp) == element_theta_agrees_on(rs, comp), comp
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_rows_match_column_datum(name):
+    # each row's word, length and rank off the walk of w_pi and theta, against
+    # the same row read off the element w0 * w_pi
+    rs = build_named(name)
+    for d in enumerate_pi(rs):
+        assert d.as_dict() == column_datum(rs, d.pi).as_dict(), sorted(d.pi)
+
+
+def test_rank_identity_on_every_admissible_pi():
+    # rk(1 - w) = n - |pi| - #{2-cycles of theta outside pi}, against the kernel
+    # rank, also on the subsets the quali filter drops
+    admissible = 0
+    for name in ALL_TYPES:
+        rs = build_named(name)
+        for size in range(rs.rank + 1):
+            for pi in combinations(range(1, rs.rank + 1), size):
+                if not is_admissible(rs, pi):
+                    continue
+                admissible += 1
+                d = spherical_datum(rs, pi)
+                assert d.rank_one_minus == rank_one_minus(candidate_element(rs, pi)), (name, pi)
+                assert d.as_dict() == column_datum(rs, pi).as_dict(), (name, pi)
+    assert admissible == 726
 
 
 def test_quali_no_examples(b3):

@@ -200,7 +200,7 @@ def test_peel_is_bounded(a3, monkeypatch):
     with pytest.raises(AssertionError, match="within len"):
         long.length
     with pytest.raises(AssertionError, match="within len"):
-        weyl._longest.__wrapped__(a3, frozenset({1, 3}))  # past the cache
+        weyl._walk.__wrapped__(a3, frozenset({1, 3}))  # past the cache
 
 
 def test_peel_rejects_a_dominant_point_other_than_rho(a3):
