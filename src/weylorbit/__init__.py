@@ -11,7 +11,6 @@ from .rootsys import (
     RootSystemType,
     build,
     build_named,
-    depth,
     highest_root,
     subsystem_positive_roots,
 )
@@ -22,7 +21,6 @@ from .weyl import (
     fixed_simples,
     from_word,
     identity,
-    inversions,
     is_involution,
     longest_element,
     multiply,

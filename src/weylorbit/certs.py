@@ -34,7 +34,7 @@ from random import Random
 
 from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
 from .spherical import ENUMERATION_MAX_RANK, candidate_element, is_admissible
-from .weyl import apply, from_word, identity, rmul_s
+from .weyl import _combine, _replay, _rmul_cols, apply
 
 
 class CertError(ValueError):
@@ -226,10 +226,15 @@ def _negate(v: Vector) -> Vector:
 
 
 def verify(cert: ExclusionCert) -> CertReport:
-    """Check conditions 1, 3 and 4 and compute the condition-2 witnesses."""
+    """Check conditions 1, 3 and 4 and compute the condition-2 witnesses.
+
+    An ExclusionCert can be built without make_cert, so its fields are
+    checked again as make_cert checks them. sigma and sigma^-1 enter only
+    through their columns, each replayed once from the word; no group element
+    is built for either.
+    """
+    make_cert(cert.rstype, cert.pi, cert.gamma, cert.sigma_word, cert.expected_cond2, cert.label)
     rs = build(cert.rstype)
-    if not rs.is_positive_root(cert.gamma):
-        raise CertError(f"{cert.label}: gamma is not a positive root")
     if not is_admissible(rs, cert.pi):
         raise CertError(f"{cert.label}: pi={sorted(cert.pi)} is not admissible in {cert.rstype}")
     if cert.gamma in subsystem_positive_roots(rs, cert.pi):
@@ -238,27 +243,28 @@ def verify(cert: ExclusionCert) -> CertReport:
     word = cert.sigma_word
     top = word[0]
     alpha_top = rs.simples[top - 1]
-    sigma = from_word(rs, word)
+    sigma = _replay(rs, word)  # the columns sigma(alpha_i)
 
-    cond1 = apply(sigma, cert.gamma) == _negate(alpha_top)
+    cond1 = _combine(sigma, cert.gamma) == _negate(alpha_top)
 
     # gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}), reading the word from its
-    # right end; j = 0 contributes alpha_{i_1} itself. The prefix ends as
-    # s_{i_1} ... s_{i_{t-1}}, and one more letter makes it sigma^-1.
+    # right end; j = 0 contributes alpha_{i_1} itself. One column replay along
+    # the reversed word passes through every prefix s_{i_1} ... s_{i_j} and
+    # ends at sigma^-1.
     rev = tuple(reversed(word))
     witnesses = []
-    prefix = identity(rs)
-    for j in range(len(word) - 1):
-        witnesses.append(prefix.column(rev[j]))
-        prefix = rmul_s(prefix, rev[j])
-    sigma_inv = rmul_s(prefix, top)
+    cols = list(rs.simples)
+    for a in rev[:-1]:
+        witnesses.append(cols[a - 1])
+        _rmul_cols(rs, cols, a)
+    _rmul_cols(rs, cols, top)
     cond2_match = None
     if cert.expected_cond2 is not None:
         cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
 
-    beta = sigma_inv.column(top)
+    beta = cols[top - 1]
     w_beta = apply(candidate_element(rs, cert.pi), beta)
-    image = apply(sigma, w_beta)
+    image = _combine(sigma, w_beta)
     cond3 = all(c >= 0 for c in image) and image != alpha_top
     cond4 = w_beta not in (beta, _negate(beta))
 

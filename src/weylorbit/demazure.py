@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .rootsys import RootSystem, RootSystemType
-from .weyl import WeylElement, identity, is_involution, reduced_word, rmul_s
+from .weyl import WeylElement, _reflect_point, identity, is_involution, reduced_word, rmul_s
 
 CASE_DESCRIPTIONS = {
     1: "l(sws) = l(w) + 2",
@@ -36,28 +36,38 @@ class StepOutcome:
 def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """The w with m(w) = m(w1) m(w2).
 
-    Peels a reduced word of w2 from the left onto w1 by the right-hand form
-    of the relations: m(x)m(s) = m(xs) when l(xs) > l(x), that is when
-    x(alpha_s) > 0, and m(x)m(s) = m(x) otherwise. The result is never
-    shorter than either factor, and carries its length when w1 does.
+    Applies a reduced word of w2, left letter first, onto w1 by the
+    right-hand form of the relations: m(x)m(s) = m(xs) when l(xs) > l(x),
+    and m(x)m(s) = m(x) otherwise. l(xs) > l(x) exactly when x(alpha_s) > 0,
+    that is when the entry s of the point x^-1(rho) is positive, so the
+    product's point is walked in place by s_b for each letter b with v_b > 0,
+    and no column is built. The result is never shorter than either factor,
+    and carries its length when w1 does.
     """
     if w1.rs.rstype != w2.rs.rstype:
         raise ValueError("elements live in different root systems")
-    cur = w1
+    rs = w1.rs
+    v = list(w1.v)
+    steps = 0
     for b in reduced_word(w2):
-        if all(c >= 0 for c in cur.cols[b - 1]):
-            cur = rmul_s(cur, b)
-    return cur
+        if v[b - 1] > 0:
+            _reflect_point(rs, v, b - 1)
+            steps += 1
+    length = None if w1._length is None else w1._length + steps
+    return WeylElement(rs, tuple(v), length)
 
 
 def involution_step(w: WeylElement, i: int) -> StepOutcome:
     """Classify the step (w, s_i) for an involution w and list candidates.
 
-    Everything is read off beta = w(alpha_i). Since w is an involution,
-    l(sw) = l(ws), and l(ws) > l(w) exactly when beta > 0. Since
-    w s_i w^-1 = s_beta, sw = ws holds exactly when beta = +-alpha_i, which
-    gives cases 2 and 3. Otherwise s_i(beta) has the sign of beta, so l(sws)
-    moves two steps the same way: case 1 when beta > 0, case 4 when beta < 0.
+    Everything is read off beta = w(alpha_i), a column of w's cached view.
+    Since w is an involution, l(sw) = l(ws), and l(ws) > l(w) exactly when
+    beta > 0. Since w s_i w^-1 = s_beta, sw = ws holds exactly when
+    beta = +-alpha_i, which gives cases 2 and 3. Otherwise s_i(beta) has the
+    sign of beta, so l(sws) moves two steps the same way: case 1 when
+    beta > 0, case 4 when beta < 0. The case-1 candidate s_i w s_i has the
+    point s_i w s_i(rho) = s_i w(rho - alpha_i) = s_i(v - beta), with v the
+    point of w = w^-1 and beta taken in fundamental-weight coordinates.
     """
     if not is_involution(w):
         raise ValueError("involution_step requires an involution")
@@ -69,10 +79,10 @@ def involution_step(w: WeylElement, i: int) -> StepOutcome:
     if beta == tuple(-c for c in alpha):
         return StepOutcome(3, frozenset({w, rmul_s(w, i)}))
     if all(c >= 0 for c in beta):
-        # s * (ws): s_i acts on each column of ws
-        ws = rmul_s(w, i)
-        cols = tuple(rs.reflect_simple(col, i) for col in ws.cols)
-        return StepOutcome(1, frozenset({WeylElement(rs, cols)}))
+        v = [x - sum(beta[t] * a for t, a in column) for x, column in zip(w.v, rs.neighbours)]
+        _reflect_point(rs, v, i - 1)
+        length = None if w._length is None else w._length + 2
+        return StepOutcome(1, frozenset({WeylElement(rs, tuple(v), length)}))
     return StepOutcome(4, frozenset({w}))
 
 

@@ -13,7 +13,6 @@ built, and a negative root the class of its positive root.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -207,12 +206,6 @@ class RootSystem:
     def is_positive_root(self, v: Vector) -> bool:
         return tuple(v) in self._positive_set
 
-    def length_class(self, v: Vector) -> str:
-        r = tuple(v)
-        if r not in self.lengths:
-            raise ValueError(f"{r} is not a root of {self.rstype}")
-        return self.lengths[r]
-
     def support(self, v: Vector) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(v) if c)
 
@@ -228,29 +221,6 @@ def build(rstype: RootSystemType) -> RootSystem:
 
 def build_named(name: str) -> RootSystem:
     return build(RootSystemType.from_string(name))
-
-
-def depth(rs: RootSystem, beta: Vector) -> int:
-    """Minimal length of an element sending the positive root beta negative.
-
-    Breadth-first search over the simple-reflection action; depth 1 exactly
-    for the simple roots.
-    """
-    beta = tuple(beta)
-    if not rs.is_positive_root(beta):
-        raise ValueError(f"{beta} is not a positive root of {rs.rstype}")
-    seen = {beta}
-    queue = deque([(beta, 0)])
-    while queue:
-        v, d = queue.popleft()
-        for i in range(1, rs.rank + 1):
-            img = rs.reflect_simple(v, i)
-            if any(c < 0 for c in img):
-                return d + 1
-            if img not in seen:
-                seen.add(img)
-                queue.append((img, d + 1))
-    raise AssertionError("unreachable: every positive root has a negative image")
 
 
 def subsystem_positive_roots(rs: RootSystem, pi) -> list[Vector]:

@@ -54,7 +54,6 @@ from .weyl import (
     _twist,
     _walk,
     _word_at,
-    longest_element,
     multiply,
     rank_one_minus,
     theta,
@@ -94,19 +93,20 @@ class SphericalDatum:
 def candidate_element(rs: RootSystem, pi) -> WeylElement:
     """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi).
 
-    Built without a product: w0(alpha_k) = -alpha_{theta(k)} and theta is an
-    involution, so entry r of each column of w0 * w_Pi is minus entry
-    theta(r) of the same column of w_Pi.
+    Built without a product: its point w_Pi(w0(rho)) = -w_Pi(rho) is the
+    negated end of the weight walk weyl._walk, whose letters are a reduced
+    word for w_Pi. The cache keeps the element's column view with it.
     """
-    return _candidate(rs, frozenset(pi))
+    pi = frozenset(pi)
+    for i in pi:
+        rs._check_index(i)
+    return _candidate(rs, pi)
 
 
 @cache
 def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    perm = theta(rs)
-    w_pi = longest_element(rs, pi)
-    cols = tuple(tuple(-col[perm[r] - 1] for r in range(1, rs.rank + 1)) for col in w_pi.cols)
-    return WeylElement(rs, cols, len(rs.positive_roots) - w_pi.length)
+    letters, end = _walk(rs, pi)
+    return WeylElement(rs, tuple(-x for x in end), len(rs.positive_roots) - len(letters))
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:

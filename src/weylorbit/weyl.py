@@ -1,22 +1,26 @@
-"""Exact Weyl group arithmetic in the reflection representation.
+"""Exact Weyl group arithmetic on the regular orbit of rho.
 
-An element is stored as the images of the simple roots, cols[i-1] = w(alpha_i)
-in the simple-root basis (the columns of its matrix on the root lattice), so
-equality is equality of these vectors and words are derived data. Every
-product by a simple reflection carries the length along.
-Descents are read off the regular orbit point v = w^-1(rho) in
-fundamental-weight coordinates, v_b = <rho, w(alpha_b)^vee>: s_b is a right
-descent of w exactly when v_b < 0, w s_b has the orbit point s_b(v), an O(n)
-update, and w is the identity exactly when v = rho = (1, ..., 1), since W acts
-simply transitively on the regular weights. Reduced words, cold lengths, the
-Bruhat peel and parabolic longest elements walk v; cols stays the element's
-identity. theta = -w0 is no element: like -w_C on a subset C, it is read off
-a weight walk to the antidominant chamber (_twist).
+An element w is stored as its orbit point v = w^-1(rho) in fundamental-weight
+coordinates. W acts simply transitively on the regular weights, so v alone
+identifies w: equality and hashing compare points, and the identity is
+rho = (1, ..., 1). The entry v_b = <rho, w(alpha_b)^vee> has the sign of
+w(alpha_b), so s_b is a right descent of w exactly when v_b < 0, and w * s_b
+has the point s_b(v), an update over the Cartan neighbours of b that moves
+the length by one. Products by simple reflections, reduced words (peeling
+descents off v down to rho), cold lengths, the Bruhat subword peel, the
+0-Hecke product and parabolic longest elements all walk points and build no
+matrix.
+The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
+on the root lattice) are a derived view, built once per element by replaying
+a reduced word from the simple roots and kept on it. apply, fixed_simples,
+rank_one_minus, is_involution and the involution step's w(alpha_i) read it.
+theta = -w0 is no element: like -w_C on a subset C, it is read off a weight
+walk to the antidominant chamber (_twist).
 What depends only on the root system (the identity, the simple reflections,
 the weight walk of each parabolic subgroup, 2 rho and theta) is memoized by
 functools.cache, keyed on the immutable root system; nothing is stored on the
-root system itself. Elements are immutable and every operation is a pure
-function, so all of this is safe to use concurrently.
+root system itself. An element's point never changes and its view is a pure
+function of it, so all of this is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -24,28 +28,29 @@ from __future__ import annotations
 from functools import cache
 
 from . import intmat
-from .rootsys import RootSystem, Vector, _simple_norms
+from .rootsys import RootSystem, Vector
 
 
 class WeylElement:
-    """An element of W(rs) as a lattice automorphism."""
+    """An element of W(rs), stored as its orbit point v = w^-1(rho)."""
 
-    __slots__ = ("rs", "cols", "_length")
+    __slots__ = ("rs", "v", "_length", "_cols")
 
-    def __init__(self, rs: RootSystem, cols: tuple[Vector, ...], length: int | None = None):
+    def __init__(self, rs: RootSystem, v: Vector, length: int | None = None):
         self.rs = rs
-        self.cols = cols
+        self.v = v
         self._length = length
+        self._cols = None
 
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
             and self.rs.rstype == other.rs.rstype
-            and self.cols == other.cols
+            and self.v == other.v
         )
 
     def __hash__(self):
-        return hash(self.cols)
+        return hash(self.v)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return multiply(self, other)
@@ -56,8 +61,15 @@ class WeylElement:
     @property
     def length(self) -> int:
         if self._length is None:
-            self._length = sum(1 for _ in _peel(self.rs, _orbit_point(self)))
+            self._length = sum(1 for _ in _peel(self.rs, list(self.v)))
         return self._length
+
+    @property
+    def cols(self) -> tuple[Vector, ...]:
+        """The images w(alpha_i) of the simple roots, replayed once from a reduced word."""
+        if self._cols is None:
+            self._cols = _replay(self.rs, reduced_word(self))
+        return self._cols
 
     def column(self, i: int) -> Vector:
         """Image of alpha_i (1-based)."""
@@ -71,7 +83,7 @@ def _is_negative(v: Vector) -> bool:
 
 @cache
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, rs.simples, 0)
+    return WeylElement(rs, (1,) * rs.rank, 0)
 
 
 @cache
@@ -80,35 +92,56 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
-    """w * s_i.
-
-    Column j becomes col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and
-    only the Cartan neighbours of i change; every other column is shared.
-    """
+    """w * s_i: the point s_i(v), one step longer when v_i > 0 and shorter otherwise."""
     rs = w.rs
     rs._check_index(i)
-    wi = w.cols[i - 1]
-    cols = list(w.cols)
-    for j, a in rs.neighbours[i - 1]:
-        cols[j] = tuple(x - a * y for x, y in zip(cols[j], wi))
+    v = list(w.v)
     length = None
     if w._length is not None:
-        length = w._length + (-1 if min(wi) < 0 else 1)
-    return WeylElement(rs, tuple(cols), length)
+        length = w._length + (1 if v[i - 1] > 0 else -1)
+    _reflect_point(rs, v, i - 1)
+    return WeylElement(rs, tuple(v), length)
+
+
+def _rmul_cols(rs: RootSystem, cols: list[Vector], i: int) -> None:
+    """cols <- the columns of w * s_i, in place.
+
+    Column j becomes col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and
+    only the Cartan neighbours of i change.
+    """
+    wi = cols[i - 1]
+    for j, a in rs.neighbours[i - 1]:
+        cols[j] = tuple(x - a * y for x, y in zip(cols[j], wi))
+
+
+def _replay(rs: RootSystem, word) -> tuple[Vector, ...]:
+    """The columns of s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...], from the simple roots."""
+    cols = list(rs.simples)
+    for letter in word:
+        _rmul_cols(rs, cols, letter)
+    return tuple(cols)
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
+    """a * b: the point of a walked by a reduced word of b, as rmul_s letter by letter."""
     if a.rs.rstype != b.rs.rstype:
         raise ValueError("elements live in different root systems")
-    return WeylElement(a.rs, tuple(apply(a, col) for col in b.cols))
+    for letter in reduced_word(b):
+        a = rmul_s(a, letter)
+    return a
 
 
 def apply(w: WeylElement, v: Vector) -> Vector:
     """Image of a lattice vector under w: the sum of v_j * w(alpha_j)."""
     if len(v) != w.rs.rank:
         raise ValueError(f"vector {tuple(v)} does not have rank {w.rs.rank}")
-    out = [0] * w.rs.rank
-    for c, col in zip(v, w.cols):
+    return _combine(w.cols, v)
+
+
+def _combine(cols: tuple[Vector, ...], v: Vector) -> Vector:
+    """The sum of v_j * cols[j]: the image of v under the matrix with these columns."""
+    out = [0] * len(cols)
+    for c, col in zip(v, cols):
         if c:
             out = [o + c * x for o, x in zip(out, col)]
     return tuple(out)
@@ -120,16 +153,6 @@ def from_word(rs: RootSystem, word) -> WeylElement:
     for letter in word:
         w = rmul_s(w, letter)
     return w
-
-
-def _orbit_point(w: WeylElement) -> list[int]:
-    """v = w^-1(rho) in fundamental-weight coordinates.
-
-    v_b = <rho, w(alpha_b)^vee> = (sum_j cols[b][j] norm_j) / norm_b, since
-    (rho, alpha_j) = norm_j / 2.
-    """
-    norms = _simple_norms(w.rs.rstype)
-    return [sum(c * m for c, m in zip(col, norms)) // nb for col, nb in zip(w.cols, norms)]
 
 
 def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
@@ -144,8 +167,8 @@ def _peel(rs: RootSystem, v: list[int]):
 
     Each step takes the first b with v_b < 0 and moves v to s_b(v) in place,
     until v = rho. A reduced word has at most len(positive_roots) letters, so a
-    longer peel, or one that stops at another dominant point (the element was
-    not in W, or an update was wrong), is an error, not a loop.
+    longer peel, or one that stops at another dominant point (the point is no
+    element's, or an update was wrong), is an error, not a loop.
     """
     for _ in range(len(rs.positive_roots)):
         for b, x in enumerate(v):
@@ -165,7 +188,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     Always returns the lexicographically-first descent at each step, so the
     result is deterministic.
     """
-    return _word_at(w.rs, _orbit_point(w))
+    return _word_at(w.rs, list(w.v))
 
 
 def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
@@ -178,13 +201,15 @@ def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
 def longest_element(rs: RootSystem, pi) -> WeylElement:
     """Longest element w_Pi of the parabolic subgroup generated by pi.
 
-    Built by rmul_s from the letters of the cached weight walk _walk(rs, pi),
-    which are a reduced word for w_Pi. pi = all simple indices yields w0.
+    w_Pi is an involution, so its point w_Pi^-1(rho) is the end w_Pi(rho) of
+    the cached weight walk _walk(rs, pi), and its length is the number of
+    letters of that walk. pi = all simple indices yields w0.
     """
     pi = frozenset(pi)
     for i in pi:
         rs._check_index(i)
-    return from_word(rs, _walk(rs, pi)[0])
+    letters, end = _walk(rs, pi)
+    return WeylElement(rs, end, len(letters))
 
 
 @cache
@@ -238,15 +263,15 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the subword criterion.
 
     Peels a fixed reduced word of w from the right, lowering u along the way:
-    u <= w iff u ends at the identity. Both walks run on orbit points.
+    u <= w iff u ends at the identity. Both walks run on the stored points.
     """
     if u.rs.rstype != w.rs.rstype:
         raise ValueError("elements live in different root systems")
     if u.length > w.length:
         return False
     rs = u.rs
-    vu = _orbit_point(u)
-    for s in _peel(rs, _orbit_point(w)):
+    vu = list(u.v)
+    for s in _peel(rs, list(w.v)):
         if vu[s - 1] < 0:
             _reflect_point(rs, vu, s - 1)
     return all(x == 1 for x in vu)
@@ -270,11 +295,6 @@ def rank_one_minus(w: WeylElement) -> int:
         [(1 if i == j else 0) - w.cols[j][i] for j in range(n)] for i in range(n)
     ]
     return n - len(intmat.kernel_basis(mat))
-
-
-def inversions(w: WeylElement) -> tuple[Vector, ...]:
-    """Positive roots sent negative by w."""
-    return tuple(a for a in w.rs.positive_roots if _is_negative(apply(w, a)))
 
 
 @cache

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import cache
 
@@ -29,7 +30,7 @@ from weylorbit import (
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
 from weylorbit.spherical import candidate_element
-from weylorbit.weyl import WeylElement, rmul_s
+from weylorbit.weyl import WeylElement
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
 ALL_TYPES = (
@@ -41,8 +42,48 @@ ALL_TYPES = (
 
 
 def rows(w):
-    """The matrix of w as a tuple of rows; the columns are the stored w(alpha_i)."""
+    """The matrix of w as a tuple of rows; the columns are the view w(alpha_i)."""
     return tuple(zip(*w.cols))
+
+
+def from_columns(rs, cols, length=None):
+    """The element with the given columns w(alpha_i), by its orbit point w^-1(rho).
+
+    v_b = <rho, w(alpha_b)^vee> = (sum_j cols[b][j] norm_j) / norm_b, since
+    (rho, alpha_j) = norm_j / 2. Columns that are no element of W give a
+    point that no element has.
+    """
+    norms = _simple_norms(rs.rstype)
+    v = tuple(sum(c * m for c, m in zip(col, norms)) // nb for col, nb in zip(cols, norms))
+    return WeylElement(rs, v, length)
+
+
+def inversions(w):
+    """Positive roots sent negative by w."""
+    return tuple(a for a in w.rs.positive_roots if any(c < 0 for c in apply(w, a)))
+
+
+def depth(rs, beta):
+    """Minimal length of an element sending the positive root beta negative.
+
+    Breadth-first search over the simple-reflection action; depth 1 exactly
+    for the simple roots.
+    """
+    beta = tuple(beta)
+    if not rs.is_positive_root(beta):
+        raise ValueError(f"{beta} is not a positive root of {rs.rstype}")
+    seen = {beta}
+    queue = deque([(beta, 0)])
+    while queue:
+        v, d = queue.popleft()
+        for i in range(1, rs.rank + 1):
+            img = rs.reflect_simple(v, i)
+            if any(c < 0 for c in img):
+                return d + 1
+            if img not in seen:
+                seen.add(img)
+                queue.append((img, d + 1))
+    raise AssertionError("unreachable: every positive root has a negative image")
 
 
 def inverse(w):
@@ -169,29 +210,31 @@ def form_quali_no(rs, pi):
 
 
 def column_reduced_word(w):
-    """Reduced word by peeling the first negative column with rmul_s, O(n^2) per letter."""
+    """Reduced word by peeling the first negative column of w's view, O(n^2) per letter."""
+    rs = w.rs
     letters = []
-    cur = w
-    while cur != identity(w.rs):
-        i = next(i for i, col in enumerate(cur.cols, 1) if any(c < 0 for c in col))
+    cols = w.cols
+    while cols != rs.simples:
+        i = next(i for i, col in enumerate(cols, 1) if any(c < 0 for c in col))
         letters.append(i)
-        cur = rmul_s(cur, i)
+        cols = full_rmul_s(rs, cols, i)
     return tuple(reversed(letters))
 
 
 def column_bruhat_leq(u, w):
-    """Subword criterion: peel column_reduced_word(w), lowering u by rmul_s on its descents."""
-    cur = u
+    """Subword criterion: peel column_reduced_word(w), lowering u's columns on its descents."""
+    rs = u.rs
+    cols = u.cols
     for s in reversed(column_reduced_word(w)):
-        if any(c < 0 for c in cur.cols[s - 1]):
-            cur = rmul_s(cur, s)
-    return cur == identity(u.rs)
+        if any(c < 0 for c in cols[s - 1]):
+            cols = full_rmul_s(rs, cols, s)
+    return cols == rs.simples
 
 
 def column_theta(rs):
-    """theta = -w0 read off the columns of the element w0: -w0(alpha_i) = alpha_theta(i)."""
+    """theta = -w0 read off the columns of w0: -w0(alpha_i) = alpha_theta(i)."""
     perm = {}
-    for i, col in enumerate(column_longest(rs, range(1, rs.rank + 1)).cols, 1):
+    for i, col in enumerate(column_longest(rs, range(1, rs.rank + 1)), 1):
         img = tuple(-c for c in col)
         perm[i] = next(j for j, a in enumerate(rs.simples, 1) if a == img)
     return perm
@@ -216,10 +259,10 @@ def column_datum(rs, pi):
 
 
 def element_theta_agrees_on(rs, comp):
-    """-w_C(alpha_i) = alpha_theta(i) for every i in C, by the columns of the element w_C."""
+    """-w_C(alpha_i) = alpha_theta(i) for every i in C, by the columns of w_C."""
     w_c = column_longest(rs, comp)
     perm = column_theta(rs)
-    return all(w_c.column(i) == tuple(-c for c in rs.simples[perm[i] - 1]) for i in comp)
+    return all(w_c[i - 1] == tuple(-c for c in rs.simples[perm[i] - 1]) for i in comp)
 
 
 def connected_subsets(rs):
@@ -238,15 +281,12 @@ def connected_subsets(rs):
     return out
 
 
-def full_rmul_s(w, i):
-    """w * s_i by rewriting every column, col_j - <alpha_j, alpha_i^vee> col_i, with a sign scan."""
-    rs, c = w.rs, i - 1
-    wi = w.cols[c]
-    cols = tuple(tuple(x - row[c] * y for x, y in zip(col, wi)) for col, row in zip(w.cols, rs.cartan))
-    length = None
-    if w._length is not None:
-        length = w._length + (-1 if any(x < 0 for x in wi) else 1)
-    return WeylElement(rs, cols, length)
+def full_rmul_s(rs, cols, i):
+    """The columns of w * s_i from those of w, rewriting every column:
+    col_j - <alpha_j, alpha_i^vee> col_i."""
+    c = i - 1
+    wi = cols[c]
+    return tuple(tuple(x - row[c] * y for x, y in zip(col, wi)) for col, row in zip(cols, rs.cartan))
 
 
 def pairing_closure(rs):
@@ -267,14 +307,15 @@ def pairing_closure(rs):
 
 
 def column_longest(rs, pi):
-    """w_pi by the greedy ascent on columns: rmul_s by the first i in pi with w(alpha_i) > 0."""
+    """The columns of w_pi by the greedy ascent: multiply on the right by s_i for the
+    first i in pi with w(alpha_i) > 0."""
     order = sorted(pi)
-    w = identity(rs)
+    cols = rs.simples
     while True:
-        i = next((i for i in order if all(c >= 0 for c in w.cols[i - 1])), None)
+        i = next((i for i in order if all(c >= 0 for c in cols[i - 1])), None)
         if i is None:
-            return w
-        w = rmul_s(w, i)
+            return cols
+        cols = full_rmul_s(rs, cols, i)
 
 
 def inversion_count(w):

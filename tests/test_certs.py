@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from weylorbit import (
     CertError,
+    ExclusionCert,
     RootSystemType,
     build_named,
     is_admissible,
@@ -185,6 +186,29 @@ def test_verify_rejects_inadmissible_pi():
 def test_verify_rejects_gamma_inside_pi_subsystem():
     cert = make_cert(RootSystemType("G", 2), [2], (0, 1), [2], label="inside pi")
     with pytest.raises(CertError, match="pi subsystem"):
+        verify(cert)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 3])
+@pytest.mark.parametrize("field", ["sigma top", "sigma inner", "pi"])
+def test_verify_rejects_out_of_range_indices(field, bad):
+    # a certificate built without make_cert: index 0 or -1 would wrap to the
+    # last simple root, and 3 would fall off the end of G2
+    pi, sigma = {2}, (2, 1)
+    if field == "sigma top":
+        sigma = (bad, 1)
+    elif field == "sigma inner":
+        sigma = (2, bad)
+    else:
+        pi = {2, bad}
+    cert = ExclusionCert(G2, frozenset(pi), (3, 1), sigma, None, "raw cert")
+    with pytest.raises(CertError, match=f"raw cert: .* {bad} out of range"):
+        verify(cert)
+
+
+def test_verify_rejects_empty_sigma():
+    cert = ExclusionCert(G2, frozenset({2}), (3, 1), (), None, "raw cert")
+    with pytest.raises(CertError, match="raw cert: sigma word must be nonempty"):
         verify(cert)
 
 

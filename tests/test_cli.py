@@ -53,6 +53,69 @@ def test_tables_json_is_pinned(capsys):
     assert (len(data), hashlib.sha256(data).hexdigest()) == (57930, TABLES_SHA256)
 
 
+# weyl and step JSON, pinned: the matrix, the words and the step candidates are
+# all derived from an element's orbit point, and must print the same bytes.
+E8_LONG = ",".join(str(1 + (k * 69069 >> 11) % 8) for k in range(300))  # length 54
+WEYL_PINS = [
+    ("A3", "1,2,1,3", 272, "a521cc13897523c2f304b3af58f6a209ef49aea712c05c1a34b4e2f05388050b"),
+    ("D5", "1,2,3,4,5,3,2,1", 435, "4fee8d1b42913d4bb0517109be10d66167e8777abe9827453d8110e0f9655b7e"),
+    ("E6", "2,4,3,5,4,2,6,1,3", 517, "44f69444af527e3799965201f399ab19cb34827687998e48bfa21f5d22a03437"),
+    ("E8", "8,7,6,5,4,3,2,1,4,5", 719, "34487d709a27f283075eaf8f007e42fbca009cf0a3123cc324fd3794b9df4740"),
+    ("E8", E8_LONG, 2390, "3286b9854e0f30f646a1bac1edba2caabf0567f913e522dca132154ada4c8c41"),
+]
+# one involution for each step case in each type: (type, word, s, case, bytes, sha)
+STEP_PINS = [
+    ("A3", "2,3,1,2", "3", 1, 177,
+     "e984110cb1532b609d86b150f2819f5f9768c3a4df9cd04912bcb4cbbda4a410"),
+    ("A3", "1,2,3,2,1", "2", 2, 233,
+     "bde37460331b571dba11084aefa788d2264b467bf85c9ee4ace1a30e46cb70f8"),
+    ("A3", "1,2,3,1,2,1", "2", 3, 238,
+     "c3bf70c9be160b9ccfb0629ea3b95329430eea79239f71af0150588b9533f55f"),
+    ("A3", "1,2,3,1,2,1", "1", 4, 187,
+     "d2832fb9c7cad22b1ab0b4af059fe491989e81e757ffa9cd694138fa08b75af4"),
+    ("D5", "5,3,4,1,2,3,5,4,2,1", "2", 1, 243,
+     "873369c73436033ef3b8efa323393c1da47194f84c0e09c36bbbeea257164b9f"),
+    ("D5", "3,4,2,3,5,3,4,2,3", "2", 2, 301,
+     "8be46bb1e18a475b109c0fd9b3f59a6020b62587311e6a710c106b1475bd1a9b"),
+    ("D5", "4,3,5,3,4,3,1", "1", 3, 255,
+     "06b4a36e7542df1132aa27e93839af634090116d9bc3119d8c3bb455e79d7e4d"),
+    ("D5", "5,3,4,1,2,3,5,4,2,1", "1", 4, 231,
+     "9eb1a5c34c3937d82824f6a862c92a7611f3496c742d3a6abe977df615a49d91"),
+    ("E6", "3,2,4,5,6,5,2,4,3,2", "4", 1, 243,
+     "35f9a3c870f217f7029859fa9856318f5671debc51ed576a205e26cfb368136f"),
+    ("E6", "2,4,5,6,5,4,2,1", "5", 2, 284,
+     "ab61947935ed8faa2b45a9d56a34e3334b619732c0cadc94854beac62cfb8fd8"),
+    ("E6", "3,4,5,6,4,5,4,3", "5", 3, 272,
+     "f372f45307cb2632e58d73efde2a53a2af4251e5a72bc5375a17d459f89f20ad"),
+    ("E6", "2,4,5,6,2,4,5,2,4,2", "6", 4, 231,
+     "a21de8ed216c26903c4f78b282a0cb910003da52e61fc826683d25ef181e97a1"),
+    ("E8", "4,5,6,3,2,4,5,3,2,4", "7", 1, 243,
+     "5ef4443ead8881e96a9c99c2a953a90f9d8dc4626cac9ccc5d3ea40cee5e4fd3"),
+    ("E8", "1,3,4,5,6,5,2,4,3,1", "8", 2, 318,
+     "b070a90449deee9d2af442b25c9b896a28632c7893c688b610682fae251caa2c"),
+    ("E8", "7,3,2,4,5,4,3,2", "7", 3, 272,
+     "71e14f56e60a4eaa20bc4fbaf736972f598ceaf50ecbb381906c1d9db965cde0"),
+    ("E8", "5,6,7,8,7,6,5,2,1", "5", 4, 220,
+     "6fad5a69611650afc5411e105d59bfae96ab92c4f37dae66db83e4a3dedc7aa3"),
+]
+
+
+@pytest.mark.parametrize("rstype,word,size,digest", WEYL_PINS)
+def test_weyl_json_is_pinned(capsys, rstype, word, size, digest):
+    status, out, _ = run(capsys, "weyl", rstype, "--word", word, "--format", "json")
+    assert status == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+@pytest.mark.parametrize("rstype,word,s,case,size,digest", STEP_PINS)
+def test_step_json_is_pinned(capsys, rstype, word, s, case, size, digest):
+    status, out, _ = run(capsys, "step", rstype, "--word", word, "--s", s, "--format", "json")
+    assert status == 0 and json.loads(out)["case"] == case
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
 def test_pi_json_g2(capsys):
     status, out, _ = run(capsys, "pi", "G2", "--format", "json")
     payload = json.loads(out)

@@ -1,6 +1,7 @@
 """Monoid relations and the four-case involution step."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +12,7 @@ from weylorbit import (
     identity,
     involution_reachability,
     involution_step,
+    is_admissible,
     is_involution,
     multiply,
     reduced_word,
@@ -18,6 +20,8 @@ from weylorbit import (
     w0,
     weyl_group_order,
 )
+from weylorbit.spherical import candidate_element
+from weylorbit.weyl import rmul_s
 
 from conftest import (
     brute_involutions,
@@ -159,6 +163,56 @@ def test_step_cases_exhaustive(name):
             else:
                 assert sws.length == w.length - 2
                 assert out.candidates == {w}
+
+
+def _seeded_involutions(rs, rng, count):
+    """0-Hecke products x^-1 * x of random x, which are involutions."""
+    for _ in range(count):
+        x = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randrange(3 * rs.rank))])
+        yield demazure_mul(from_word(rs, reversed(reduced_word(x))), x)
+
+
+@pytest.mark.parametrize("name", ["A3", "D5", "E6", "E8"])
+def test_carried_lengths_match_inversion_counts(name):
+    # every carried length against the inversions counted from the view
+    rs = build_named(name)
+    rng = random.Random(name)
+
+    def carried(w):
+        assert w._length is not None and w.length == inversion_count(w), reduced_word(w)
+
+    steps = set()
+    w = identity(rs)
+    for _ in range(2 * len(rs.positive_roots)):
+        ws = rmul_s(w, rng.randint(1, rs.rank))
+        carried(ws)
+        steps.add(ws.length - w.length)
+        w = ws
+    assert steps == {-1, 1}
+    for _ in range(20):
+        u, v = (from_word(rs, [rng.randint(1, rs.rank) for _ in range(20)]) for _ in range(2))
+        carried(demazure_mul(u, v))
+    cases = set()
+    for w in _seeded_involutions(rs, rng, 60):
+        for i in range(1, rs.rank + 1):
+            out = involution_step(w, i)
+            cases.add(out.case_id)
+            for cand in out.candidates:
+                carried(cand)
+    assert cases == {1, 2, 3, 4}
+    if name != "E8":
+        for size in range(rs.rank + 1):
+            for pi in combinations(range(1, rs.rank + 1), size):
+                if is_admissible(rs, pi):
+                    carried(candidate_element(rs, pi))
+
+
+def test_carried_lengths_of_long_e8_words():
+    rs = build_named("E8")
+    rng = random.Random(81)
+    for _ in range(20):
+        w = from_word(rs, [rng.randint(1, 8) for _ in range(rng.randrange(300, 1200))])
+        assert w._length is not None and w.length == inversion_count(w)
 
 
 def test_reachability_small():

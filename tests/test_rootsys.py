@@ -7,13 +7,12 @@ from weylorbit import (
     RootSystemType,
     build,
     build_named,
-    depth,
     highest_root,
     subsystem_positive_roots,
 )
 from weylorbit.rootsys import LONG, SHORT
 
-from conftest import ALL_TYPES, brute_min_length_to_negative, is_root, pairing_closure
+from conftest import ALL_TYPES, brute_min_length_to_negative, depth, is_root, pairing_closure
 
 # classical positive-root counts
 COUNTS = {

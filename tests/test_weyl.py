@@ -11,10 +11,11 @@ from weylorbit import (
     apply,
     bruhat_leq,
     build_named,
+    demazure_mul,
     fixed_simples,
     from_word,
     identity,
-    inversions,
+    involution_step,
     is_involution,
     longest_element,
     multiply,
@@ -39,9 +40,11 @@ from conftest import (
     dense_reflection,
     enumerate_group,
     fraction_rank,
+    from_columns,
     full_rmul_s,
     inversion_count,
     inverse,
+    inversions,
     is_root,
     one_minus,
     row_apply,
@@ -80,6 +83,24 @@ def test_column_operations_reject_bad_index(a3):
             identity(a3).column(i)
     with pytest.raises(ValueError, match="out of range"):
         from_word(a3, [1, 4])
+
+
+@pytest.mark.parametrize("name", ["A3", "E8"])
+def test_point_kernels_reject_bad_index(name):
+    # the point update indexes Cartan row b, where a negative b would wrap
+    rs = build_named(name)
+    e = identity(rs)
+    for i in (-1, 0, rs.rank + 1):
+        for call in (
+            lambda: rmul_s(e, i),
+            lambda: e.column(i),
+            lambda: from_word(rs, [1, i]),
+            lambda: longest_element(rs, [1, i]),
+            lambda: candidate_element(rs, [i]),
+            lambda: involution_step(e, i),
+        ):
+            with pytest.raises(ValueError, match="out of range"):
+                call()
 
 
 def test_apply_examples(a2):
@@ -193,7 +214,7 @@ def test_orbit_walks_match_column_oracles_seeded(name, count):
 
 def test_peel_is_bounded(a3, monkeypatch):
     # without the bounds, an orbit-point update that does nothing would walk forever
-    s2, long = simple_reflection(a3, 2), WeylElement(a3, w0(a3).cols)
+    s2, long = simple_reflection(a3, 2), from_columns(a3, w0(a3).cols)
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
     with pytest.raises(AssertionError, match="within len"):
         reduced_word(s2)
@@ -204,10 +225,33 @@ def test_peel_is_bounded(a3, monkeypatch):
 
 
 def test_peel_rejects_a_dominant_point_other_than_rho(a3):
-    # a matrix that is not in W can have a dominant, singular orbit point
-    fake = WeylElement(a3, ((1, 0, 0), (0, 0, 0), (0, 0, 1)))
+    # a point that no element has can be dominant and singular
+    fake = WeylElement(a3, (1, 0, 1))
     with pytest.raises(AssertionError, match="did not reach rho"):
         reduced_word(fake)
+    with pytest.raises(AssertionError, match="did not reach rho"):
+        fake.length
+
+
+def test_point_walks_build_no_columns(monkeypatch):
+    # the 0-Hecke product and the Bruhat peel read the points alone
+    rs = build_named("E8")
+    rng = random.Random(12)
+    pairs = [
+        tuple(from_word(rs, [rng.randint(1, 8) for _ in range(60)]) for _ in range(2))
+        for _ in range(20)
+    ]
+    want = [(demazure_mul(u, v), bruhat_leq(u, v)) for u, v in pairs]
+
+    def no_view(_self):
+        raise AssertionError("a column view was built")
+
+    monkeypatch.setattr(WeylElement, "cols", property(no_view))
+    for (u, v), (p, le) in zip(pairs, want):
+        u, v = WeylElement(rs, u.v), WeylElement(rs, v.v, v._length)
+        got = demazure_mul(u, v)
+        assert got == p and got.length == p.length
+        assert bruhat_leq(u, v) == le and bruhat_leq(u, got) and bruhat_leq(v, got)
 
 
 def test_bruhat_is_a_partial_order(a3):
@@ -267,21 +311,25 @@ def test_theta_matches_w0_columns(name):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_rmul_s_matches_full_column_scan(name):
+    # the point walk against columns rewritten in full, the sign of the column
+    # deciding each length step
     rs = build_named(name)
     rng = random.Random(9)
     steps = {-1: 0, 1: 0}
     for _ in range(4):
-        w = identity(rs)
+        w, cols = identity(rs), rs.simples
         for _ in range(3 * len(rs.positive_roots)):
             i = rng.randint(1, rs.rank)
-            fast, slow = rmul_s(w, i), full_rmul_s(w, i)
-            assert fast.cols == slow.cols and fast._length == slow._length, (w, i)
-            steps[fast._length - w._length] += 1
+            step = -1 if any(c < 0 for c in cols[i - 1]) else 1
+            fast, cols = rmul_s(w, i), full_rmul_s(rs, cols, i)
+            assert fast == from_columns(rs, cols) and fast._length == w._length + step, (w, i)
+            steps[step] += 1
             w = fast
+        assert w.cols == cols
         assert w._length == inversion_count(w)
-        cold = WeylElement(rs, w.cols)
+        cold = from_columns(rs, cols)
         i = rng.randint(1, rs.rank)
-        assert rmul_s(cold, i).cols == full_rmul_s(cold, i).cols
+        assert rmul_s(cold, i).cols == full_rmul_s(rs, cols, i)
         assert rmul_s(cold, i)._length is None
     # ascents and descents both occur
     assert steps[-1] and steps[1]
@@ -316,14 +364,14 @@ def test_is_involution_matches_square(name):
 
 
 def test_inversions_count_is_length(g2, b3):
-    # multiply leaves the length cold, so these are cold lengths
+    # the copy from the view carries no length, so it is counted cold
     for w in enumerate_group(g2) | enumerate_group(b3):
-        assert len(inversions(w)) == w.length
+        assert len(inversions(w)) == from_columns(w.rs, w.cols).length == w.length
     rs = build_named("E8")
     rng = random.Random(88)
     for _ in range(40):
         w = from_word(rs, [rng.randint(1, 8) for _ in range(rng.randrange(1000))])
-        assert WeylElement(rs, w.cols).length == len(inversions(w)) == w.length
+        assert from_columns(rs, w.cols).length == len(inversions(w)) == w.length
 
 
 def test_reflection_in_nonsimple_root(a3):
