@@ -15,7 +15,7 @@ from random import Random
 
 from . import certs as certs_mod
 from . import demazure, spherical, weyl
-from .rootsys import RootSystem, RootSystemType, build, highest_root
+from .rootsys import _RANK_RULES, RootSystem, RootSystemType, build, highest_root
 
 
 def _root_system(text: str) -> RootSystem:
@@ -182,14 +182,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    types: list[RootSystemType] = []
-    for fam, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        types += [RootSystemType(fam, n) for n in range(lo, args.max_rank + 1)]
-    types += [RootSystemType("E", n) for n in (6, 7, 8) if n <= args.max_rank]
-    if args.max_rank >= 4:
-        types.append(RootSystemType("F", 4))
-    if args.max_rank >= 2:
-        types.append(RootSystemType("G", 2))
+    types = [
+        RootSystemType(fam, n)
+        for fam, valid in _RANK_RULES.items()
+        for n in range(1, args.max_rank + 1)
+        if valid(n)
+    ]
 
     all_payload = []
     rows = []

@@ -42,7 +42,7 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     that is when the entry s of the point x^-1(rho) is positive, so the
     product's point is walked in place by s_b for each letter b with v_b > 0,
     and no column is built. The result is never shorter than either factor,
-    and carries its length when w1 does.
+    and its length is that of w1 plus the letters applied.
     """
     if w1.rs.rstype != w2.rs.rstype:
         raise ValueError("elements live in different root systems")
@@ -53,8 +53,7 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
         if v[b - 1] > 0:
             _reflect_point(rs, v, b - 1)
             steps += 1
-    length = None if w1._length is None else w1._length + steps
-    return WeylElement(rs, tuple(v), length)
+    return WeylElement(rs, tuple(v), w1.length + steps)
 
 
 def involution_step(w: WeylElement, i: int) -> StepOutcome:
@@ -81,8 +80,7 @@ def involution_step(w: WeylElement, i: int) -> StepOutcome:
     if all(c >= 0 for c in beta):
         v = [x - sum(beta[t] * a for t, a in column) for x, column in zip(w.v, rs.neighbours)]
         _reflect_point(rs, v, i - 1)
-        length = None if w._length is None else w._length + 2
-        return StepOutcome(1, frozenset({WeylElement(rs, tuple(v), length)}))
+        return StepOutcome(1, frozenset({WeylElement(rs, tuple(v), w.length + 2)}))
     return StepOutcome(4, frozenset({w}))
 
 

@@ -185,8 +185,16 @@ class RootSystem:
     # -- elementwise queries ------------------------------------------------
 
     def _check_index(self, i: int) -> None:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple-root index {i} out of range 1..{self.rank}")
+        # type() and not isinstance(): a bool is an int, and True would read as 1
+        if type(i) is not int or not 1 <= i <= self.rank:
+            raise ValueError(f"simple-root index {i!r} out of range 1..{self.rank}")
+
+    def _check_subset(self, pi) -> frozenset[int]:
+        """pi as a frozenset of simple indices, each one checked before hashing."""
+        pi = tuple(pi)
+        for i in pi:
+            self._check_index(i)
+        return frozenset(pi)
 
     def pairing(self, v: Vector, i: int) -> int:
         """<v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee>."""
@@ -225,9 +233,7 @@ def build_named(name: str) -> RootSystem:
 
 def subsystem_positive_roots(rs: RootSystem, pi) -> list[Vector]:
     """Positive roots supported on the simple-index subset pi."""
-    pi = frozenset(pi)
-    for i in pi:
-        rs._check_index(i)
+    pi = rs._check_subset(pi)
     return [r for r in rs.positive_roots if rs.support(r) <= pi]
 
 

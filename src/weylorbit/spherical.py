@@ -15,13 +15,14 @@ Admissibility is decided on the Dynkin diagram, with theta = -w0:
   - theta_Pi acts on each connected component C of Pi as -w_C.
 
 No element is built for this: -w_C is read off as a permutation of C by
-walking a weight that is regular on C down to the antidominant chamber of
-W_C (weyl._twist), and theta is the same walk on the whole diagram.
+walking the negative of a weight that is regular on C by descents in C
+(weyl._twist), and theta is the same walk on the whole diagram.
 
-A table row needs no element either. The walk of rho to w_Pi(rho)
+A table row needs no element either. The walk of -rho to -w_Pi(rho)
 (weyl._walk) gives a reduced word for w_Pi, so l(w) = N - l(w_Pi) with N
-the number of positive roots, and the orbit point of w is
-w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho), whose peel is the reduced word of w.
+the number of positive roots, and its end point is the orbit point
+w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is the reduced word
+of w.
 The rank is read off theta:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
@@ -93,20 +94,17 @@ class SphericalDatum:
 def candidate_element(rs: RootSystem, pi) -> WeylElement:
     """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi).
 
-    Built without a product: its point w_Pi(w0(rho)) = -w_Pi(rho) is the
-    negated end of the weight walk weyl._walk, whose letters are a reduced
-    word for w_Pi. The cache keeps the element's column view with it.
+    Built without a product: its point w_Pi(w0(rho)) = -w_Pi(rho) is the end
+    of the walk weyl._walk, whose letters are a reduced word for w_Pi. The
+    cache keeps the element's column view with it.
     """
-    pi = frozenset(pi)
-    for i in pi:
-        rs._check_index(i)
-    return _candidate(rs, pi)
+    return _candidate(rs, rs._check_subset(pi))
 
 
 @cache
 def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
     letters, end = _walk(rs, pi)
-    return WeylElement(rs, tuple(-x for x in end), len(rs.positive_roots) - len(letters))
+    return WeylElement(rs, end, len(rs.positive_roots) - len(letters))
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:
@@ -118,10 +116,7 @@ def is_admissible(rs: RootSystem, pi) -> bool:
     of the w_C over the connected components C of pi, each component is
     checked on its own.
     """
-    pi = frozenset(pi)
-    for i in pi:
-        rs._check_index(i)
-    return _admissible(rs, _components(rs, pi))
+    return _admissible(rs, _components(rs, rs._check_subset(pi)))
 
 
 def _admissible(rs: RootSystem, comps: list[frozenset[int]]) -> bool:
@@ -161,9 +156,7 @@ def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
     exactly when their Cartan entry is zero, so all of this is read off the
     diagram.
     """
-    pi = frozenset(pi)
-    for i in pi:
-        rs._check_index(i)
+    pi = rs._check_subset(pi)
     witness = _quali_witness(rs, pi, _components(rs, pi))
     return witness is None, witness
 
@@ -228,7 +221,7 @@ def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
     return SphericalDatum(
         rs=rs,
         pi=pi,
-        w_word=_word_at(rs, [-x for x in end]),
+        w_word=_word_at(rs, list(end)),
         length=length,
         rank_one_minus=rk,
         dimension=length + rk,
@@ -238,10 +231,7 @@ def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
 
 def dimension(rs: RootSystem, pi) -> int:
     """l(w0 w_Pi) + rk(1 - w0 w_Pi) for an admissible pi."""
-    pi = frozenset(pi)
-    if not is_admissible(rs, pi):
-        raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
-    return _datum(rs, pi).dimension
+    return spherical_datum(rs, pi).dimension
 
 
 def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
@@ -260,25 +250,20 @@ def toro1_rank(rs: RootSystem, pi) -> int:
         raise ValueError(
             f"w0 is not -1 in {rs.rstype}; use rank_one_minus directly"
         )
-    pi = frozenset(pi)
-    if not is_admissible(rs, pi):
-        raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
-    shortcut = rs.rank - len(pi)
-    direct = rank_one_minus(candidate_element(rs, pi))
+    datum = spherical_datum(rs, pi)
+    shortcut = rs.rank - len(datum.pi)
+    direct = rank_one_minus(datum.w)
     if shortcut != direct:
         raise AssertionError(
             f"rank shortcut {shortcut} disagrees with matrix rank {direct} "
-            f"for pi={sorted(pi)} in {rs.rstype}"
+            f"for pi={sorted(datum.pi)} in {rs.rstype}"
         )
     return shortcut
 
 
 def neg_eigenlattice_basis(rs: RootSystem, pi) -> list[Vector]:
     """Primitive basis of Ker(1 + w) inside the root lattice, w = w0 w_Pi."""
-    pi = frozenset(pi)
-    if not is_admissible(rs, pi):
-        raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
-    w = candidate_element(rs, pi)
+    w = spherical_datum(rs, pi).w
     n = rs.rank
     one_plus = [
         [(1 if i == j else 0) + w.cols[j][i] for j in range(n)] for i in range(n)

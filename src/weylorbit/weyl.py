@@ -6,16 +6,22 @@ identifies w: equality and hashing compare points, and the identity is
 rho = (1, ..., 1). The entry v_b = <rho, w(alpha_b)^vee> has the sign of
 w(alpha_b), so s_b is a right descent of w exactly when v_b < 0, and w * s_b
 has the point s_b(v), an update over the Cartan neighbours of b that moves
-the length by one. Products by simple reflections, reduced words (peeling
-descents off v down to rho), cold lengths, the Bruhat subword peel, the
-0-Hecke product and parabolic longest elements all walk points and build no
+the length by one. Every element carries its length: each constructor knows
+it, and a point given without one is peeled at once, so a point that is no
+element's is rejected when it is built.
+One bounded walk, _descend, applies s_b for the first b of an index order
+with v_b < 0 until none is left. Peeling v down to rho gives reduced words
+and the Bruhat subword peel; walking -rho over a subset Pi gives the
+parabolic longest element w_Pi, and walking the negative of a weight that is
+regular on a subset C gives -w_C. Products by simple reflections, the 0-Hecke
+product and multiply step the point letter by letter. None of this builds a
 matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a derived view, built once per element by replaying
 a reduced word from the simple roots and kept on it. apply, fixed_simples,
 rank_one_minus, is_involution and the involution step's w(alpha_i) read it.
-theta = -w0 is no element: like -w_C on a subset C, it is read off a weight
-walk to the antidominant chamber (_twist).
+theta = -w0 is no element: it is the walk that gives -w_C, taken on the
+whole diagram (_twist).
 What depends only on the root system (the identity, the simple reflections,
 the weight walk of each parabolic subgroup, 2 rho and theta) is memoized by
 functools.cache, keyed on the immutable root system; nothing is stored on the
@@ -34,12 +40,12 @@ from .rootsys import RootSystem, Vector
 class WeylElement:
     """An element of W(rs), stored as its orbit point v = w^-1(rho)."""
 
-    __slots__ = ("rs", "v", "_length", "_cols")
+    __slots__ = ("rs", "v", "length", "_cols")
 
     def __init__(self, rs: RootSystem, v: Vector, length: int | None = None):
         self.rs = rs
         self.v = v
-        self._length = length
+        self.length = sum(1 for _ in _peel(rs, list(v))) if length is None else length
         self._cols = None
 
     def __eq__(self, other):
@@ -57,12 +63,6 @@ class WeylElement:
 
     def __repr__(self):
         return f"WeylElement({self.rs.rstype}, word={list(reduced_word(self))})"
-
-    @property
-    def length(self) -> int:
-        if self._length is None:
-            self._length = sum(1 for _ in _peel(self.rs, list(self.v)))
-        return self._length
 
     @property
     def cols(self) -> tuple[Vector, ...]:
@@ -96,9 +96,7 @@ def rmul_s(w: WeylElement, i: int) -> WeylElement:
     rs = w.rs
     rs._check_index(i)
     v = list(w.v)
-    length = None
-    if w._length is not None:
-        length = w._length + (1 if v[i - 1] > 0 else -1)
+    length = w.length + (1 if v[i - 1] > 0 else -1)
     _reflect_point(rs, v, i - 1)
     return WeylElement(rs, tuple(v), length)
 
@@ -162,24 +160,36 @@ def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
         v[j] -= vb * a
 
 
-def _peel(rs: RootSystem, v: list[int]):
-    """Peel right descents off the orbit point v, yielding each letter (1-based).
+def _descend(rs: RootSystem, v: list[int], order):
+    """Walk v in place by s_b, b the first index in order with v_b < 0, yielding each b.
 
-    Each step takes the first b with v_b < 0 and moves v to s_b(v) in place,
-    until v = rho. A reduced word has at most len(positive_roots) letters, so a
-    longer peel, or one that stops at another dominant point (the point is no
-    element's, or an update was wrong), is an error, not a loop.
+    v is regular for the subgroup generated by the indices in order, so it is
+    u^-1(mu) for one u in that subgroup and mu in its dominant chamber
+    (mu = rho for an orbit point). Each letter is a right descent of u and
+    shortens it by one, so more than len(positive_roots) letters is an error
+    (v is no such point, or an update was wrong), not a loop.
     """
     for _ in range(len(rs.positive_roots)):
-        for b, x in enumerate(v):
-            if x < 0:
+        for b in order:
+            if v[b - 1] < 0:
                 break
         else:
-            break
-        yield b + 1
-        _reflect_point(rs, v, b)
+            return
+        yield b
+        _reflect_point(rs, v, b - 1)
+    if any(v[b - 1] < 0 for b in order):
+        raise AssertionError("walk did not stop within len(positive_roots) letters")
+
+
+def _peel(rs: RootSystem, v: list[int]):
+    """Peel right descents off the orbit point v down to rho, yielding each letter.
+
+    A walk that stops at a dominant point other than rho (the point is no
+    element's) is an error.
+    """
+    yield from _descend(rs, v, range(1, rs.rank + 1))
     if any(x != 1 for x in v):
-        raise AssertionError("peel did not reach rho within len(positive_roots) letters")
+        raise AssertionError("peel did not reach rho")
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -201,46 +211,27 @@ def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
 def longest_element(rs: RootSystem, pi) -> WeylElement:
     """Longest element w_Pi of the parabolic subgroup generated by pi.
 
-    w_Pi is an involution, so its point w_Pi^-1(rho) is the end w_Pi(rho) of
-    the cached weight walk _walk(rs, pi), and its length is the number of
-    letters of that walk. pi = all simple indices yields w0.
+    w_Pi is an involution, so its point is w_Pi(rho), the negated end of the
+    cached walk _walk(rs, pi), and its length is the number of letters of
+    that walk. pi = all simple indices yields w0.
     """
-    pi = frozenset(pi)
-    for i in pi:
-        rs._check_index(i)
-    letters, end = _walk(rs, pi)
-    return WeylElement(rs, end, len(letters))
+    letters, end = _walk(rs, rs._check_subset(pi))
+    return WeylElement(rs, tuple(-x for x in end), len(letters))
 
 
 @cache
 def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
-    """The ascent of rho to the antidominant chamber of W_Pi: its letters and end point.
+    """The walk of -rho by descents in pi: its letters and end point -w_Pi(rho).
 
-    Starting at rho = (1, ..., 1), s_b is applied for the first b in pi with
-    v_b > 0, each letter lengthening the element u = s_{b_k} ... s_{b_1}
-    applied so far, until v_b <= 0 for every b in pi: then u = w_Pi. So the
-    letters b_1 ... b_k are a reduced word for u^-1 = w_Pi (an involution),
-    and the end point is u(rho) = w_Pi(rho).
+    -rho is the point of w0, and s_b is applied for the first b in pi with
+    v_b < 0, each letter shortening the element u = w0 s_{b_1} ... s_{b_k}
+    whose point v is, until v_b >= 0 for every b in pi. Then u is the
+    shortest element w0 w_Pi of the coset w0 W_Pi, so b_1 ... b_k is a
+    reduced word for w_Pi, and the end point is u^-1(rho) = -w_Pi(rho).
     """
-    v = [1] * rs.rank
-    letters = _antidominant(rs, v, sorted(pi))
-    return tuple(letters), tuple(v)
-
-
-def _antidominant(rs: RootSystem, v: list[int], order: list[int]) -> list[int]:
-    """Walk v in place by s_b, b the first index in order with v_b > 0; return the letters.
-
-    Each letter lengthens the element of W_order that the walk has applied, so
-    more than len(positive_roots) letters is an error, not a loop.
-    """
-    word = []
-    for _ in range(len(rs.positive_roots) + 1):
-        b = next((b for b in order if v[b - 1] > 0), None)
-        if b is None:
-            return word
-        word.append(b)
-        _reflect_point(rs, v, b - 1)
-    raise AssertionError("ascent did not stop within len(positive_roots) letters")
+    v = [-1] * rs.rank
+    letters = tuple(_descend(rs, v, sorted(pi)))
+    return letters, tuple(v)
 
 
 def w0(rs: RootSystem) -> WeylElement:
@@ -307,15 +298,16 @@ def _twist(rs: RootSystem, comp) -> dict[int, int]:
     """-w_C as a permutation of the simple indices in C, read off a weight walk.
 
     lambda_{c_k} = k on the k-th index c_k of C (0 elsewhere) is regular for
-    W_C; the walk takes it to w_C(lambda), and w_C(omega_j) = -omega_{theta_C(j)}
-    on C gives v_j = -lambda_{theta_C(j)}.
+    W_C; the walk of -lambda by descents in C takes it to w_C(-lambda), and
+    w_C(omega_j) = -omega_{theta_C(j)} on C gives v_j = lambda_{theta_C(j)}.
     """
     order = sorted(comp)
     v = [0] * rs.rank
     for k, j in enumerate(order, 1):
-        v[j - 1] = k
-    _antidominant(rs, v, order)
-    perm = {j: order[-v[j - 1] - 1] for j in order if 0 < -v[j - 1] <= len(order)}
+        v[j - 1] = -k
+    for _ in _descend(rs, v, order):
+        pass
+    perm = {j: order[v[j - 1] - 1] for j in order if 0 < v[j - 1] <= len(order)}
     if sorted(perm.values()) != order:
         raise AssertionError("-w_C does not permute the simple roots of C")
     return perm

@@ -51,7 +51,8 @@ def from_columns(rs, cols, length=None):
 
     v_b = <rho, w(alpha_b)^vee> = (sum_j cols[b][j] norm_j) / norm_b, since
     (rho, alpha_j) = norm_j / 2. Columns that are no element of W give a
-    point that no element has.
+    point that no element has, which the constructor rejects unless a length
+    is given.
     """
     norms = _simple_norms(rs.rstype)
     v = tuple(sum(c * m for c, m in zip(col, norms)) // nb for col, nb in zip(cols, norms))

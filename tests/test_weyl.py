@@ -19,6 +19,7 @@ from weylorbit import (
     is_involution,
     longest_element,
     multiply,
+    passes_quali_no,
     rank_one_minus,
     reduced_word,
     reflection,
@@ -83,6 +84,30 @@ def test_column_operations_reject_bad_index(a3):
             identity(a3).column(i)
     with pytest.raises(ValueError, match="out of range"):
         from_word(a3, [1, 4])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rs: from_word(rs, [True]),
+        lambda rs: longest_element(rs, [True, 2]),
+        lambda rs: passes_quali_no(rs, [True]),
+        lambda rs: from_word(rs, [2.0]),
+        lambda rs: longest_element(rs, [[1]]),
+    ],
+    ids=[
+        "from_word-bool",
+        "longest_element-bool",
+        "passes_quali_no-bool",
+        "from_word-float",
+        "longest_element-list",
+    ],
+)
+def test_index_checks_reject_letters_that_are_not_ints(a3, call):
+    # a bool is an int and used to read as the letter 1; a float broke list
+    # indexing, and a list in pi broke hashing, each with a bare TypeError
+    with pytest.raises(ValueError, match="out of range"):
+        call(a3)
 
 
 @pytest.mark.parametrize("name", ["A3", "E8"])
@@ -213,24 +238,25 @@ def test_orbit_walks_match_column_oracles_seeded(name, count):
 
 
 def test_peel_is_bounded(a3, monkeypatch):
-    # without the bounds, an orbit-point update that does nothing would walk forever
-    s2, long = simple_reflection(a3, 2), from_columns(a3, w0(a3).cols)
+    # without the bound, an orbit-point update that does nothing would walk forever
+    s2, cols = simple_reflection(a3, 2), w0(a3).cols
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
     with pytest.raises(AssertionError, match="within len"):
         reduced_word(s2)
     with pytest.raises(AssertionError, match="within len"):
-        long.length
+        from_columns(a3, cols)  # given no length, the point is peeled when built
     with pytest.raises(AssertionError, match="within len"):
         weyl._walk.__wrapped__(a3, frozenset({1, 3}))  # past the cache
+    with pytest.raises(AssertionError, match="within len"):
+        weyl._twist(a3, {1, 2, 3})
 
 
 def test_peel_rejects_a_dominant_point_other_than_rho(a3):
     # a point that no element has can be dominant and singular
-    fake = WeylElement(a3, (1, 0, 1))
     with pytest.raises(AssertionError, match="did not reach rho"):
-        reduced_word(fake)
+        WeylElement(a3, (1, 0, 1))
     with pytest.raises(AssertionError, match="did not reach rho"):
-        fake.length
+        weyl._word_at(a3, [1, 0, 1])
 
 
 def test_point_walks_build_no_columns(monkeypatch):
@@ -248,7 +274,7 @@ def test_point_walks_build_no_columns(monkeypatch):
 
     monkeypatch.setattr(WeylElement, "cols", property(no_view))
     for (u, v), (p, le) in zip(pairs, want):
-        u, v = WeylElement(rs, u.v), WeylElement(rs, v.v, v._length)
+        u, v = WeylElement(rs, u.v), WeylElement(rs, v.v, v.length)
         got = demazure_mul(u, v)
         assert got == p and got.length == p.length
         assert bruhat_leq(u, v) == le and bruhat_leq(u, got) and bruhat_leq(v, got)
@@ -322,15 +348,16 @@ def test_rmul_s_matches_full_column_scan(name):
             i = rng.randint(1, rs.rank)
             step = -1 if any(c < 0 for c in cols[i - 1]) else 1
             fast, cols = rmul_s(w, i), full_rmul_s(rs, cols, i)
-            assert fast == from_columns(rs, cols) and fast._length == w._length + step, (w, i)
+            assert fast == from_columns(rs, cols) and fast.length == w.length + step, (w, i)
             steps[step] += 1
             w = fast
         assert w.cols == cols
-        assert w._length == inversion_count(w)
+        assert w.length == inversion_count(w)
         cold = from_columns(rs, cols)
         i = rng.randint(1, rs.rank)
-        assert rmul_s(cold, i).cols == full_rmul_s(rs, cols, i)
-        assert rmul_s(cold, i)._length is None
+        cold_step = rmul_s(cold, i)
+        assert cold_step.cols == full_rmul_s(rs, cols, i)
+        assert cold_step.length == inversion_count(cold_step)
     # ascents and descents both occur
     assert steps[-1] and steps[1]
 
@@ -364,7 +391,7 @@ def test_is_involution_matches_square(name):
 
 
 def test_inversions_count_is_length(g2, b3):
-    # the copy from the view carries no length, so it is counted cold
+    # the copy from the view is given no length, so it is peeled when built
     for w in enumerate_group(g2) | enumerate_group(b3):
         assert len(inversions(w)) == from_columns(w.rs, w.cols).length == w.length
     rs = build_named("E8")
