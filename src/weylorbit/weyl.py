@@ -13,9 +13,10 @@ One bounded walk, _descend, applies s_b for the first b of an index order
 with v_b < 0 until none is left. Peeling v down to rho gives reduced words
 and the Bruhat subword peel; walking -rho over a subset Pi gives the
 parabolic longest element w_Pi, and walking the negative of a weight that is
-regular on a subset C gives -w_C. Products by simple reflections, the 0-Hecke
-product and multiply step the point letter by letter. None of this builds a
-matrix.
+regular on a subset C gives -w_C. The walks mutate one list and return their
+letters. rmul_s is one step s_b; from_word and multiply walk one copy of the
+point through a whole word and build a single element at the end, and the
+0-Hecke product walks its point the same way. None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a derived view, built once per element by replaying
 a reduced word from the simple roots and kept on it. apply, fixed_simples,
@@ -45,7 +46,7 @@ class WeylElement:
     def __init__(self, rs: RootSystem, v: Vector, length: int | None = None):
         self.rs = rs
         self.v = v
-        self.length = sum(1 for _ in _peel(rs, list(v))) if length is None else length
+        self.length = len(_peel(rs, list(v))) if length is None else length
         self._cols = None
 
     def __eq__(self, other):
@@ -121,12 +122,22 @@ def _replay(rs: RootSystem, word) -> tuple[Vector, ...]:
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    """a * b: the point of a walked by a reduced word of b, as rmul_s letter by letter."""
+    """a * b: the point of a walked by a reduced word of b."""
     if a.rs.rstype != b.rs.rstype:
         raise ValueError("elements live in different root systems")
-    for letter in reduced_word(b):
-        a = rmul_s(a, letter)
-    return a
+    return _times_word(a, reduced_word(b))
+
+
+def _times_word(w: WeylElement, word) -> WeylElement:
+    """w * s_{a_1} s_{a_2} ...: the steps of rmul_s on one mutable point, one element built."""
+    rs = w.rs
+    v = list(w.v)
+    length = w.length
+    for letter in word:
+        rs._check_index(letter)
+        length += 1 if v[letter - 1] > 0 else -1
+        _reflect_point(rs, v, letter - 1)
+    return WeylElement(rs, tuple(v), length)
 
 
 def apply(w: WeylElement, v: Vector) -> Vector:
@@ -147,10 +158,7 @@ def _combine(cols: tuple[Vector, ...], v: Vector) -> Vector:
 
 def from_word(rs: RootSystem, word) -> WeylElement:
     """Product s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...]."""
-    w = identity(rs)
-    for letter in word:
-        w = rmul_s(w, letter)
-    return w
+    return _times_word(identity(rs), word)
 
 
 def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
@@ -160,8 +168,8 @@ def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
         v[j] -= vb * a
 
 
-def _descend(rs: RootSystem, v: list[int], order):
-    """Walk v in place by s_b, b the first index in order with v_b < 0, yielding each b.
+def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
+    """Walk v in place by s_b, b the first index in order with v_b < 0; return the letters b.
 
     v is regular for the subgroup generated by the indices in order, so it is
     u^-1(mu) for one u in that subgroup and mu in its dominant chamber
@@ -169,27 +177,30 @@ def _descend(rs: RootSystem, v: list[int], order):
     shortens it by one, so more than len(positive_roots) letters is an error
     (v is no such point, or an update was wrong), not a loop.
     """
+    letters = []
     for _ in range(len(rs.positive_roots)):
         for b in order:
             if v[b - 1] < 0:
                 break
         else:
-            return
-        yield b
+            return letters
+        letters.append(b)
         _reflect_point(rs, v, b - 1)
     if any(v[b - 1] < 0 for b in order):
         raise AssertionError("walk did not stop within len(positive_roots) letters")
+    return letters
 
 
-def _peel(rs: RootSystem, v: list[int]):
-    """Peel right descents off the orbit point v down to rho, yielding each letter.
+def _peel(rs: RootSystem, v: list[int]) -> list[int]:
+    """Peel right descents off the orbit point v down to rho; return the letters.
 
     A walk that stops at a dominant point other than rho (the point is no
     element's) is an error.
     """
-    yield from _descend(rs, v, range(1, rs.rank + 1))
+    letters = _descend(rs, v, range(1, rs.rank + 1))
     if any(x != 1 for x in v):
         raise AssertionError("peel did not reach rho")
+    return letters
 
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
@@ -203,7 +214,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
 
 def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
     """reduced_word of the element whose orbit point is v; v is consumed."""
-    letters = list(_peel(rs, v))
+    letters = _peel(rs, v)
     letters.reverse()
     return tuple(letters)
 
@@ -305,8 +316,7 @@ def _twist(rs: RootSystem, comp) -> dict[int, int]:
     v = [0] * rs.rank
     for k, j in enumerate(order, 1):
         v[j - 1] = -k
-    for _ in _descend(rs, v, order):
-        pass
+    _descend(rs, v, order)
     perm = {j: order[v[j - 1] - 1] for j in order if 0 < v[j - 1] <= len(order)}
     if sorted(perm.values()) != order:
         raise AssertionError("-w_C does not permute the simple roots of C")

@@ -30,7 +30,7 @@ from weylorbit import (
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
 from weylorbit.spherical import candidate_element
-from weylorbit.weyl import WeylElement
+from weylorbit.weyl import WeylElement, rmul_s
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
 ALL_TYPES = (
@@ -280,6 +280,13 @@ def connected_subsets(rs):
         if seen == sub:
             out.append(frozenset(sub))
     return out
+
+
+def rmul_s_fold(w, word):
+    """w * s_{a_1} s_{a_2} ... as a fold of rmul_s, one checked step and element per letter."""
+    for letter in word:
+        w = rmul_s(w, letter)
+    return w
 
 
 def full_rmul_s(rs, cols, i):

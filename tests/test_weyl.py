@@ -48,6 +48,7 @@ from conftest import (
     inversions,
     is_root,
     one_minus,
+    rmul_s_fold,
     row_apply,
     row_group,
     row_length,
@@ -112,20 +113,44 @@ def test_index_checks_reject_letters_that_are_not_ints(a3, call):
 
 @pytest.mark.parametrize("name", ["A3", "E8"])
 def test_point_kernels_reject_bad_index(name):
-    # the point update indexes Cartan row b, where a negative b would wrap
+    # the point update indexes Cartan row b and the word walk v[letter - 1],
+    # where a negative b or 0 would wrap and True would read as 1
     rs = build_named(name)
     e = identity(rs)
-    for i in (-1, 0, rs.rank + 1):
+    for i in (-1, 0, rs.rank + 1, True, 2.0):
         for call in (
             lambda: rmul_s(e, i),
             lambda: e.column(i),
             lambda: from_word(rs, [1, i]),
+            lambda: from_word(rs, [2, i, 1]),
             lambda: longest_element(rs, [1, i]),
             lambda: candidate_element(rs, [i]),
             lambda: involution_step(e, i),
         ):
-            with pytest.raises(ValueError, match="out of range"):
+            with pytest.raises(ValueError, match=rf"index {i!r} out of range 1\.\.{rs.rank}"):
                 call()
+
+
+@pytest.mark.parametrize("name", ["A1", "G2", "B3", "F4", "D5", "E6", "E8"])
+def test_word_walks_match_an_rmul_s_fold(name):
+    # from_word and multiply walk one mutable point; the fold builds an element per letter
+    rs = build_named(name)
+    n = rs.rank
+    rng = random.Random(n * 31 + ord(name[0]))
+    words = [[], *([i, i] for i in range(1, n + 1))]
+    for _ in range(30):
+        word = [rng.randint(1, n) for _ in range(rng.randint(1, 4 * n))]
+        k = rng.randrange(len(word))
+        words.append(word[:k] + [word[k]] + word[k:])  # a repeated letter s_i s_i
+    e = identity(rs)
+    elements = []
+    for word in words:
+        got, want = from_word(rs, word), rmul_s_fold(e, word)
+        assert got == want and got.length == want.length == len(reduced_word(got))
+        elements.append(got)
+    for a, b in zip(elements, elements[1:] + elements[:1]):
+        got, want = multiply(a, b), rmul_s_fold(a, reduced_word(b))
+        assert got == want and got.length == want.length == len(reduced_word(got))
 
 
 def test_apply_examples(a2):
