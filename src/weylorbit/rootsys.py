@@ -161,18 +161,15 @@ class RootSystem:
         root that is not simple has some s_i lowering it to a positive root, so
         the simple roots reach them all without leaving the positive cone. An
         image that is not positive is an error in the table, not a root.
-
-        Each root travels with its pairings p_j = <v, alpha_j^vee>; those of
-        alpha_i are row i of the Cartan matrix, and s_i(v) = v - p_i alpha_i
-        has the pairings p - p_i * (row i), an update over the neighbours of i.
         """
         long = max(norms)
         roots = {a: LONG if m == long else SHORT for a, m in zip(self.simples, norms)}
-        frontier = list(zip(self.simples, self.cartan))
+        frontier = list(self.simples)
         while frontier:
             nxt = []
-            for v, p in frontier:
-                for i, c in enumerate(p):
+            for v in frontier:
+                for i, column in enumerate(self.neighbours):
+                    c = sum(v[j] * a for j, a in column)
                     if c and v != self.simples[i]:
                         img = v[:i] + (v[i] - c,) + v[i + 1:]
                         if img not in roots:
@@ -181,10 +178,7 @@ class RootSystem:
                                     f"s_{i + 1}{v} = {img} is not positive in {self.rstype}"
                                 )
                             roots[img] = roots[v]
-                            q = list(p)
-                            for j, a in self.row_neighbours[i]:
-                                q[j] -= c * a
-                            nxt.append((img, q))
+                            nxt.append(img)
             frontier = nxt
         return roots
 

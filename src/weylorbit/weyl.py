@@ -14,9 +14,10 @@ with v_b < 0 until none is left. Peeling v down to rho gives reduced words
 and the Bruhat subword peel; walking -rho over a subset Pi gives the
 parabolic longest element w_Pi, and walking the negative of a weight that is
 regular on a subset C gives -w_C. The walks mutate one list and return their
-letters. rmul_s is one step s_b; from_word and multiply walk one copy of the
-point through a whole word and build a single element at the end, and the
-0-Hecke product walks its point the same way. None of this builds a matrix.
+letters. rmul_s, from_word and multiply are one walk, _times_word, that
+takes one copy of the point through a word (for rmul_s, one letter) and
+builds a single element at the end; the 0-Hecke product walks its point the
+same way. None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a derived view, built once per element by replaying
 a reduced word from the simple roots and kept on it. apply, fixed_simples,
@@ -94,12 +95,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
     """w * s_i: the point s_i(v), one step longer when v_i > 0 and shorter otherwise."""
-    rs = w.rs
-    rs._check_index(i)
-    v = list(w.v)
-    length = w.length + (1 if v[i - 1] > 0 else -1)
-    _reflect_point(rs, v, i - 1)
-    return WeylElement(rs, tuple(v), length)
+    return _times_word(w, (i,))
 
 
 def _rmul_cols(rs: RootSystem, cols: list[Vector], i: int) -> None:
@@ -129,7 +125,11 @@ def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def _times_word(w: WeylElement, word) -> WeylElement:
-    """w * s_{a_1} s_{a_2} ...: the steps of rmul_s on one mutable point, one element built."""
+    """w * s_{a_1} s_{a_2} ...: each letter checked and applied to one mutable point.
+
+    s_b lengthens w by one when v_b > 0 and shortens it otherwise; one element
+    is built at the end.
+    """
     rs = w.rs
     v = list(w.v)
     length = w.length

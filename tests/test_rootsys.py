@@ -90,8 +90,7 @@ def test_closure_rejects_an_image_that_is_not_positive():
     # a wrong sign in the Cartan data sends s_2(alpha_1) to (1, -1)
     rs = RootSystem.__new__(RootSystem)
     rs.rstype, rs.simples = RootSystemType("A", 2), ((1, 0), (0, 1))
-    rs.cartan = ((2, 1), (1, 2))
-    rs.row_neighbours = (((0, 2), (1, 1)), ((0, 1), (1, 2)))
+    rs.neighbours = (((0, 2), (1, 1)), ((0, 1), (1, 2)))
     with pytest.raises(AssertionError, match="is not positive"):
         rs._close_under_reflections((2, 2))
 
