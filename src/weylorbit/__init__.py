@@ -26,7 +26,6 @@ from .weyl import (
     multiply,
     rank_one_minus,
     reduced_word,
-    reflection,
     simple_reflection,
     theta,
     w0,
@@ -40,14 +39,10 @@ from .demazure import (
 )
 from .spherical import (
     SphericalDatum,
-    dimension,
     enumerate_pi,
     is_admissible,
-    neg_eigenlattice_basis,
     passes_quali_no,
     spherical_datum,
-    toro1_rank,
-    type_a_cascade,
 )
 from .certs import (
     CertError,

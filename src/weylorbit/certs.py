@@ -32,7 +32,7 @@ import reprlib
 from dataclasses import dataclass
 from random import Random
 
-from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
+from .rootsys import RootSystemType, Vector, build, subsystem_positive_roots
 from .spherical import ENUMERATION_MAX_RANK, candidate_element, is_admissible
 from .weyl import _combine, _replay, _rmul_cols, apply
 
@@ -43,12 +43,52 @@ class CertError(ValueError):
 
 @dataclass(frozen=True)
 class ExclusionCert:
+    """A certificate, checked when it is built: a defect raises CertError.
+
+    pi is normalised to a frozenset, and gamma, sigma_word and the
+    expected_cond2 entries to tuples of exact ints.
+    """
+
     rstype: RootSystemType
     pi: frozenset[int]
     gamma: Vector
     sigma_word: tuple[int, ...]
     expected_cond2: tuple[Vector, ...] | None
     label: str
+
+    def __post_init__(self):
+        rstype = self.rstype
+        if rstype.rank > ENUMERATION_MAX_RANK:
+            raise CertError(f"type {rstype} has rank above {ENUMERATION_MAX_RANK}")
+        rs = build(rstype)
+        indices = _ints(self.pi, "pi")
+        pi = frozenset(indices)
+        if len(pi) != len(indices):
+            raise CertError(f"pi {list(indices)} repeats an index")
+        for i in pi:
+            if not 1 <= i <= rs.rank:
+                raise CertError(f"pi index {i} out of range for {rstype}")
+        gamma = _ints(self.gamma, "gamma")
+        if len(gamma) != rs.rank or not rs.is_positive_root(gamma):
+            raise CertError(f"gamma {list(gamma)} is not a positive root of {rstype}")
+        word = _ints(self.sigma_word, "sigma")
+        if not word:
+            raise CertError("sigma word must be nonempty")
+        for a in word:
+            if not 1 <= a <= rs.rank:
+                raise CertError(f"sigma letter {a} out of range for {rstype}")
+        expected = None
+        if self.expected_cond2 is not None:
+            expected = tuple(
+                _ints(v, "expected_cond2") for v in _seq(self.expected_cond2, "expected_cond2")
+            )
+            for v in expected:
+                if len(v) != rs.rank:
+                    raise CertError(f"expected_cond2 entry {list(v)} has wrong rank")
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "sigma_word", word)
+        object.__setattr__(self, "expected_cond2", expected)
 
     def as_dict(self) -> dict:
         out = {
@@ -127,42 +167,11 @@ def make_cert(
     expected_cond2=None,
     label: str = "",
 ) -> ExclusionCert:
-    """Validate fields and build a certificate; a defect's message starts with the label."""
+    """Build a checked certificate; a defect's message starts with the label."""
     try:
-        return _validated_cert(rstype, pi, gamma, sigma_word, expected_cond2, label)
+        return ExclusionCert(rstype, pi, gamma, sigma_word, expected_cond2, label)
     except CertError as exc:
         raise CertError(f"{label or 'cert'}: {exc}") from None
-
-
-def _validated_cert(rstype, pi, gamma, sigma_word, expected_cond2, label) -> ExclusionCert:
-    if rstype.rank > ENUMERATION_MAX_RANK:
-        raise CertError(f"type {rstype} has rank above {ENUMERATION_MAX_RANK}")
-    rs = build(rstype)
-    indices = _ints(pi, "pi")
-    pi = frozenset(indices)
-    if len(pi) != len(indices):
-        raise CertError(f"pi {list(indices)} repeats an index")
-    for i in pi:
-        if not 1 <= i <= rs.rank:
-            raise CertError(f"pi index {i} out of range for {rstype}")
-    gamma = _ints(gamma, "gamma")
-    if len(gamma) != rs.rank or not rs.is_positive_root(gamma):
-        raise CertError(f"gamma {list(gamma)} is not a positive root of {rstype}")
-    word = _ints(sigma_word, "sigma")
-    if not word:
-        raise CertError("sigma word must be nonempty")
-    for a in word:
-        if not 1 <= a <= rs.rank:
-            raise CertError(f"sigma letter {a} out of range for {rstype}")
-    expected = None
-    if expected_cond2 is not None:
-        expected = tuple(
-            _ints(v, "expected_cond2") for v in _seq(expected_cond2, "expected_cond2")
-        )
-        for v in expected:
-            if len(v) != rs.rank:
-                raise CertError(f"expected_cond2 entry {list(v)} has wrong rank")
-    return ExclusionCert(rstype, pi, gamma, word, expected, label)
 
 
 def parse_certs(document: str) -> list[ExclusionCert]:
@@ -194,7 +203,7 @@ def parse_certs(document: str) -> list[ExclusionCert]:
                 raise CertError(f"label must be a string, got {type(label).__name__}")
             rstype = RootSystemType.from_string(entry["type"])
             certs.append(
-                _validated_cert(
+                ExclusionCert(
                     rstype,
                     entry.get("pi", []),
                     entry["gamma"],
@@ -228,12 +237,10 @@ def _negate(v: Vector) -> Vector:
 def verify(cert: ExclusionCert) -> CertReport:
     """Check conditions 1, 3 and 4 and compute the condition-2 witnesses.
 
-    An ExclusionCert can be built without make_cert, so its fields are
-    checked again as make_cert checks them. sigma and sigma^-1 enter only
-    through their columns, each replayed once from the word; no group element
-    is built for either.
+    The fields were checked when the certificate was built. sigma and
+    sigma^-1 enter only through their columns, each replayed once from the
+    word; no group element is built for either.
     """
-    make_cert(cert.rstype, cert.pi, cert.gamma, cert.sigma_word, cert.expected_cond2, cert.label)
     rs = build(cert.rstype)
     if not is_admissible(rs, cert.pi):
         raise CertError(f"{cert.label}: pi={sorted(cert.pi)} is not admissible in {cert.rstype}")

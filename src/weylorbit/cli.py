@@ -1,8 +1,9 @@
 """Command line surface: every module as a subcommand.
 
-Default output is a human-readable table; ``--format json`` (or ``tsv`` where
-noted) switches to the documented machine-readable serializations. Exit
-status is 0 unless a command or a certificate verification fails.
+Default output is a human-readable table; ``--format json`` (or ``tsv``, for
+every command but ``verify``) switches to the documented machine-readable
+serializations. Exit status is 0 unless a command or a certificate
+verification fails.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ def _parse_pi(text: str) -> list[int]:
 
 def _max_rank(text: str) -> int:
     limit = spherical.ENUMERATION_MAX_RANK
-    if not text.isdecimal() or not 1 <= int(text) <= limit:
+    if not (text.isascii() and text.isdecimal()) or not 1 <= int(text) <= limit:
         raise argparse.ArgumentTypeError(f"expected an integer in 1..{limit}, got {text!r}")
     return int(text)
 
 
 def _count(text: str) -> int:
-    if not text.isdecimal():
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -160,25 +161,32 @@ def _cmd_verify(args) -> int:
                 {"label": c.label, **r.as_dict()} for c, r in summary.reports
             ],
         }
+        if args.mutate:
+            detected = _detected(cert_list, args.mutate, args.seed)
+            payload["mutations"] = {"detected": detected, "total": args.mutate}
         print(json.dumps(payload, indent=1))
     else:
         print(f"{summary.passed} passed, {summary.failed} failed")
         for c, r in failures:
             print(f"FAIL {c.label}: {r.as_dict()}")
-    status = 0 if summary.ok else 1
-    if args.mutate:
-        pool = [c for c in cert_list if c.rstype.rank >= 2]
-        if not pool:
-            raise ValueError("nothing to mutate: the file has no certificate of rank >= 2")
-        rng = Random(args.seed)
-        broken = 0
-        for _ in range(args.mutate):
-            cert = pool[rng.randrange(len(pool))]
-            mutant = certs_mod.mutate_sigma(cert, rng)
-            if not certs_mod.verify(mutant).passed:
-                broken += 1
-        print(f"mutations: {broken}/{args.mutate} detected")
-    return status
+        if args.mutate:
+            detected = _detected(cert_list, args.mutate, args.seed)
+            print(f"mutations: {detected}/{args.mutate} detected")
+    return 0 if summary.ok else 1
+
+
+def _detected(cert_list, count: int, seed: int) -> int:
+    """How many of count seeded sigma mutants of rank >= 2 certificates fail verify."""
+    pool = [c for c in cert_list if c.rstype.rank >= 2]
+    if not pool:
+        raise ValueError("nothing to mutate: the file has no certificate of rank >= 2")
+    rng = Random(seed)
+    broken = 0
+    for _ in range(count):
+        cert = pool[rng.randrange(len(pool))]
+        if not certs_mod.verify(certs_mod.mutate_sigma(cert, rng)).passed:
+            broken += 1
+    return broken
 
 
 def _cmd_tables(args) -> int:
@@ -213,10 +221,10 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, formats=("table", "json", "tsv")):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--format", choices=("table", "json", "tsv"), default="table")
+        p.add_argument("--format", choices=formats, default="table")
         return p
 
     p = add("roots", _cmd_roots, "print the positive-root table")
@@ -240,7 +248,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", type=_parse_indices, required=True)
     p.add_argument("--s", type=int, required=True, help="simple index of the step")
 
-    p = add("verify", _cmd_verify, "verify a certificate file, exit 1 on failure")
+    p = add("verify", _cmd_verify, "verify a certificate file, exit 1 on failure",
+            formats=("table", "json"))
     p.add_argument("file")
     p.add_argument("--mutate", type=_count, default=0,
                    help="additionally corrupt N random sigma letters and report detections")

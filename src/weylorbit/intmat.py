@@ -1,48 +1,29 @@
-"""Exact integer kernel computation for small integer matrices."""
+"""Exact rank of small integer matrices."""
 
 from __future__ import annotations
 
 
-def kernel_basis(rows) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : M x = 0} of a square integer matrix.
+def rank(rows) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free (Bareiss) elimination.
 
-    Integer row reduction of [M^T | I] by unimodular operations; the identity
-    block rows facing zeroed M^T rows form a saturated, primitive basis of the
-    kernel lattice.
+    After the k-th pivot every entry below the pivot rows is the k+1 by k+1
+    minor on the pivot rows and columns and its own row and column, so the
+    step (p * a - a_col * pivot_row) / previous pivot divides exactly and the
+    entries stay integers no larger than the minors of the input.
     """
-    m = len(rows)
-    if m == 0:
-        return []
-    n = len(rows[0])
-    # work rows: n rows of [column of M | unit vector]
-    work = [
-        [rows[r][c] for r in range(m)] + [1 if k == c else 0 for k in range(n)]
-        for c in range(n)
-    ]
-    pivot = 0
-    for col in range(m):
-        while True:
-            live = [r for r in range(pivot, n) if work[r][col]]
-            if not live:
-                break
-            r0 = min(live, key=lambda r: abs(work[r][col]))
-            work[pivot], work[r0] = work[r0], work[pivot]
-            reduced = True
-            for r in range(pivot + 1, n):
-                if work[r][col]:
-                    q = work[r][col] // work[pivot][col]
-                    work[r] = [a - q * b for a, b in zip(work[r], work[pivot])]
-                    if work[r][col]:
-                        reduced = False
-            if reduced:
-                break
-        if any(work[r][col] for r in range(pivot, n)):
-            pivot += 1
-        if pivot == n:
-            break
-    basis = []
-    for r in range(pivot, n):
-        if any(work[r][:m]):
-            raise AssertionError("row reduction left a nonzero matrix part")
-        basis.append(tuple(work[r][m:]))
-    return basis
+    work = [list(row) for row in rows]
+    m = len(work)
+    r, prev = 0, 1
+    for col in range(len(work[0]) if m else 0):
+        pivot = next((i for i in range(r, m) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        top = work[r]
+        p = top[col]
+        for i in range(r + 1, m):
+            a = work[i][col]
+            work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
+        prev = p
+        r += 1
+    return r

@@ -52,9 +52,10 @@ class RootSystemType:
         if not isinstance(text, str):
             raise TypeError(f"root system type must be a string such as 'B3', got {text!r}")
         text = text.strip()
-        if len(text) < 2 or not text[1:].isdigit():
+        digits = text[1:]
+        if not (digits.isascii() and digits.isdecimal()):
             raise ValueError(f"cannot parse root system type {text!r}, expected e.g. 'B3'")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(text[0].upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

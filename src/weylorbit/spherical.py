@@ -48,24 +48,15 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
-from . import intmat
-from .rootsys import RootSystem, Vector
-from .weyl import (
-    WeylElement,
-    _twist,
-    _walk,
-    _word_at,
-    multiply,
-    rank_one_minus,
-    theta,
-)
+from .rootsys import RootSystem
+from .weyl import WeylElement, _twist, _walk, _word_at, theta
 
 ENUMERATION_MAX_RANK = 8
 
 
 @dataclass(frozen=True)
 class SphericalDatum:
-    """One admissible Pi with the invariants of w = w0 * w_Pi; w is built on demand."""
+    """One admissible Pi with the invariants of w = w0 * w_Pi."""
 
     rs: RootSystem
     pi: frozenset[int]
@@ -74,10 +65,6 @@ class SphericalDatum:
     rank_one_minus: int
     dimension: int
     central: bool
-
-    @property
-    def w(self) -> WeylElement:
-        return candidate_element(self.rs, self.pi)
 
     def as_dict(self) -> dict:
         return {
@@ -229,65 +216,8 @@ def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
     )
 
 
-def dimension(rs: RootSystem, pi) -> int:
-    """l(w0 w_Pi) + rk(1 - w0 w_Pi) for an admissible pi."""
-    return spherical_datum(rs, pi).dimension
-
-
 def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     pi = frozenset(pi)
     if not is_admissible(rs, pi):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
     return _datum(rs, pi)
-
-
-def toro1_rank(rs: RootSystem, pi) -> int:
-    """rank - |pi|, valid when w0 = -1; cross-checked against the matrix rank.
-
-    w0 = -1 exactly when theta = -w0 is the identity permutation.
-    """
-    if any(i != j for i, j in theta(rs).items()):
-        raise ValueError(
-            f"w0 is not -1 in {rs.rstype}; use rank_one_minus directly"
-        )
-    datum = spherical_datum(rs, pi)
-    shortcut = rs.rank - len(datum.pi)
-    direct = rank_one_minus(datum.w)
-    if shortcut != direct:
-        raise AssertionError(
-            f"rank shortcut {shortcut} disagrees with matrix rank {direct} "
-            f"for pi={sorted(datum.pi)} in {rs.rstype}"
-        )
-    return shortcut
-
-
-def neg_eigenlattice_basis(rs: RootSystem, pi) -> list[Vector]:
-    """Primitive basis of Ker(1 + w) inside the root lattice, w = w0 w_Pi."""
-    w = spherical_datum(rs, pi).w
-    n = rs.rank
-    one_plus = [
-        [(1 if i == j else 0) + w.cols[j][i] for j in range(n)] for i in range(n)
-    ]
-    return intmat.kernel_basis(one_plus)
-
-
-def type_a_cascade(rs: RootSystem, steps: int) -> WeylElement:
-    """Product of reflections in the nested orthogonal highest-root chain.
-
-    For type A_n the chain is beta_k = alpha_k + ... + alpha_{n-k+1}; the
-    product of the first ``steps`` reflections equals w0 w_Pi for the interval
-    pi starting at steps + 1.
-    """
-    if rs.rstype.family != "A":
-        raise ValueError("the cascade construction is specific to type A")
-    from .weyl import identity, reflection
-
-    n = rs.rank
-    out = identity(rs)
-    for k in range(1, steps + 1):
-        lo, hi = k, n - k + 1
-        if lo > hi:
-            raise ValueError(f"cascade exhausted after {k - 1} steps in {rs.rstype}")
-        beta = tuple(1 if lo <= j + 1 <= hi else 0 for j in range(n))
-        out = multiply(out, reflection(rs, beta))
-    return out

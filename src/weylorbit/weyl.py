@@ -60,9 +60,6 @@ class WeylElement:
     def __hash__(self):
         return hash(self.v)
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return multiply(self, other)
-
     def __repr__(self):
         return f"WeylElement({self.rs.rstype}, word={list(reduced_word(self))})"
 
@@ -77,10 +74,6 @@ class WeylElement:
         """Image of alpha_i (1-based)."""
         self.rs._check_index(i)
         return self.cols[i - 1]
-
-
-def _is_negative(v: Vector) -> bool:
-    return any(c < 0 for c in v)
 
 
 @cache
@@ -287,16 +280,13 @@ def fixed_simples(w: WeylElement) -> frozenset[int]:
 
 
 def rank_one_minus(w: WeylElement) -> int:
-    """Rank of 1 - w over the rationals.
+    """Rank of 1 - w over the rationals, by exact integer elimination.
 
-    By rank-nullity this is n minus the rank of the kernel of 1 - w, and the
-    integer kernel lattice has a basis of exactly that many vectors.
+    The rows e_j - w(alpha_j) form the transpose of 1 - w, which has the same rank.
     """
-    n = w.rs.rank
-    mat = [
-        [(1 if i == j else 0) - w.cols[j][i] for j in range(n)] for i in range(n)
-    ]
-    return n - len(intmat.kernel_basis(mat))
+    return intmat.rank(
+        [[(1 if i == j else 0) - c for i, c in enumerate(col)] for j, col in enumerate(w.cols)]
+    )
 
 
 @cache
@@ -321,29 +311,3 @@ def _twist(rs: RootSystem, comp) -> dict[int, int]:
     if sorted(perm.values()) != order:
         raise AssertionError("-w_C does not permute the simple roots of C")
     return perm
-
-
-def reflection(rs: RootSystem, gamma: Vector) -> WeylElement:
-    """The reflection in an arbitrary root gamma.
-
-    Descends gamma to a simple root alpha_j = u(gamma) by the simple
-    reflections s_{d_1}, ..., s_{d_k} (u = s_{d_k} ... s_{d_1}), so that
-    s_gamma = u^-1 s_j u is the word d_1 ... d_k j d_k ... d_1.
-    """
-    gamma = tuple(gamma)
-    if _is_negative(gamma):
-        gamma = tuple(-c for c in gamma)
-    if not rs.is_positive_root(gamma):
-        raise ValueError(f"{gamma} is not a root of {rs.rstype}")
-    descents = []
-    v = gamma
-    while v not in rs.simples:
-        for i in range(1, rs.rank + 1):
-            if rs.pairing(v, i) > 0:
-                v = rs.reflect_simple(v, i)
-                descents.append(i)
-                break
-        else:
-            raise AssertionError("positive non-simple root without a descent")
-    j = rs.simples.index(v) + 1
-    return from_word(rs, descents + [j] + descents[::-1])

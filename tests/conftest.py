@@ -23,7 +23,6 @@ from weylorbit import (
     multiply,
     rank_one_minus,
     reduced_word,
-    reflection,
     simple_reflection,
     w0,
 )
@@ -166,7 +165,7 @@ def matrix_admissible(rs, pi):
     return fixed_simples(multiply(w0(rs), longest_element(rs, pi))) == pi
 
 
-def _form(rs, a, b):
+def form(rs, a, b):
     """The symmetric form (alpha_i, alpha_j) = c_ij * norm_j / 2, short roots of norm 2."""
     norms = _simple_norms(rs.rstype)
     n = rs.rank
@@ -175,10 +174,10 @@ def _form(rs, a, b):
 
 def form_lengths(rs):
     """Length classes of all roots by their norms under the symmetric form."""
-    longest = max(_form(rs, r, r) for r in rs.positive_roots)
+    longest = max(form(rs, r, r) for r in rs.positive_roots)
     out = {}
     for r in rs.positive_roots:
-        cls = LONG if _form(rs, r, r) == longest else SHORT
+        cls = LONG if form(rs, r, r) == longest else SHORT
         out[r] = out[tuple(-c for c in r)] = cls
     return out
 
@@ -195,7 +194,7 @@ def form_quali_no(rs, pi):
     found = set()
     for a in pi:
         alpha = rs.simples[a - 1]
-        if any(_form(rs, alpha, rs.simples[c - 1]) for c in pi - {a}):
+        if any(form(rs, alpha, rs.simples[c - 1]) for c in pi - {a}):
             continue
         for b in range(1, rs.rank + 1):
             beta = rs.simples[b - 1]
@@ -203,8 +202,8 @@ def form_quali_no(rs, pi):
                 b != a
                 and lengths[beta] == lengths[alpha]
                 and perm[b] == b
-                and _form(rs, alpha, beta) != 0
-                and all(_form(rs, beta, rs.simples[c - 1]) == 0 for c in pi - {a})
+                and form(rs, alpha, beta) != 0
+                and all(form(rs, beta, rs.simples[c - 1]) == 0 for c in pi - {a})
             ):
                 found.add((a, b))
     return found
@@ -360,6 +359,12 @@ def one_minus(w):
     return [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
 
 
+def one_plus(w):
+    n = w.rs.rank
+    m = rows(w)
+    return [[(1 if i == j else 0) + m[i][j] for j in range(n)] for i in range(n)]
+
+
 def left_peel_demazure(w1, w2):
     """m(w1) m(w2) by the left rule m(s)m(w) = m(sw) when l(sw) > l(w).
 
@@ -386,6 +391,22 @@ def dense_reflection(rs, gamma):
         u, u_inv = multiply(s, u), multiply(u_inv, s)
     s_j = simple_reflection(rs, rs.simples.index(v) + 1)
     return multiply(u_inv, multiply(s_j, u))
+
+
+def type_a_cascade(rs, steps):
+    """Product of the reflections in the first steps roots of the nested type A chain.
+
+    beta_k = alpha_k + ... + alpha_{n-k+1}; the product of the first steps
+    reflections, by dense products, is w0 w_pi for the interval pi starting at
+    steps + 1.
+    """
+    n = rs.rank
+    out = identity(rs)
+    for k in range(1, steps + 1):
+        assert k <= n - k + 1, f"cascade exhausted after {k - 1} steps in {rs.rstype}"
+        beta = tuple(1 if k <= j <= n - k + 1 else 0 for j in range(1, n + 1))
+        out = multiply(out, dense_reflection(rs, beta))
+    return out
 
 
 def dense_involution_step(w, i):
@@ -479,7 +500,7 @@ def brute_bruhat_order(rs):
     leq = [[False] * n for _ in range(n)]
     for k in range(n):
         leq[k][k] = True
-    refs = [reflection(rs, gamma) for gamma in rs.positive_roots]
+    refs = [dense_reflection(rs, gamma) for gamma in rs.positive_roots]
     for w in group:
         for t in refs:
             v = multiply(w, t)

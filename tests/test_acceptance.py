@@ -14,7 +14,6 @@ from weylorbit import (
     bruhat_leq,
     build_named,
     demazure_mul,
-    dimension,
     enumerate_pi,
     fixed_simples,
     involution_reachability,
@@ -22,22 +21,30 @@ from weylorbit import (
     is_admissible,
     is_involution,
     multiply,
-    neg_eigenlattice_basis,
     parse_certs,
+    rank_one_minus,
     reduced_word,
     simple_reflection,
+    spherical_datum,
     subsystem_positive_roots,
     theta,
-    toro1_rank,
-    type_a_cascade,
     verify,
     verify_all,
     w0,
 )
+from weylorbit import intmat
 from weylorbit.certs import mutate_sigma
 from weylorbit.spherical import candidate_element
 
-from conftest import ALL_TYPES, brute_bruhat_order, brute_involutions, enumerate_group, rows
+from conftest import (
+    ALL_TYPES,
+    brute_bruhat_order,
+    brute_involutions,
+    enumerate_group,
+    one_plus,
+    rows,
+    type_a_cascade,
+)
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -170,14 +177,14 @@ def test_criterion_01_pi_tables():
 
 def test_criterion_02_dimensions():
     with Criterion(2, "dimension values", 1.0):
-        assert dimension(build_named("E8"), range(1, 8)) == 58
-        assert dimension(build_named("G2"), ()) == 8
+        assert spherical_datum(build_named("E8"), range(1, 8)).dimension == 58
+        assert spherical_datum(build_named("G2"), ()).dimension == 8
         for name in ("A1", "A4", "B2", "B5", "C3", "D5", "E6", "F4", "G2"):
             rs = build_named(name)
-            assert dimension(rs, range(1, rs.rank + 1)) == 0
+            assert spherical_datum(rs, range(1, rs.rank + 1)).dimension == 0
         for n in range(2, 8):
             rs = build_named(f"A{n}")
-            assert dimension(rs, range(2, n)) == 2 * n
+            assert spherical_datum(rs, range(2, n)).dimension == 2 * n
 
 
 # -- criterion 3: the rank identity in minus-one types ----------------------
@@ -201,8 +208,10 @@ def test_criterion_03_toro1_identity():
                     if not is_admissible(rs, pi):
                         continue
                     expect = rs.rank - len(pi)
-                    assert toro1_rank(rs, pi) == expect  # matrix rank inside
-                    assert len(neg_eigenlattice_basis(rs, pi)) == expect
+                    w = candidate_element(rs, pi)
+                    assert rank_one_minus(w) == expect
+                    # the kernel of 1 + w, the -1 eigenspace, has the same dimension
+                    assert rs.rank - intmat.rank(one_plus(w)) == expect
                     checked += 1
         crit.extra = f"({checked} admissible subsets, matrix rank and kernel size)"
 
@@ -363,6 +372,6 @@ def test_criterion_10_type_a_cascade():
                     assert d.pi == frozenset(range(lo, n - lo + 2))
                 else:
                     lo = (n + 3) // 2
-                assert type_a_cascade(rs, lo - 1) == d.w
+                assert type_a_cascade(rs, lo - 1) == candidate_element(rs, d.pi)
                 checked += 1
         crit.extra = f"({checked} subsets, n = 1..7)"

@@ -192,8 +192,9 @@ def test_verify_rejects_gamma_inside_pi_subsystem():
 @pytest.mark.parametrize("bad", [0, -1, 3])
 @pytest.mark.parametrize("field", ["sigma top", "sigma inner", "pi"])
 def test_verify_rejects_out_of_range_indices(field, bad):
-    # a certificate built without make_cert: index 0 or -1 would wrap to the
-    # last simple root, and 3 would fall off the end of G2
+    # a certificate built without make_cert is checked when it is built, so
+    # verify never sees index 0 or -1, which would wrap to the last simple
+    # root, or 3, which would fall off the end of G2
     pi, sigma = {2}, (2, 1)
     if field == "sigma top":
         sigma = (bad, 1)
@@ -201,15 +202,22 @@ def test_verify_rejects_out_of_range_indices(field, bad):
         sigma = (2, bad)
     else:
         pi = {2, bad}
-    cert = ExclusionCert(G2, frozenset(pi), (3, 1), sigma, None, "raw cert")
-    with pytest.raises(CertError, match=f"raw cert: .* {bad} out of range"):
-        verify(cert)
+    with pytest.raises(CertError, match=f"^(sigma letter|pi index) {bad} out of range"):
+        ExclusionCert(G2, frozenset(pi), (3, 1), sigma, None, "raw cert")
 
 
 def test_verify_rejects_empty_sigma():
-    cert = ExclusionCert(G2, frozenset({2}), (3, 1), (), None, "raw cert")
-    with pytest.raises(CertError, match="raw cert: sigma word must be nonempty"):
-        verify(cert)
+    # mutate_sigma on such a certificate used to raise a bare ValueError from randrange
+    with pytest.raises(CertError, match="^sigma word must be nonempty"):
+        ExclusionCert(G2, frozenset({2}), (3, 1), (), None, "raw cert")
+
+
+def test_cert_fields_are_normalised():
+    cert = ExclusionCert(G2, [2], [3, 1], [2, 1], [[1, 0]], "x")
+    assert cert == make_cert(G2, {2}, (3, 1), (2, 1), expected_cond2=((1, 0),), label="x")
+    assert (cert.pi, cert.gamma, cert.sigma_word, cert.expected_cond2) == (
+        frozenset({2}), (3, 1), (2, 1), ((1, 0),)
+    )
 
 
 def test_verify_all_empty():

@@ -148,9 +148,10 @@ def test_dim_rejects_repeated_pi_index(capsys):
     assert "repeats an index" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "9", "x"])
+@pytest.mark.parametrize("value", ["0", "-1", "9", "x", "\u0663"])
 def test_tables_rejects_max_rank_outside_enumeration(capsys, value):
-    # 0 and -1 used to print an empty table and exit 0, 9 to fail inside enumerate_pi
+    # 0 and -1 used to print an empty table and exit 0, 9 to fail inside
+    # enumerate_pi, and an Arabic-Indic three to be read as 3
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--max-rank", value])
     assert exc.value.code == 2
@@ -230,6 +231,17 @@ def test_verify_mutation_flag(capsys):
     assert "mutations:" in out
 
 
+def test_verify_json_with_mutations_parses(capsys):
+    # the mutation count used to follow the JSON document as a line of text
+    status, out, _ = run(capsys, "verify", G2_FILE, "--format", "json", "--mutate", "10", "--seed", "3")
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["mutations"]["total"] == 10
+    assert 0 <= payload["mutations"]["detected"] <= 10
+    _, out, _ = run(capsys, "verify", G2_FILE, "--format", "json")
+    assert "mutations" not in json.loads(out)
+
+
 def run_module(*argv):
     return subprocess.run(
         [sys.executable, "-m", "weylorbit.cli", *argv],
@@ -273,11 +285,13 @@ def test_verify_mutate_skips_rank_one_certs(tmp_path, capsys):
 
 
 def test_verify_rejects_negative_mutate(capsys):
-    # -3 used to print "mutations: 0/-3 detected" and exit 0
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", G2_FILE, "--mutate", "-3"])
-    assert exc.value.code == 2
-    assert "non-negative" in capsys.readouterr().err
+    # -3 used to print "mutations: 0/-3 detected" and exit 0, and an
+    # Arabic-Indic three to be read as 3
+    for value in ("-3", "\u0663"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", G2_FILE, "--mutate", value])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
 
 def test_verify_deep_nesting_has_no_traceback(tmp_path):
@@ -317,6 +331,10 @@ def test_bad_flags_exit_nonzero():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["pi", "G2", "--format", "yaml"])
+    # verify used to print its table for --format tsv
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", G2_FILE, "--format", "tsv"])
+    assert exc.value.code == 2
 
 
 def test_tables_tsv(capsys):

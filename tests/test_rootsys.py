@@ -38,6 +38,10 @@ def test_invalid_types_rejected():
         RootSystemType.from_string("B")
     with pytest.raises(ValueError):
         RootSystemType.from_string("3B")
+    # an Arabic-Indic three used to build B3, and a superscript two to fail in int()
+    for text in ("B\u0663", "B\u00b2"):
+        with pytest.raises(ValueError, match="cannot parse root system type"):
+            RootSystemType.from_string(text)
 
 
 def test_bool_rank_rejected():

@@ -1,6 +1,5 @@
-"""Admissible subsets, the dimension formula, and the eigenlattice."""
+"""Admissible subsets, the dimension formula, and the -1 eigenspace."""
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -8,7 +7,6 @@ import pytest
 from weylorbit import (
     apply,
     build_named,
-    dimension,
     enumerate_pi,
     fixed_simples,
     identity,
@@ -16,15 +14,13 @@ from weylorbit import (
     is_involution,
     longest_element,
     multiply,
-    neg_eigenlattice_basis,
     passes_quali_no,
     rank_one_minus,
     spherical_datum,
     subsystem_positive_roots,
-    toro1_rank,
-    type_a_cascade,
     w0,
 )
+from weylorbit import intmat
 from weylorbit.spherical import _theta_agrees_on, candidate_element
 from weylorbit.weyl import _twist
 
@@ -36,9 +32,10 @@ from conftest import (
     element_theta_agrees_on,
     form_lengths,
     form_quali_no,
-    fraction_rank,
     inversion_count,
     matrix_admissible,
+    one_plus,
+    type_a_cascade,
 )
 
 
@@ -147,12 +144,12 @@ def test_enumeration_guard():
 
 
 def test_dimension_examples(g2):
-    assert dimension(g2, {1, 2}) == 0
-    assert dimension(g2, set()) == 8
+    assert spherical_datum(g2, {1, 2}).dimension == 0
+    assert spherical_datum(g2, set()).dimension == 8
     e8 = build_named("E8")
-    assert dimension(e8, set(range(1, 8))) == 58
+    assert spherical_datum(e8, set(range(1, 8))).dimension == 58
     with pytest.raises(ValueError):
-        dimension(build_named("A3"), {1})
+        spherical_datum(build_named("A3"), {1})
 
 
 def test_datum_fields(a3):
@@ -160,45 +157,31 @@ def test_datum_fields(a3):
     assert d.length == 5 and d.rank_one_minus == 1 and d.dimension == 6
     assert not d.central
     assert d.as_dict()["type"] == "A3"
-    assert is_involution(d.w)
+    assert is_involution(candidate_element(a3, {2}))
 
 
 def test_toro1(b3):
-    assert toro1_rank(b3, {2, 3}) == 1
-    assert toro1_rank(build_named("F4"), set()) == 4
-    assert toro1_rank(build_named("G2"), {1}) == 1
-    with pytest.raises(ValueError, match="w0 is not -1"):
-        toro1_rank(build_named("A3"), {2})
+    # w0 = -1 in B3, F4 and G2, so rk(1 - w) = rank - |pi|
+    assert rank_one_minus(candidate_element(b3, {2, 3})) == 1
+    assert rank_one_minus(candidate_element(build_named("F4"), set())) == 4
+    assert rank_one_minus(candidate_element(build_named("G2"), {1})) == 1
     # {1, 2} is an A2 chain inside B3, whose longest element is not -1
     with pytest.raises(ValueError, match="admissible"):
-        toro1_rank(b3, {1, 2})
+        spherical_datum(b3, {1, 2})
 
 
 def test_neg_eigenlattice(a3, b3):
-    assert neg_eigenlattice_basis(a3, {1, 2, 3}) == []
-    full = neg_eigenlattice_basis(b3, set())
-    assert len(full) == 3
-    assert fraction_rank(full) == 3
-    line = neg_eigenlattice_basis(a3, {2})
-    assert len(line) == 1
-    v = line[0]
-    assert v in ((1, 1, 1), (-1, -1, -1))
+    # the -1 eigenspace of w = w0 w_pi is the kernel of 1 + w
+    def dim_minus_one(rs, pi):
+        return rs.rank - intmat.rank(one_plus(candidate_element(rs, pi)))
 
-
-def test_eigenlattice_vectors_are_flipped(b3):
+    assert dim_minus_one(a3, {1, 2, 3}) == 0
+    assert dim_minus_one(b3, set()) == 3
+    assert dim_minus_one(a3, {2}) == 1
+    assert apply(candidate_element(a3, {2}), (1, 1, 1)) == (-1, -1, -1)
+    # w is an involution, so its -1 eigenspace has dimension rk(1 - w)
     for d in enumerate_pi(b3):
-        basis = neg_eigenlattice_basis(b3, d.pi)
-        assert len(basis) == d.rank_one_minus
-        for v in basis:
-            assert apply(d.w, v) == tuple(-c for c in v)
-
-
-def test_eigenlattice_primitive_and_saturated(b3):
-    from math import gcd
-
-    for d in enumerate_pi(b3):
-        for v in neg_eigenlattice_basis(b3, d.pi):
-            assert gcd(*(abs(c) for c in v)) in (0, 1)
+        assert dim_minus_one(b3, d.pi) == d.rank_one_minus
 
 
 def test_admissible_structure_small():
@@ -208,8 +191,9 @@ def test_admissible_structure_small():
 
         perm = theta_perm(rs)
         for d in enumerate_pi(rs):
-            assert is_involution(d.w)
-            assert fixed_simples(d.w) == d.pi
+            w = candidate_element(rs, d.pi)
+            assert is_involution(w)
+            assert fixed_simples(w) == d.pi
             assert {perm[i] for i in d.pi} == set(d.pi)
             assert d.length == len(rs.positive_roots) - len(
                 subsystem_positive_roots(rs, d.pi)
@@ -222,14 +206,3 @@ def test_type_a_cascade_matches(a3):
     assert type_a_cascade(a3, 0) == identity(a3)
     a4 = build_named("A4")
     assert type_a_cascade(a4, 1) == candidate_element(a4, {2, 3})
-    with pytest.raises(ValueError):
-        type_a_cascade(build_named("B3"), 1)
-
-
-def test_kernel_of_one_plus_w_spans(b3):
-    # the kernel vectors really solve (1 + w) v = 0 with exact arithmetic
-    for d in enumerate_pi(b3):
-        n = b3.rank
-        for v in neg_eigenlattice_basis(b3, d.pi):
-            img = apply(d.w, v)
-            assert all(Fraction(a + b) == 0 for a, b in zip(v, img))

@@ -1,4 +1,4 @@
-"""Weyl element arithmetic: words, lengths, Bruhat order, eigen data."""
+"""Weyl element arithmetic: words, lengths, Bruhat order, the rank of 1 - w."""
 
 import random
 from itertools import combinations
@@ -22,13 +22,12 @@ from weylorbit import (
     passes_quali_no,
     rank_one_minus,
     reduced_word,
-    reflection,
     simple_reflection,
     theta,
     w0,
 )
 
-from weylorbit import weyl
+from weylorbit import intmat, weyl
 from weylorbit.spherical import candidate_element
 from weylorbit.weyl import WeylElement, rmul_s
 
@@ -40,6 +39,7 @@ from conftest import (
     column_theta,
     dense_reflection,
     enumerate_group,
+    form,
     fraction_rank,
     from_columns,
     full_rmul_s,
@@ -321,7 +321,7 @@ def test_rank_one_minus(b3):
     assert rank_one_minus(w0(b3)) == 3
     assert fixed_simples(w0(b3)) == frozenset()
     for gamma in b3.positive_roots:
-        assert rank_one_minus(reflection(b3, gamma)) == 1
+        assert rank_one_minus(dense_reflection(b3, gamma)) == 1
 
 
 def test_rank_plus_fixed_space(b3):
@@ -331,12 +331,19 @@ def test_rank_plus_fixed_space(b3):
 
 
 def test_rank_one_minus_matches_fraction_rank():
-    # all of four small groups, then every w0 w_pi of five rank 6-8 types
+    # all of five small groups, seeded long E8 words, then every w0 w_pi of
+    # five rank 6-8 types
     checked = 0
-    for name in ("A4", "B4", "D4", "F4"):
+    for name in ("B3", "A4", "B4", "D4", "F4"):
         for w in enumerate_group(build_named(name)):
             assert rank_one_minus(w) == fraction_rank(one_minus(w))
             checked += 1
+    e8 = build_named("E8")
+    rng = random.Random(8)
+    for _ in range(40):
+        w = from_word(e8, [rng.randint(1, 8) for _ in range(rng.randrange(200))])
+        assert rank_one_minus(w) == fraction_rank(one_minus(w)), reduced_word(w)
+        checked += 1
     for name in ("E6", "E7", "E8", "B8", "D8"):
         rs = build_named(name)
         for size in range(rs.rank + 1):
@@ -344,7 +351,24 @@ def test_rank_one_minus_matches_fraction_rank():
                 w = candidate_element(rs, pi)
                 assert rank_one_minus(w) == fraction_rank(one_minus(w)), (name, pi)
                 checked += 1
-    assert checked == 1848 + 960
+    assert checked == 48 + 1848 + 40 + 960
+
+
+def test_intmat_rank_matches_fraction_rank():
+    # products of random m x k and k x c integer matrices, of every rank 0..8
+    rng = random.Random(14)
+    ranks = set()
+    for k in range(9):
+        for _ in range(30):
+            m, c = rng.randint(max(k, 1), 8), rng.randint(max(k, 1), 8)
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+            right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+            mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] or [0] * c
+                   for row in left]
+            assert intmat.rank(mat) == fraction_rank(mat), mat
+            ranks.add(fraction_rank(mat))
+    assert ranks == set(range(9))
+    assert intmat.rank([]) == 0
 
 
 def test_theta():
@@ -428,20 +452,24 @@ def test_inversions_count_is_length(g2, b3):
 
 def test_reflection_in_nonsimple_root(a3):
     theta_root = (1, 1, 1)
-    t = reflection(a3, theta_root)
+    t = dense_reflection(a3, theta_root)
     assert is_involution(t)
     assert apply(t, theta_root) == (-1, -1, -1)
-    assert t == reflection(a3, (-1, -1, -1))
-    with pytest.raises(ValueError):
-        reflection(a3, (1, 0, 1))
+    assert t == from_word(a3, [1, 2, 3, 2, 1])
 
 
 @pytest.mark.parametrize("name", ["A8", "D8", "E8", "F4", "G2"])
 def test_reflection_matches_dense_product(name):
+    # u^-1 s_j u by dense products against s_gamma(x) = x - 2 (x, gamma) / (gamma, gamma) gamma
     rs = build_named(name)
     for gamma in rs.positive_roots:
-        t = reflection(rs, gamma)
-        assert t == dense_reflection(rs, gamma), gamma
+        t = dense_reflection(rs, gamma)
+        norm = form(rs, gamma, gamma)
+        cols = tuple(
+            tuple(x - 2 * form(rs, alpha, gamma) // norm * g for x, g in zip(alpha, gamma))
+            for alpha in rs.simples
+        )
+        assert t.cols == cols, gamma
         assert t.length == inversion_count(t)
 
 
