@@ -32,6 +32,7 @@ from conftest import (
     element_theta_agrees_on,
     form_lengths,
     form_quali_no,
+    fraction_rank,
     inversion_count,
     matrix_admissible,
     one_plus,
@@ -182,6 +183,20 @@ def test_neg_eigenlattice(a3, b3):
     # w is an involution, so its -1 eigenspace has dimension rk(1 - w)
     for d in enumerate_pi(b3):
         assert dim_minus_one(b3, d.pi) == d.rank_one_minus
+
+
+def test_eigenlattice_vectors_are_flipped(b3):
+    # for an involution w, each (1 - w) alpha_j lies in the -1 eigenlattice,
+    # and together they span a space of dimension rk(1 - w)
+    for d in enumerate_pi(b3):
+        w = candidate_element(b3, d.pi)
+        vecs = []
+        for j in range(b3.rank):
+            e = tuple(1 if i == j else 0 for i in range(b3.rank))
+            v = tuple(a - b for a, b in zip(e, apply(w, e)))
+            assert apply(w, v) == tuple(-c for c in v)
+            vecs.append(v)
+        assert fraction_rank(vecs) == d.rank_one_minus
 
 
 def test_admissible_structure_small():
