@@ -21,6 +21,11 @@ For condition 4, sigma^-1 (sigma w sigma^-1 s_alpha) sigma = w s_beta, and w
 is an involution for admissible pi, so (w s_beta)^2 = s_{w beta} s_beta; that
 is the identity exactly when w beta = +-beta.
 
+No element is built: w0 maps the positive roots onto the negative ones, so
+it maps the simple roots (the positive roots that are no sum of two others)
+to w0(alpha_j) = -alpha_theta(j), theta = -w0 an involution of the diagram,
+and w(x) = -theta(w_Pi(x)), w_Pi applied by the letters of weyl._walk.
+
 Verification is deterministic and side-effect free; a batch may be checked
 concurrently or in any order.
 """
@@ -32,9 +37,9 @@ import reprlib
 from dataclasses import dataclass
 from random import Random
 
-from .rootsys import RootSystemType, Vector, build, subsystem_positive_roots
-from .spherical import ENUMERATION_MAX_RANK, candidate_element, is_admissible
-from .weyl import _combine, _replay, _rmul_cols, apply
+from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
+from .spherical import ENUMERATION_MAX_RANK, is_admissible
+from .weyl import _walk, theta
 
 
 class CertError(ValueError):
@@ -234,12 +239,20 @@ def _negate(v: Vector) -> Vector:
     return tuple(-c for c in v)
 
 
+def _reflect_along(rs: RootSystem, v: Vector, letters) -> Vector:
+    """s_{a_k} ... s_{a_1}(v) for letters = [a_1, ..., a_k]: v reflected by each letter in turn."""
+    for a in letters:
+        v = rs.reflect_simple(v, a)
+    return v
+
+
 def verify(cert: ExclusionCert) -> CertReport:
     """Check conditions 1, 3 and 4 and compute the condition-2 witnesses.
 
-    The fields were checked when the certificate was built. sigma and
-    sigma^-1 enter only through their columns, each replayed once from the
-    word; no group element is built for either.
+    The fields were checked when the certificate was built. Each quantity is
+    one root walked by simple reflections: sigma takes the word's letters
+    from its right end, sigma^-1 from its left end, and w(beta) is
+    -theta(w_Pi(beta)) (module docstring).
     """
     rs = build(cert.rstype)
     if not is_admissible(rs, cert.pi):
@@ -248,30 +261,26 @@ def verify(cert: ExclusionCert) -> CertReport:
         raise CertError(f"{cert.label}: gamma lies in the pi subsystem")
 
     word = cert.sigma_word
-    top = word[0]
-    alpha_top = rs.simples[top - 1]
-    sigma = _replay(rs, word)  # the columns sigma(alpha_i)
+    alpha_top = rs.simples[word[0] - 1]
+    right_first = word[::-1]
 
-    cond1 = _combine(sigma, cert.gamma) == _negate(alpha_top)
+    cond1 = _reflect_along(rs, cert.gamma, right_first) == _negate(alpha_top)
 
-    # gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}), reading the word from its
-    # right end; j = 0 contributes alpha_{i_1} itself. One column replay along
-    # the reversed word passes through every prefix s_{i_1} ... s_{i_j} and
-    # ends at sigma^-1.
-    rev = tuple(reversed(word))
-    witnesses = []
-    cols = list(rs.simples)
-    for a in rev[:-1]:
-        witnesses.append(cols[a - 1])
-        _rmul_cols(rs, cols, a)
-    _rmul_cols(rs, cols, top)
+    # gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}), i_1 = word[-1]: the simple
+    # root at position p = t - 1 - j walked by the j letters after it
+    witnesses = [
+        _reflect_along(rs, rs.simples[word[p] - 1], word[p + 1 :])
+        for p in range(len(word) - 1, 0, -1)
+    ]
     cond2_match = None
     if cert.expected_cond2 is not None:
         cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
 
-    beta = cols[top - 1]
-    w_beta = apply(candidate_element(rs, cert.pi), beta)
-    image = _combine(sigma, w_beta)
+    beta = _reflect_along(rs, alpha_top, word)
+    w_pi_beta = _reflect_along(rs, beta, reversed(_walk(rs, cert.pi)[0]))
+    perm = theta(rs)
+    w_beta = tuple(-w_pi_beta[perm[k] - 1] for k in range(1, rs.rank + 1))
+    image = _reflect_along(rs, w_beta, right_first)
     cond3 = all(c >= 0 for c in image) and image != alpha_top
     cond4 = w_beta not in (beta, _negate(beta))
 

@@ -23,14 +23,19 @@ def _root_system(text: str) -> RootSystem:
     return build(RootSystemType.from_string(text))
 
 
+def _digits(text: str) -> bool:
+    """ASCII digits only: int() also reads other scripts' digits, '1_0', signs and spaces."""
+    return text.isascii() and text.isdecimal()
+
+
 def _parse_indices(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    try:
-        return [int(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    parts = [part.strip() for part in text.split(",")]
+    if not all(map(_digits, parts)):
+        raise argparse.ArgumentTypeError(f"expected comma-separated indices, got {text!r}")
+    return [int(part) for part in parts]
 
 
 def _parse_pi(text: str) -> list[int]:
@@ -42,13 +47,13 @@ def _parse_pi(text: str) -> list[int]:
 
 def _max_rank(text: str) -> int:
     limit = spherical.ENUMERATION_MAX_RANK
-    if not (text.isascii() and text.isdecimal()) or not 1 <= int(text) <= limit:
+    if not _digits(text) or not 1 <= int(text) <= limit:
         raise argparse.ArgumentTypeError(f"expected an integer in 1..{limit}, got {text!r}")
     return int(text)
 
 
-def _count(text: str) -> int:
-    if not (text.isascii() and text.isdecimal()):
+def _natural(text: str) -> int:
+    if not _digits(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -246,12 +251,12 @@ def make_parser() -> argparse.ArgumentParser:
     p = add("step", _cmd_step, "involution step of a word by a simple reflection")
     p.add_argument("type")
     p.add_argument("--word", type=_parse_indices, required=True)
-    p.add_argument("--s", type=int, required=True, help="simple index of the step")
+    p.add_argument("--s", type=_natural, required=True, help="simple index of the step")
 
     p = add("verify", _cmd_verify, "verify a certificate file, exit 1 on failure",
             formats=("table", "json"))
     p.add_argument("file")
-    p.add_argument("--mutate", type=_count, default=0,
+    p.add_argument("--mutate", type=_natural, default=0,
                    help="additionally corrupt N random sigma letters and report detections")
     p.add_argument("--seed", type=int, default=0, help="seed for --mutate")
 

@@ -22,7 +22,8 @@ A table row needs no element either. The walk of -rho to -w_Pi(rho)
 (weyl._walk) gives a reduced word for w_Pi, so l(w) = N - l(w_Pi) with N
 the number of positive roots, and its end point is the orbit point
 w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is the reduced word
-of w.
+of w. The same walk's letters let the certificate checker apply w to a root
+as -theta(w_Pi(x)), so this module builds and caches no Weyl element at all.
 The rank is read off theta:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
@@ -49,7 +50,7 @@ from functools import cache
 from itertools import combinations
 
 from .rootsys import RootSystem
-from .weyl import WeylElement, _twist, _walk, _word_at, theta
+from .weyl import _twist, _walk, _word_at, theta
 
 ENUMERATION_MAX_RANK = 8
 
@@ -76,22 +77,6 @@ class SphericalDatum:
             "dimension": self.dimension,
             "central": self.central,
         }
-
-
-def candidate_element(rs: RootSystem, pi) -> WeylElement:
-    """w0 * w_Pi, cached per subset, carrying its length l(w0) - l(w_Pi).
-
-    Built without a product: its point w_Pi(w0(rho)) = -w_Pi(rho) is the end
-    of the walk weyl._walk, whose letters are a reduced word for w_Pi. The
-    cache keeps the element's column view with it.
-    """
-    return _candidate(rs, rs._check_subset(pi))
-
-
-@cache
-def _candidate(rs: RootSystem, pi: frozenset[int]) -> WeylElement:
-    letters, end = _walk(rs, pi)
-    return WeylElement(rs, end, len(rs.positive_roots) - len(letters))
 
 
 def is_admissible(rs: RootSystem, pi) -> bool:

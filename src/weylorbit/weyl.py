@@ -22,6 +22,9 @@ The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a derived view, built once per element by replaying
 a reduced word from the simple roots and kept on it. apply, fixed_simples,
 rank_one_minus, is_involution and the involution step's w(alpha_i) read it.
+It pays for itself where the same element is applied again and again, as in
+the involution steps; the certificate checker, which would apply each
+element once, walks single roots by simple reflections instead.
 theta = -w0 is no element: it is the walk that gives -w_C, taken on the
 whole diagram (_twist).
 What depends only on the root system (the identity, the simple reflections,
@@ -91,22 +94,18 @@ def rmul_s(w: WeylElement, i: int) -> WeylElement:
     return _times_word(w, (i,))
 
 
-def _rmul_cols(rs: RootSystem, cols: list[Vector], i: int) -> None:
-    """cols <- the columns of w * s_i, in place.
-
-    Column j becomes col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and
-    only the Cartan neighbours of i change.
-    """
-    wi = cols[i - 1]
-    for j, a in rs.neighbours[i - 1]:
-        cols[j] = tuple(x - a * y for x, y in zip(cols[j], wi))
-
-
 def _replay(rs: RootSystem, word) -> tuple[Vector, ...]:
-    """The columns of s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...], from the simple roots."""
+    """The columns of s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...], from the simple roots.
+
+    Each letter i takes the columns of w to those of w * s_i: column j becomes
+    col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and only the Cartan
+    neighbours of i change.
+    """
     cols = list(rs.simples)
-    for letter in word:
-        _rmul_cols(rs, cols, letter)
+    for i in word:
+        wi = cols[i - 1]
+        for j, a in rs.neighbours[i - 1]:
+            cols[j] = tuple(x - a * y for x, y in zip(cols[j], wi))
     return tuple(cols)
 
 
@@ -137,13 +136,8 @@ def apply(w: WeylElement, v: Vector) -> Vector:
     """Image of a lattice vector under w: the sum of v_j * w(alpha_j)."""
     if len(v) != w.rs.rank:
         raise ValueError(f"vector {tuple(v)} does not have rank {w.rs.rank}")
-    return _combine(w.cols, v)
-
-
-def _combine(cols: tuple[Vector, ...], v: Vector) -> Vector:
-    """The sum of v_j * cols[j]: the image of v under the matrix with these columns."""
-    out = [0] * len(cols)
-    for c, col in zip(v, cols):
+    out = [0] * len(v)
+    for c, col in zip(v, w.cols):
         if c:
             out = [o + c * x for o, x in zip(out, col)]
     return tuple(out)

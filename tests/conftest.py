@@ -28,7 +28,6 @@ from weylorbit import (
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
-from weylorbit.spherical import candidate_element
 from weylorbit.weyl import WeylElement, rmul_s
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
@@ -37,6 +36,14 @@ ALL_TYPES = (
     + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
     + [f"D{n}" for n in range(3, 9)]
     + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+# The types of the classification tables of admissible pi (acceptance criterion 1).
+TABLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "F4", "G2"]
 )
 
 
@@ -240,11 +247,16 @@ def column_theta(rs):
     return perm
 
 
+def candidate(rs, pi):
+    """The element w = w0 * w_Pi of an admissible pi, by one product."""
+    return multiply(w0(rs), longest_element(rs, pi))
+
+
 def column_datum(rs, pi):
-    """The row of an admissible pi from its element: w = candidate_element, the word
+    """The row of an admissible pi from its element: w = candidate(rs, pi), the word
     and length by reduced_word(w), and the integer-kernel rank of 1 - w."""
     pi = frozenset(pi)
-    w = candidate_element(rs, pi)
+    w = candidate(rs, pi)
     word = reduced_word(w)
     rk = rank_one_minus(w)
     return SphericalDatum(

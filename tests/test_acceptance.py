@@ -34,12 +34,13 @@ from weylorbit import (
 )
 from weylorbit import intmat
 from weylorbit.certs import mutate_sigma
-from weylorbit.spherical import candidate_element
 
 from conftest import (
     ALL_TYPES,
+    TABLE_TYPES,
     brute_bruhat_order,
     brute_involutions,
+    candidate,
     enumerate_group,
     one_plus,
     rows,
@@ -132,14 +133,6 @@ def expected_table(family: str, n: int) -> set[frozenset[int]]:
     return out
 
 
-TABLE_TYPES = (
-    [f"A{n}" for n in range(1, 9)]
-    + [f"{fam}{n}" for fam in "BC" for n in range(2, 9)]
-    + [f"D{n}" for n in range(4, 9)]
-    + ["E6", "F4", "G2"]
-)
-
-
 def test_criterion_01_pi_tables():
     notes = []
     with Criterion(1, "pi-table reproduction", 5.0) as crit:
@@ -208,7 +201,7 @@ def test_criterion_03_toro1_identity():
                     if not is_admissible(rs, pi):
                         continue
                     expect = rs.rank - len(pi)
-                    w = candidate_element(rs, pi)
+                    w = candidate(rs, pi)
                     assert rank_one_minus(w) == expect
                     # the kernel of 1 + w, the -1 eigenspace, has the same dimension
                     assert rs.rank - intmat.rank(one_plus(w)) == expect
@@ -324,7 +317,7 @@ def test_criterion_08_structural_invariants():
                     pi = frozenset(combo)
                     if not is_admissible(rs, pi):
                         continue
-                    w = candidate_element(rs, pi)
+                    w = candidate(rs, pi)
                     assert is_involution(w)
                     assert fixed_simples(w) == pi
                     assert {perm[i] for i in pi} == set(pi)
@@ -372,6 +365,6 @@ def test_criterion_10_type_a_cascade():
                     assert d.pi == frozenset(range(lo, n - lo + 2))
                 else:
                     lo = (n + 3) // 2
-                assert type_a_cascade(rs, lo - 1) == candidate_element(rs, d.pi)
+                assert type_a_cascade(rs, lo - 1) == candidate(rs, d.pi)
                 checked += 1
         crit.extra = f"({checked} subsets, n = 1..7)"

@@ -12,12 +12,14 @@ from weylorbit import (
     CertError,
     ExclusionCert,
     RootSystemType,
+    apply,
     build_named,
     is_admissible,
     make_cert,
     mutate_sigma,
     parse_certs,
     subsystem_positive_roots,
+    theta,
     verify,
     verify_all,
 )
@@ -31,8 +33,9 @@ from weylorbit.catalog import (
     shipped_files,
 )
 from weylorbit.certs import certs_to_json
+from weylorbit.weyl import _walk
 
-from conftest import cert_documents, dense_verify, inverse
+from conftest import TABLE_TYPES, candidate, cert_documents, dense_verify, inverse
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -334,14 +337,63 @@ def test_verify_matches_dense_oracle_in_d_and_e():
     assert 0 < sum(r.cond1 for r in reports) < len(reports)
 
 
+@pytest.mark.parametrize("name", ["B3", "F4", "E6", "E8"])
+def test_witnesses_match_dense_oracle_on_long_words(name):
+    # witness j reflects alpha_{i_{j+1}} by exactly the j letters after it.
+    # Doubled letters s_a s_a, put in after the top letter, leave sigma and
+    # the verdict as they were but run the word far past a reduced one, up to
+    # 3N letters for N positive roots.
+    rs = build_named(name)
+    rng = random.Random(len(rs.positive_roots))
+    three_n = 3 * len(rs.positive_roots)
+    reports = []
+    for k, base in enumerate(_seeded_certs(rng, name, 6)):
+        word = list(base.sigma_word)
+        target = three_n if k < 2 else rng.randint(len(word) + 2, three_n)
+        while len(word) + 2 <= target:
+            pos = rng.randint(1, len(word))
+            word[pos:pos] = [rng.randint(1, rs.rank)] * 2
+        cert = make_cert(rs.rstype, base.pi, base.gamma, word, label=f"{name} #{k}")
+        report = verify(cert)
+        assert len(report.cond2_witnesses) == len(word) - 1
+        assert report == dense_verify(cert), cert.label
+        reports.append(report)
+    assert 0 < sum(r.cond1 for r in reports) < len(reports)
+
+
+def test_w_beta_is_minus_theta_of_w_pi_beta():
+    # verify applies w = w0 w_Pi to a root as -theta(w_Pi(beta)), w_Pi by the
+    # letters of _walk last letter first; w0(alpha_j) = -alpha_theta(j)
+    checked = 0
+    for name in TABLE_TYPES:
+        rs = build_named(name)
+        perm = theta(rs)
+        for size in range(rs.rank + 1):
+            for pi in combinations(range(1, rs.rank + 1), size):
+                if not is_admissible(rs, pi):
+                    continue
+                letters = _walk(rs, frozenset(pi))[0]
+                w = candidate(rs, pi)
+                for beta in rs.positive_roots:
+                    x = beta
+                    for a in reversed(letters):
+                        x = rs.reflect_simple(x, a)
+                    w_beta = [0] * rs.rank
+                    for j, c in enumerate(x, 1):
+                        w_beta[perm[j] - 1] = -c
+                    assert tuple(w_beta) == apply(w, beta), (name, pi, beta)
+                    checked += 1
+    # 619 admissible subsets over the 30 types
+    assert checked == 27272
+
+
 def test_passing_cert_gains_length_after_twist():
     # the condition-3 image being positive forces the twisted element longer
     from weylorbit import build, from_word, multiply, simple_reflection
-    from weylorbit.spherical import candidate_element
 
     for cert in f4_certificates():
         rs = build(cert.rstype)
         sigma = from_word(rs, cert.sigma_word)
-        u = multiply(multiply(sigma, candidate_element(rs, cert.pi)), inverse(sigma))
+        u = multiply(multiply(sigma, candidate(rs, cert.pi)), inverse(sigma))
         twisted = multiply(u, simple_reflection(rs, cert.sigma_word[0]))
         assert twisted.length == u.length + 1

@@ -148,6 +148,28 @@ def test_dim_rejects_repeated_pi_index(capsys):
     assert "repeats an index" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["weyl", "B3", "--word", "\u0661,\u0662"],
+        ["step", "A2", "--word", "1", "--s", "\u0662"],
+        ["dim", "A3", "--pi", "\u0662"],
+        ["weyl", "B3", "--word", "1_0"],
+    ],
+)
+def test_indices_take_only_ascii_digits(capsys, argv):
+    # int() read the Arabic-Indic digits as 1 and 2, and 1_0 as 10
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "expected" in capsys.readouterr().err
+
+
+def test_index_lists_allow_spaces_around_parts(capsys):
+    status, out, _ = run(capsys, "weyl", "B3", "--word", " 1, 2 ", "--format", "json")
+    assert status == 0 and json.loads(out)["word"] == [1, 2]
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "9", "x", "\u0663"])
 def test_tables_rejects_max_rank_outside_enumeration(capsys, value):
     # 0 and -1 used to print an empty table and exit 0, 9 to fail inside

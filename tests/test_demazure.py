@@ -20,11 +20,11 @@ from weylorbit import (
     w0,
     weyl_group_order,
 )
-from weylorbit.spherical import candidate_element
 from weylorbit.weyl import rmul_s
 
 from conftest import (
     brute_involutions,
+    candidate,
     dense_involution_step,
     enumerate_group,
     inversion_count,
@@ -204,7 +204,7 @@ def test_carried_lengths_match_inversion_counts(name):
         for size in range(rs.rank + 1):
             for pi in combinations(range(1, rs.rank + 1), size):
                 if is_admissible(rs, pi):
-                    carried(candidate_element(rs, pi))
+                    carried(candidate(rs, pi))
 
 
 def test_carried_lengths_of_long_e8_words():

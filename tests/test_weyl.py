@@ -28,12 +28,12 @@ from weylorbit import (
 )
 
 from weylorbit import intmat, weyl
-from weylorbit.spherical import candidate_element
 from weylorbit.weyl import WeylElement, rmul_s
 
 from conftest import (
     ALL_TYPES,
     brute_bruhat_order,
+    candidate,
     column_bruhat_leq,
     column_reduced_word,
     column_theta,
@@ -124,7 +124,6 @@ def test_point_kernels_reject_bad_index(name):
             lambda: from_word(rs, [1, i]),
             lambda: from_word(rs, [2, i, 1]),
             lambda: longest_element(rs, [1, i]),
-            lambda: candidate_element(rs, [i]),
             lambda: involution_step(e, i),
         ):
             with pytest.raises(ValueError, match=rf"index {i!r} out of range 1\.\.{rs.rank}"):
@@ -348,7 +347,7 @@ def test_rank_one_minus_matches_fraction_rank():
         rs = build_named(name)
         for size in range(rs.rank + 1):
             for pi in combinations(range(1, rs.rank + 1), size):
-                w = candidate_element(rs, pi)
+                w = candidate(rs, pi)
                 assert rank_one_minus(w) == fraction_rank(one_minus(w)), (name, pi)
                 checked += 1
     assert checked == 48 + 1848 + 40 + 960
