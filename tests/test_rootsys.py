@@ -7,10 +7,13 @@ from weylorbit import (
     RootSystemType,
     build,
     build_named,
+    enumerate_pi,
     highest_root,
+    rootsys,
+    spherical_datum,
     subsystem_positive_roots,
 )
-from weylorbit.rootsys import LONG, SHORT
+from weylorbit.rootsys import _RANK_RULES, LONG, SHORT
 
 from conftest import ALL_TYPES, brute_min_length_to_negative, depth, is_root, pairing_closure
 
@@ -202,3 +205,50 @@ def test_subsystem_counts_match_types():
     assert len(subsystem_positive_roots(d5, [2, 3, 4, 5])) == 12
     e6 = build_named("E6")
     assert len(subsystem_positive_roots(e6, [1, 3, 4, 5, 6])) == 15  # an A5
+
+
+# every valid type of rank at most 12
+TYPES_TO_12 = [
+    RootSystemType(fam, n) for fam, rule in _RANK_RULES.items() for n in range(1, 13) if rule(n)
+]
+
+
+@pytest.mark.parametrize("rstype", TYPES_TO_12, ids=str)
+def test_coxeter_count_matches_the_table(rstype):
+    # N = n h / 2 from the Coxeter number, against the closure and against
+    # h = height(theta) + 1, read off the highest root of the closure
+    rs = RootSystem(rstype)
+    n_positive = rs._n_positive
+    assert n_positive == len(rs.positive_roots)
+    assert n_positive == rs.rank * (rs.height(highest_root(rs)) + 1) // 2
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_root_table_is_built_on_first_read(name):
+    # the table rows, the filters and the walks read only the diagram data
+    rs = RootSystem(RootSystemType.from_string(name))
+    rows = [d.as_dict() for d in enumerate_pi(rs)]
+    for row in rows:
+        assert spherical_datum(rs, row["pi"]).as_dict() == row
+    assert rs._table is None
+    assert rows == [d.as_dict() for d in enumerate_pi(build_named(name))]
+    assert rs.positive_roots == build_named(name).positive_roots
+    assert rs._table is not None
+
+
+def test_a_wrong_coxeter_number_fails_the_first_root_read(monkeypatch):
+    coxeter = rootsys._coxeter_number
+    monkeypatch.setattr(
+        rootsys, "_coxeter_number", lambda t: coxeter(t) + (str(t) == "E6")
+    )
+    reads = [
+        lambda rs: rs.positive_roots,
+        lambda rs: rs.lengths,
+        lambda rs: rs.is_positive_root(rs.simples[0]),
+        highest_root,
+    ]
+    for read in reads:
+        rs = RootSystem(RootSystemType("E", 6))
+        with pytest.raises(AssertionError, match="36 positive roots in E6, but the Coxeter"):
+            read(rs)
+    assert len(RootSystem(RootSystemType("E", 7)).positive_roots) == 63

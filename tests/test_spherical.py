@@ -9,6 +9,8 @@ from weylorbit import (
     build_named,
     enumerate_pi,
     fixed_simples,
+    from_word,
+    highest_root,
     identity,
     is_admissible,
     is_involution,
@@ -28,7 +30,9 @@ from conftest import (
     column_datum,
     column_longest,
     connected_subsets,
+    dense_reflection,
     element_theta_agrees_on,
+    form,
     form_lengths,
     form_quali_no,
     fraction_rank,
@@ -222,3 +226,36 @@ def test_type_a_cascade_matches(a3):
     assert type_a_cascade(a3, 0) == identity(a3)
     a4 = build_named("A4")
     assert type_a_cascade(a4, 1) == candidate(a4, {2, 3})
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_s_theta_row_from_the_roots_alone(name):
+    """The row of s_theta, the reflection in the highest root theta.
+
+    theta is dominant, so W_pi with pi = {i : <alpha_i, theta^vee> = 0} fixes
+    it, s_theta commutes with W_pi and is the shortest element of its coset.
+    s_theta sends negative exactly the positive roots not orthogonal to
+    theta, as many as the longest such element w0 w_pi does, so the two are
+    equal. 1 - s_theta has rank one, and the dimension is 2 h^vee - 2, the
+    dimension of the minimal nilpotent orbit, with the dual Coxeter number
+    h^vee = 1 + the height of theta^vee in the simple coroots (Collingwood and
+    McGovern, Nilpotent Orbits in Semisimple Lie Algebras, 4.3). It is the
+    smallest nonzero dimension of the table except in B_n, n >= 3, where
+    the row of the short-root reflection lies below it: 6 against 8 in B3.
+    """
+    rs = build_named(name)
+    theta = highest_root(rs)
+    pi = frozenset(i for i, a in enumerate(rs.simples, 1) if form(rs, a, theta) == 0)
+    rows = enumerate_pi(rs)
+    (row,) = [d for d in rows if d.pi == pi]
+    moved = sum(1 for a in rs.positive_roots if form(rs, a, theta))
+    # theta^vee = sum_i theta_i (alpha_i, alpha_i) / (theta, theta) alpha_i^vee
+    height, rest = divmod(
+        sum(c * form(rs, a, a) for c, a in zip(theta, rs.simples)), form(rs, theta, theta)
+    )
+    assert rest == 0
+    assert (row.length, row.rank_one_minus, row.dimension) == (moved, 1, moved + 1)
+    assert row.dimension == 2 * (height + 1) - 2
+    assert from_word(rs, row.w_word) == dense_reflection(rs, theta)
+    smallest = min(d.dimension for d in rows if d.dimension)
+    assert (smallest < row.dimension) == (rs.rstype.family == "B" and rs.rank >= 3)

@@ -265,13 +265,13 @@ def test_peel_is_bounded(a3, monkeypatch):
     # without the bound, an orbit-point update that does nothing would walk forever
     s2, cols = simple_reflection(a3, 2), w0(a3).cols
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
-    with pytest.raises(AssertionError, match="within len"):
+    with pytest.raises(AssertionError, match="within N = 6 letters"):
         reduced_word(s2)
-    with pytest.raises(AssertionError, match="within len"):
+    with pytest.raises(AssertionError, match="within N = 6 letters"):
         from_columns(a3, cols)  # given no length, the point is peeled when built
-    with pytest.raises(AssertionError, match="within len"):
+    with pytest.raises(AssertionError, match="within N = 6 letters"):
         weyl._walk.__wrapped__(a3, frozenset({1, 3}))  # past the cache
-    with pytest.raises(AssertionError, match="within len"):
+    with pytest.raises(AssertionError, match="within N = 6 letters"):
         weyl._twist(a3, {1, 2, 3})
 
 
