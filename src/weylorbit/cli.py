@@ -16,11 +16,7 @@ from random import Random
 
 from . import certs as certs_mod
 from . import demazure, spherical, weyl
-from .rootsys import _RANK_RULES, RootSystem, RootSystemType, build, highest_root
-
-
-def _root_system(text: str) -> RootSystem:
-    return build(RootSystemType.from_string(text))
+from .rootsys import _RANK_RULES, RootSystemType, build, build_named, highest_root
 
 
 def _digits(text: str) -> bool:
@@ -75,7 +71,7 @@ def _emit(rows: list[list], header: list[str], fmt: str, json_payload) -> None:
 
 
 def _cmd_roots(args) -> int:
-    rs = _root_system(args.type)
+    rs = build_named(args.type)
     rows = [
         [k + 1, list(r), rs.height(r), rs.lengths[r]]
         for k, r in enumerate(rs.positive_roots)
@@ -91,7 +87,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    rs = _root_system(args.type)
+    rs = build_named(args.type)
     w = weyl.from_word(rs, args.word)
     info = {
         "type": str(rs.rstype),
@@ -109,21 +105,26 @@ def _cmd_weyl(args) -> int:
     return 0
 
 
+_PI_HEADER = ["pi", "length", "rank", "dimension", "central"]
+
+
+def _pi_row(entry: dict) -> list:
+    """The table cells of one SphericalDatum.as_dict(), in _PI_HEADER order."""
+    return [",".join(map(str, entry["pi"])) or "-", entry["length"], entry["rank"],
+            entry["dimension"], "yes" if entry["central"] else "no"]
+
+
 def _cmd_pi(args) -> int:
-    rs = _root_system(args.type)
+    rs = build_named(args.type)
     data = spherical.enumerate_pi(rs)
     dicts = [d.as_dict() for d in data]
-    rows = [
-        [",".join(map(str, d["pi"])) or "-", d["length"], d["rank"], d["dimension"],
-         "yes" if d["central"] else "no"]
-        for d in dicts
-    ]
-    _emit(rows, ["pi", "length", "rank", "dimension", "central"], args.format, dicts)
+    rows = [_pi_row(d) for d in dicts]
+    _emit(rows, _PI_HEADER, args.format, dicts)
     return 0
 
 
 def _cmd_dim(args) -> int:
-    rs = _root_system(args.type)
+    rs = build_named(args.type)
     datum = spherical.spherical_datum(rs, args.pi)
     d = datum.as_dict()
     rows = [[k, d[k]] for k in ("pi", "w_word", "length", "rank", "dimension", "central")]
@@ -132,7 +133,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_step(args) -> int:
-    rs = _root_system(args.type)
+    rs = build_named(args.type)
     w = weyl.from_word(rs, args.word)
     outcome = demazure.involution_step(w, args.s)
     cands = sorted(
@@ -209,13 +210,8 @@ def _cmd_tables(args) -> int:
         for d in spherical.enumerate_pi(rs):
             entry = d.as_dict()
             all_payload.append(entry)
-            rows.append(
-                [str(rstype), ",".join(map(str, entry["pi"])) or "-",
-                 entry["length"], entry["rank"], entry["dimension"],
-                 "yes" if entry["central"] else "no"]
-            )
-    _emit(rows, ["type", "pi", "length", "rank", "dimension", "central"],
-          args.format, all_payload)
+            rows.append([str(rstype), *_pi_row(entry)])
+    _emit(rows, ["type", *_PI_HEADER], args.format, all_payload)
     return 0
 
 

@@ -78,7 +78,8 @@ def involution_step(w: WeylElement, i: int) -> StepOutcome:
     if beta == tuple(-c for c in alpha):
         return StepOutcome(3, frozenset({w, rmul_s(w, i)}))
     if all(c >= 0 for c in beta):
-        v = [x - sum(beta[t] * a for t, a in column) for x, column in zip(w.v, rs.neighbours)]
+        pair = rs._pair
+        v = [x - pair(beta, j) for j, x in enumerate(w.v)]
         _reflect_point(rs, v, i - 1)
         return StepOutcome(1, frozenset({WeylElement(rs, tuple(v), w.length + 2)}))
     return StepOutcome(4, frozenset({w}))

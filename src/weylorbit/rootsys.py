@@ -16,13 +16,20 @@ number N = n h / 2 of positive roots, from the Coxeter number h. Weyl walks,
 the spherical filters and the table rows read nothing else. The root table
 (the positive roots, their lengths and the highest root) is built on its
 first read, and checked against N then.
+
+W acts by one kernel per basis. In root coordinates, here, s_i changes only
+v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
+the Cartan neighbours of i (RootSystem._pair), and _reflect_along walks one
+list along a word. In fundamental-weight coordinates, weyl._reflect_point
+moves the orbit points of Weyl elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 Vector = tuple[int, ...]
 
@@ -75,14 +82,9 @@ def _dynkin_bonds(rstype: RootSystemType) -> list[tuple[int, int, int, int]]:
     single = -1
     if fam == "A":
         return [(i, i + 1, single, single) for i in range(1, n)]
-    if fam == "B":
-        bonds = [(i, i + 1, single, single) for i in range(1, n - 1)]
-        bonds.append((n - 1, n, -2, -1))
-        return bonds
-    if fam == "C":
-        bonds = [(i, i + 1, single, single) for i in range(1, n - 1)]
-        bonds.append((n - 1, n, -1, -2))
-        return bonds
+    if fam in "BC":
+        double = (n - 1, n, -2, -1) if fam == "B" else (n - 1, n, -1, -2)
+        return [(i, i + 1, single, single) for i in range(1, n - 1)] + [double]
     if fam == "D":
         bonds = [(i, i + 1, single, single) for i in range(1, n - 2)]
         bonds.append((n - 2, n - 1, single, single))
@@ -136,7 +138,7 @@ def _coxeter_number(rstype: RootSystemType) -> int:
 class _RootTable(NamedTuple):
     positive_roots: tuple[Vector, ...]
     positive_set: frozenset[Vector]
-    lengths: dict[Vector, str]
+    lengths: Mapping[Vector, str]
     highest: Vector
 
 
@@ -211,7 +213,7 @@ class RootSystem:
         for r in pos:
             if any(a < b for a, b in zip(highest, r)):
                 raise AssertionError(f"no coefficientwise-maximal root in {self.rstype}")
-        self._table = table = _RootTable(pos, frozenset(pos), lengths, highest)
+        self._table = table = _RootTable(pos, frozenset(pos), MappingProxyType(lengths), highest)
         return table
 
     @property
@@ -220,8 +222,8 @@ class RootSystem:
         return self._root_table().positive_roots
 
     @property
-    def lengths(self) -> dict[Vector, str]:
-        """The length class, LONG or SHORT, of every root, negative roots included."""
+    def lengths(self) -> Mapping[Vector, str]:
+        """The length class, LONG or SHORT, of every root, negative ones too; read-only."""
         return self._root_table().lengths
 
     def _close_under_reflections(self, norms: tuple[int, ...]) -> dict[Vector, str]:
@@ -238,9 +240,9 @@ class RootSystem:
         while frontier:
             nxt = []
             for v in frontier:
-                for i, column in enumerate(self.neighbours):
-                    c = sum(v[j] * a for j, a in column)
-                    if c and v != self.simples[i]:
+                for i, simple in enumerate(self.simples):
+                    c = self._pair(v, i)
+                    if c and v != simple:
                         img = v[:i] + (v[i] - c,) + v[i + 1:]
                         if img not in roots:
                             if img[i] < 0:
@@ -266,12 +268,23 @@ class RootSystem:
             self._check_index(i)
         return frozenset(pi)
 
+    def _pair(self, v, i: int) -> int:
+        """<v, alpha_{i+1}^vee> for a 0-based i, unchecked: the sum over Cartan column i."""
+        return sum(v[j] * a for j, a in self.neighbours[i])
+
+    def _reflect_along(self, v: list[int], letters) -> list[int]:
+        """s_{a_k} ... s_{a_1}(v) for 1-based letters a_1..a_k, in place on a list; unchecked."""
+        pair = self._pair
+        for a in letters:
+            v[a - 1] -= pair(v, a - 1)
+        return v
+
     def pairing(self, v: Vector, i: int) -> int:
         """<v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee>."""
         self._check_index(i)
         if len(v) != self.rank:
             raise ValueError(f"vector {tuple(v)} does not have rank {self.rank}")
-        return sum(v[j] * a for j, a in self.neighbours[i - 1])
+        return self._pair(v, i - 1)
 
     def reflect_simple(self, v: Vector, i: int) -> Vector:
         c = self.pairing(v, i)

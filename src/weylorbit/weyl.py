@@ -19,12 +19,11 @@ takes one copy of the point through a word (for rmul_s, one letter) and
 builds a single element at the end; the 0-Hecke product walks its point the
 same way. None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
-on the root lattice) are a derived view, built once per element by replaying
-a reduced word from the simple roots and kept on it. apply, fixed_simples,
-rank_one_minus, is_involution and the involution step's w(alpha_i) read it.
-It pays for itself where the same element is applied again and again, as in
-the involution steps; the certificate checker, which would apply each
-element once, walks single roots by simple reflections instead.
+on the root lattice) are a view kept on the element: each simple root walked
+once along a reduced word by the root-coordinate kernel of rootsys. apply,
+fixed_simples, rank_one_minus, is_involution and the involution step read it;
+it pays for itself where one element is applied again and again. The
+certificate checker, which would apply each element once, walks roots instead.
 theta = -w0 is no element: it is the walk that gives -w_C, taken on the
 whole diagram (_twist).
 What depends only on the root system (the identity, the simple reflections,
@@ -68,9 +67,11 @@ class WeylElement:
 
     @property
     def cols(self) -> tuple[Vector, ...]:
-        """The images w(alpha_i) of the simple roots, replayed once from a reduced word."""
+        """The images w(alpha_i), each simple root walked along the peel of w."""
         if self._cols is None:
-            self._cols = _replay(self.rs, reduced_word(self))
+            # the peel takes right descents off w: its letters, right letter first
+            rs, word = self.rs, _peel(self.rs, list(self.v))
+            self._cols = tuple(tuple(rs._reflect_along(list(a), word)) for a in rs.simples)
         return self._cols
 
     def column(self, i: int) -> Vector:
@@ -92,21 +93,6 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
     """w * s_i: the point s_i(v), one step longer when v_i > 0 and shorter otherwise."""
     return _times_word(w, (i,))
-
-
-def _replay(rs: RootSystem, word) -> tuple[Vector, ...]:
-    """The columns of s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...], from the simple roots.
-
-    Each letter i takes the columns of w to those of w * s_i: column j becomes
-    col_j - <alpha_j, alpha_i^vee> col_i, so col_i flips and only the Cartan
-    neighbours of i change.
-    """
-    cols = list(rs.simples)
-    for i in word:
-        wi = cols[i - 1]
-        for j, a in rs.neighbours[i - 1]:
-            cols[j] = tuple(x - a * y for x, y in zip(cols[j], wi))
-    return tuple(cols)
 
 
 def multiply(a: WeylElement, b: WeylElement) -> WeylElement:

@@ -13,6 +13,7 @@ from weylorbit import (
     spherical_datum,
     subsystem_positive_roots,
 )
+from weylorbit.cli import main
 from weylorbit.rootsys import _RANK_RULES, LONG, SHORT
 
 from conftest import ALL_TYPES, brute_min_length_to_negative, depth, is_root, pairing_closure
@@ -131,6 +132,17 @@ def test_length_classification_doubly_laced():
     c3 = build_named("C3")
     assert c3.lengths[(0, 0, 1)] == LONG
     assert c3.lengths[(1, 0, 0)] == SHORT
+
+
+def test_lengths_is_a_read_only_view(capsys):
+    # build() hands every caller the same root system, so a write through
+    # lengths would change the length classes for the rest of the process
+    b3 = build_named("B3")
+    with pytest.raises(TypeError):
+        b3.lengths[(1, 0, 0)] = SHORT
+    assert main(["roots", "B3"]) == 0
+    (alpha_1,) = [line for line in capsys.readouterr().out.splitlines() if "[1, 0, 0]" in line]
+    assert alpha_1.split()[-1] == LONG
 
 
 def test_depth_examples():

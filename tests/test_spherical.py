@@ -259,3 +259,43 @@ def test_s_theta_row_from_the_roots_alone(name):
     assert from_word(rs, row.w_word) == dense_reflection(rs, theta)
     smallest = min(d.dimension for d in rows if d.dimension)
     assert (smallest < row.dimension) == (rs.rstype.family == "B" and rs.rank >= 3)
+
+
+# Spherical unipotent classes of the exceptional groups (Collingwood and
+# McGovern, Nilpotent Orbits in Semisimple Lie Algebras, ch. 8), by dimension
+EXCEPTIONAL_UNIPOTENT = {
+    "E6": {22, 32, 40},
+    "E7": {34, 52, 54, 64, 70},
+    "E8": {58, 92, 112, 128},
+    "F4": {16, 22, 28},
+    "G2": {6, 8},
+}
+# The inner symmetric spaces G/K (Helgason, Differential Geometry, Lie Groups,
+# and Symmetric Spaces, ch. X, Table V), by dim G - dim K
+EXCEPTIONAL_SYMMETRIC = {
+    "E6": {32: "E6/D5T1", 40: "E6/A5A1"},
+    "E7": {54: "E7/E6T1", 64: "E7/D6A1", 70: "E7/A7"},
+    "E8": {112: "E8/E7A1", 128: "E8/D8"},
+    "F4": {16: "F4/B4", 28: "F4/C3A1"},
+    "G2": {8: "G2/A1A1"},
+}
+# E7 has no encoded classification table: its rows, pinned by pi
+E7_ROWS = {(): 70, (2, 5, 7): 64, (2, 3, 4, 5): 54, (2, 3, 4, 5, 7): 52, (2, 3, 4, 5, 6, 7): 34,
+           (1, 2, 3, 4, 5, 6, 7): 0}
+
+
+@pytest.mark.parametrize("name", sorted(EXCEPTIONAL_UNIPOTENT))
+def test_exceptional_dimensions_are_spherical_classes(name):
+    """The nonzero dimensions: spherical unipotent classes and symmetric spaces.
+
+    The class of a semisimple element whose centralizer K is an inner
+    symmetric subgroup has dimension dim G - dim K. In each exceptional type
+    the nonzero dimensions of the table are exactly these and the dimensions
+    of the spherical unipotent classes, both transcribed from the
+    classifications and not computed by a walk.
+    """
+    rows = enumerate_pi(build_named(name))
+    expected = EXCEPTIONAL_UNIPOTENT[name] | EXCEPTIONAL_SYMMETRIC[name].keys()
+    assert {d.dimension for d in rows if d.dimension} == expected
+    if name == "E7":
+        assert {tuple(sorted(d.pi)): d.dimension for d in rows} == E7_ROWS
