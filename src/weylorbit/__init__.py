@@ -35,7 +35,6 @@ from .demazure import (
     demazure_mul,
     involution_reachability,
     involution_step,
-    weyl_group_order,
 )
 from .spherical import (
     SphericalDatum,

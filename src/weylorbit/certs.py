@@ -164,6 +164,21 @@ def _ints(values, what: str) -> tuple[int, ...]:
     return out
 
 
+class _Repeated(dict):
+    """A JSON object that repeats a key: json.loads would keep only its last value."""
+
+    key = None
+
+
+def _object(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Repeated(obj)
+        obj.key = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
+
+
 def make_cert(
     rstype: RootSystemType,
     pi,
@@ -183,11 +198,12 @@ def parse_certs(document: str) -> list[ExclusionCert]:
     """Parse a JSON certificate file.
 
     Any defect aborts with a CertError naming the entry's position and, when
-    it has one, its label. An entry may hold only the keys in CERT_KEYS, the
-    label must be a string and the rank at most ENUMERATION_MAX_RANK.
+    it has one, its label. An entry may hold only the keys in CERT_KEYS, each
+    at most once, the label must be a string and the rank at most
+    ENUMERATION_MAX_RANK.
     """
     try:
-        data = json.loads(document)
+        data = json.loads(document, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integers too long to convert
         raise CertError(f"not valid JSON: {exc}") from exc
@@ -198,6 +214,8 @@ def parse_certs(document: str) -> list[ExclusionCert]:
         try:
             if not isinstance(entry, dict):
                 raise CertError("entry is not an object")
+            if isinstance(entry, _Repeated):
+                raise CertError(f"repeated key {entry.key!r}")
             unknown = entry.keys() - CERT_KEYS
             if unknown:
                 raise CertError(

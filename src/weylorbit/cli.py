@@ -54,6 +54,12 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _integer(text: str) -> int:
+    if not _digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _emit(rows: list[list], header: list[str], fmt: str, json_payload) -> None:
     if fmt == "json":
         print(json.dumps(json_payload, indent=1))
@@ -254,7 +260,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mutate", type=_natural, default=0,
                    help="additionally corrupt N random sigma letters and report detections")
-    p.add_argument("--seed", type=int, default=0, help="seed for --mutate")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for --mutate")
 
     p = add("tables", _cmd_tables, "admissible-pi tables for every simple type")
     p.add_argument("--max-rank", type=_max_rank, default=spherical.ENUMERATION_MAX_RANK,

@@ -13,9 +13,11 @@ built, and a negative root the class of its positive root.
 What the Dynkin diagram gives directly is built with the root system: the
 Cartan matrix, its neighbour lists, the simple roots and their norms, and the
 number N = n h / 2 of positive roots, from the Coxeter number h. Weyl walks,
-the spherical filters and the table rows read nothing else. The root table
-(the positive roots, their lengths and the highest root) is built on its
-first read, and checked against N then.
+the spherical filters and the table rows read nothing else, and a root
+system stores nothing else. The root table (the positive roots and the
+length classes) is _root_table, a function memoized by functools.cache and
+keyed on the root system like the derived data of weyl and spherical; it
+runs on the first root read and checks the closure against N then.
 
 W acts by one kernel per basis. In root coordinates, here, s_i changes only
 v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
@@ -27,7 +29,7 @@ moves the orbit points of Weyl elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -137,29 +139,20 @@ def _coxeter_number(rstype: RootSystemType) -> int:
 
 class _RootTable(NamedTuple):
     positive_roots: tuple[Vector, ...]
-    positive_set: frozenset[Vector]
     lengths: Mapping[Vector, str]
-    highest: Vector
 
 
 class RootSystem:
     """Immutable root system of one simple type.
 
-    Built through :func:`build`. The diagram data (cartan, neighbours,
-    row_neighbours, simples, the simple norms _norms and the number of
-    positive roots _n_positive) is built in __init__. The root table behind
-    positive_roots, is_positive_root, lengths and highest_root is built on
-    its first read, by _root_table, which also checks that it holds
-    _n_positive roots. All queries are read-only, so instances are safe to
-    share across threads: two threads that build the table at once build
-    equal tables, and each stores it with one attribute write.
-
-    The table is one attribute set to None in __init__ and filled in place,
-    not a functools.cached_property: that writes the instance __dict__ after
-    __init__, and an instance whose __dict__ has been materialised reads
-    every attribute more slowly. The Weyl kernels read row_neighbours and
-    _check_index at every letter; with the __dict__ of its four root systems
-    materialised, the benchmark's 0-Hecke workload ran about 7% slower.
+    Built through :func:`build`. __init__ stores the diagram data (cartan,
+    neighbours, row_neighbours, simples, the simple norms _norms and the
+    number of positive roots _n_positive), and nothing writes to the instance
+    after it. The root table behind positive_roots, is_positive_root, lengths
+    and highest_root is _root_table(rs), a functools.cache function of the
+    root system, run on the first root read and checked against _n_positive
+    then. All queries are read-only, so instances are safe to share across
+    threads.
     """
 
     def __init__(self, rstype: RootSystemType):
@@ -192,67 +185,16 @@ class RootSystem:
         self.simples: tuple[Vector, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
-        self._table: _RootTable | None = None
-
-    def _root_table(self) -> _RootTable:
-        """The root table, built and checked on the first call."""
-        table = self._table
-        if table is not None:
-            return table
-        positive = self._close_under_reflections(self._norms)
-        pos = tuple(sorted(positive, key=lambda r: (sum(r), r)))
-        if len(pos) != self._n_positive:
-            raise AssertionError(
-                f"{len(pos)} positive roots in {self.rstype}, "
-                f"but the Coxeter number gives {self._n_positive}"
-            )
-        lengths = dict(positive)
-        for r, cls in positive.items():
-            lengths[tuple(-c for c in r)] = cls
-        highest = pos[-1]
-        for r in pos:
-            if any(a < b for a, b in zip(highest, r)):
-                raise AssertionError(f"no coefficientwise-maximal root in {self.rstype}")
-        self._table = table = _RootTable(pos, frozenset(pos), MappingProxyType(lengths), highest)
-        return table
 
     @property
     def positive_roots(self) -> tuple[Vector, ...]:
         """The positive roots, sorted by height and then coefficientwise."""
-        return self._root_table().positive_roots
+        return _root_table(self).positive_roots
 
     @property
     def lengths(self) -> Mapping[Vector, str]:
         """The length class, LONG or SHORT, of every root, negative ones too; read-only."""
-        return self._root_table().lengths
-
-    def _close_under_reflections(self, norms: tuple[int, ...]) -> dict[Vector, str]:
-        """Every positive root, with the length class of the root it was reflected from.
-
-        s_i permutes the positive roots other than alpha_i, and every positive
-        root that is not simple has some s_i lowering it to a positive root, so
-        the simple roots reach them all without leaving the positive cone. An
-        image that is not positive is an error in the table, not a root.
-        """
-        long = max(norms)
-        roots = {a: LONG if m == long else SHORT for a, m in zip(self.simples, norms)}
-        frontier = list(self.simples)
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i, simple in enumerate(self.simples):
-                    c = self._pair(v, i)
-                    if c and v != simple:
-                        img = v[:i] + (v[i] - c,) + v[i + 1:]
-                        if img not in roots:
-                            if img[i] < 0:
-                                raise AssertionError(
-                                    f"s_{i + 1}{v} = {img} is not positive in {self.rstype}"
-                                )
-                            roots[img] = roots[v]
-                            nxt.append(img)
-            frontier = nxt
-        return roots
+        return _root_table(self).lengths
 
     # -- elementwise queries ------------------------------------------------
 
@@ -295,7 +237,9 @@ class RootSystem:
         return tuple(out)
 
     def is_positive_root(self, v: Vector) -> bool:
-        return tuple(v) in self._root_table().positive_set
+        # a root is positive exactly when its height is
+        v = tuple(v)
+        return v in _root_table(self).lengths and sum(v) > 0
 
     def support(self, v: Vector) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(v) if c)
@@ -304,7 +248,49 @@ class RootSystem:
         return sum(v)
 
 
-@lru_cache(maxsize=None)
+@cache
+def _root_table(rs: RootSystem) -> _RootTable:
+    """The positive roots and the length classes of all roots, checked against N.
+
+    s_i permutes the positive roots other than alpha_i, and every positive
+    root that is not simple has some s_i lowering it to a positive root, so
+    the simple roots reach them all without leaving the positive cone. An
+    image that is not positive is an error in the table, not a root.
+    """
+    long = max(rs._norms)
+    classes = {a: LONG if m == long else SHORT for a, m in zip(rs.simples, rs._norms)}
+    frontier = list(rs.simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for i, simple in enumerate(rs.simples):
+                c = rs._pair(v, i)
+                if c and v != simple:
+                    img = v[:i] + (v[i] - c,) + v[i + 1:]
+                    if img not in classes:
+                        if img[i] < 0:
+                            raise AssertionError(
+                                f"s_{i + 1}{v} = {img} is not positive in {rs.rstype}"
+                            )
+                        classes[img] = classes[v]
+                        nxt.append(img)
+        frontier = nxt
+    pos = tuple(sorted(classes, key=lambda r: (sum(r), r)))
+    if len(pos) != rs._n_positive:
+        raise AssertionError(
+            f"{len(pos)} positive roots in {rs.rstype}, "
+            f"but the Coxeter number gives {rs._n_positive}"
+        )
+    for r in pos:
+        if any(a < b for a, b in zip(pos[-1], r)):
+            raise AssertionError(f"no coefficientwise-maximal root in {rs.rstype}")
+    lengths = dict(classes)
+    for r, cls in classes.items():
+        lengths[tuple(-c for c in r)] = cls
+    return _RootTable(pos, MappingProxyType(lengths))
+
+
+@cache
 def build(rstype: RootSystemType) -> RootSystem:
     """Construct (and memoize) the root system of the given type."""
     return RootSystem(rstype)
@@ -321,5 +307,5 @@ def subsystem_positive_roots(rs: RootSystem, pi) -> list[Vector]:
 
 
 def highest_root(rs: RootSystem) -> Vector:
-    """The coefficientwise-maximal root."""
-    return rs._root_table().highest
+    """The coefficientwise-maximal root: the last by height."""
+    return rs.positive_roots[-1]

@@ -26,11 +26,11 @@ it pays for itself where one element is applied again and again. The
 certificate checker, which would apply each element once, walks roots instead.
 theta = -w0 is no element: it is the walk that gives -w_C, taken on the
 whole diagram (_twist).
-What depends only on the root system (the identity, the simple reflections,
-the weight walk of each parabolic subgroup, 2 rho and theta) is memoized by
-functools.cache, keyed on the immutable root system; nothing is stored on the
-root system itself. An element's point never changes and its view is a pure
-function of it, so all of this is safe to use concurrently.
+What depends only on the root system (the identity, the weight walk of each
+parabolic subgroup, 2 rho and theta) is memoized by functools.cache, keyed on
+the immutable root system, as rootsys memoizes the root table; nothing is
+stored on the root system itself. An element's point never changes and its
+view is a pure function of it, so all of this is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, (1,) * rs.rank, 0)
 
 
-@cache
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return rmul_s(identity(rs), i)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import cache
+from math import factorial
 
 import pytest
 from hypothesis import strategies as st
@@ -483,6 +484,19 @@ def enumerate_group(rs):
                     nxt.append(v)
         frontier = nxt
     return seen
+
+
+def weyl_group_order(rstype) -> int:
+    """|W|: closed forms for A-D and the orders of the Bourbaki plates for E, F and G."""
+    fam, n = rstype.family, rstype.rank
+    if fam == "A":
+        return factorial(n + 1)
+    if fam in "BC":
+        return 2**n * factorial(n)
+    if fam == "D":
+        return 2 ** (n - 1) * factorial(n)
+    return {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
+            ("F", 4): 1152, ("G", 2): 12}[(fam, n)]
 
 
 def brute_involutions(rs):

@@ -93,6 +93,18 @@ def test_parse_rejects_unknown_key():
         parse_certs(json.dumps([entry]))
 
 
+def test_parse_rejects_repeated_key():
+    # json.loads keeps the last value: the first document parsed as sigma
+    # (2, 1) and passed verify, the second as a B3 certificate
+    doc = '[{"type":"G2","pi":[2],"gamma":[3,1],"sigma":[1],"sigma":[2,1]}]'
+    with pytest.raises(CertError, match="^cert #0: repeated key 'sigma'$"):
+        parse_certs(doc)
+    good = json.dumps({"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1]})
+    doc = f'[{good}, {{"type":"G2","type":"B3","pi":[],"gamma":[1,0,0],"sigma":[1],"label":"x"}}]'
+    with pytest.raises(CertError, match=r"^cert #1 \(x\): repeated key 'type'$"):
+        parse_certs(doc)
+
+
 def test_parse_rejects_unknown_type_and_indices():
     with pytest.raises(CertError):
         parse_certs(json.dumps([{"type": "Z9", "pi": [], "gamma": [1], "sigma": [1]}]))

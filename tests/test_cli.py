@@ -247,6 +247,31 @@ def test_verify_unknown_key(tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
+def test_verify_repeated_key(tmp_path, capsys):
+    path = tmp_path / "bad.certs.json"
+    path.write_text('[{"type":"G2","pi":[2],"gamma":[3,1],"sigma":[1],"sigma":[2,1]}]')
+    status, out, err = run(capsys, "verify", str(path))
+    assert status == 1
+    assert err == "error: cert #0: repeated key 'sigma'\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("seed", ["\u0663", "1_0", "+3", " 3"])
+def test_verify_seed_takes_only_ascii_digits(capsys, seed):
+    # int() read an Arabic-Indic three as 3, 1_0 as 10, and allowed a sign or spaces
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", G2_FILE, "--mutate", "2", "--seed", seed])
+    assert exc.value.code == 2
+    assert "--seed: expected an integer" in capsys.readouterr().err
+
+
+def test_verify_takes_a_negative_seed(capsys):
+    runs = [run(capsys, "verify", G2_FILE, "--mutate", "10", *argv)
+            for argv in (["--seed", "-3"], ["--seed=-3"])]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "mutations:" in runs[0][1]
+
+
 def test_verify_mutation_flag(capsys):
     status, out, _ = run(capsys, "verify", G2_FILE, "--mutate", "10", "--seed", "3")
     assert status == 0

@@ -18,7 +18,6 @@ from weylorbit import (
     reduced_word,
     simple_reflection,
     w0,
-    weyl_group_order,
 )
 from weylorbit.weyl import rmul_s
 
@@ -30,6 +29,7 @@ from conftest import (
     inversion_count,
     left_peel_demazure,
     rows,
+    weyl_group_order,
 )
 
 
@@ -233,8 +233,10 @@ def test_reachability_subset_of_involutions(a3, b3):
 
 
 def test_reachability_guard():
-    with pytest.raises(ValueError, match="guarded"):
+    with pytest.raises(ValueError, match="guarded to rank <= 4, got A5"):
         involution_reachability(build_named("A5"))
+    with pytest.raises(ValueError, match="guarded to rank <= 4, got E8"):
+        involution_reachability(build_named("E8"))
 
 
 def test_weyl_group_order():

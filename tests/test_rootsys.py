@@ -1,22 +1,31 @@
 """Root table construction and queries."""
 
+from pathlib import Path
+
 import pytest
 
 from weylorbit import (
     RootSystem,
     RootSystemType,
+    apply,
     build,
     build_named,
     enumerate_pi,
+    from_word,
     highest_root,
+    parse_certs,
+    reduced_word,
     rootsys,
     spherical_datum,
     subsystem_positive_roots,
+    verify,
 )
 from weylorbit.cli import main
 from weylorbit.rootsys import _RANK_RULES, LONG, SHORT
 
 from conftest import ALL_TYPES, brute_min_length_to_negative, depth, is_root, pairing_closure
+
+CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
 # classical positive-root counts
 COUNTS = {
@@ -97,10 +106,10 @@ def test_pairing_rejects_a_vector_of_another_rank(a3, v):
 def test_closure_rejects_an_image_that_is_not_positive():
     # a wrong sign in the Cartan data sends s_2(alpha_1) to (1, -1)
     rs = RootSystem.__new__(RootSystem)
-    rs.rstype, rs.simples = RootSystemType("A", 2), ((1, 0), (0, 1))
+    rs.rstype, rs.simples, rs._norms = RootSystemType("A", 2), ((1, 0), (0, 1)), (2, 2)
     rs.neighbours = (((0, 2), (1, 1)), ((0, 1), (1, 2)))
     with pytest.raises(AssertionError, match="is not positive"):
-        rs._close_under_reflections((2, 2))
+        rootsys._root_table(rs)
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -117,6 +126,9 @@ def test_sign_symmetry():
         rs = build_named(name)
         for r in rs.positive_roots:
             assert is_root(rs, tuple(-c for c in r))
+            # is_positive_root reads the length table, which holds both signs
+            assert rs.is_positive_root(r) and not rs.is_positive_root(tuple(-c for c in r))
+        assert not rs.is_positive_root((0,) * rs.rank)
 
 
 def test_simply_laced_all_long():
@@ -237,15 +249,42 @@ def test_coxeter_count_matches_the_table(rstype):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_root_table_is_built_on_first_read(name):
-    # the table rows, the filters and the walks read only the diagram data
+    # the table rows, the filters and the walks read only the diagram data:
+    # the memo gains no entry until the first root read, and then exactly one
+    built = build_named(name)
+    want_rows, want_roots = [d.as_dict() for d in enumerate_pi(built)], built.positive_roots
+    entries = rootsys._root_table.cache_info
     rs = RootSystem(RootSystemType.from_string(name))
+    before = entries().currsize
     rows = [d.as_dict() for d in enumerate_pi(rs)]
     for row in rows:
         assert spherical_datum(rs, row["pi"]).as_dict() == row
-    assert rs._table is None
-    assert rows == [d.as_dict() for d in enumerate_pi(build_named(name))]
-    assert rs.positive_roots == build_named(name).positive_roots
-    assert rs._table is not None
+    assert entries().currsize == before
+    assert rows == want_rows
+    assert rs.positive_roots == want_roots
+    assert entries().currsize == before + 1
+    assert highest_root(rs) == want_roots[-1] and rs.is_positive_root(want_roots[0])
+    assert len(rs.lengths) == 2 * len(want_roots)
+    assert entries().currsize == before + 1
+
+
+def test_reads_and_walks_write_nothing_on_the_root_system(capsys):
+    # the root system holds only its diagram data; every derived table is a memo
+    certs = parse_certs((CERT_DIR / "f4.certs.json").read_text())
+    systems = (build_named("E8"), build(certs[0].rstype))
+    before = [dict(vars(rs)) for rs in systems]
+    e8 = systems[0]
+    assert e8.is_positive_root(highest_root(e8))
+    assert main(["tables", "--max-rank", "8", "--format", "json"]) == 0
+    assert capsys.readouterr().out
+    w = from_word(e8, list(range(1, 9)) * 8)
+    assert len(reduced_word(w)) == w.length
+    assert apply(w, e8.simples[0]) == w.cols[0]
+    assert all(verify(cert).passed for cert in certs)
+    for rs, attrs in zip(systems, before):
+        assert vars(rs) == attrs
+        assert all(vars(rs)[name] is value for name, value in attrs.items())
+    assert not hasattr(e8, "_table")
 
 
 def test_a_wrong_coxeter_number_fails_the_first_root_read(monkeypatch):

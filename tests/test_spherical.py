@@ -299,3 +299,63 @@ def test_exceptional_dimensions_are_spherical_classes(name):
     assert {d.dimension for d in rows if d.dimension} == expected
     if name == "E7":
         assert {tuple(sorted(d.pi)): d.dimension for d in rows} == E7_ROWS
+
+
+def _dual(parts: list[int]) -> list[int]:
+    """The dual partition: its j-th part counts the parts of size at least j."""
+    return [sum(1 for p in parts if p >= j) for j in range(1, max(parts) + 1)]
+
+
+def _spherical_orbit_dimensions(family: str, n: int) -> set[int]:
+    """dim O of the spherical nilpotent orbits of a classical type, from partitions."""
+    size = {"A": n + 1, "B": 2 * n + 1, "C": 2 * n, "D": 2 * n}[family]  # of the natural module
+    if family in "AC":
+        heads = [[2] * k for k in range(1, size // 2 + 1)]
+    else:
+        heads = [[2] * (2 * k) for k in range(1, size // 4 + 1)]
+        heads += [[3] + [2] * (2 * k) for k in range((size - 3) // 4 + 1)]
+    dims = set()
+    for parts in (head + [1] * (size - sum(head)) for head in heads):
+        squares = sum(c * c for c in _dual(parts))
+        odd = sum(p % 2 for p in parts)
+        if family == "A":
+            dims.add(size * size - squares)
+        elif family == "C":
+            dims.add(n * (2 * n + 1) - (squares + odd) // 2)
+        else:
+            dims.add(size * (size - 1) // 2 - (squares - odd) // 2)
+    return dims
+
+
+def _symmetric_space_dimensions(family: str, n: int) -> set[int]:
+    """dim G - dim K of the inner symmetric spaces G/K of a classical type."""
+    if family == "A":  # S(GL_k x GL_{n+1-k})
+        return {2 * k * (n + 1 - k) for k in range(1, (n + 1) // 2 + 1)}
+    if family == "B":  # SO_k x SO_{2n+1-k}
+        return {k * (2 * n + 1 - k) for k in range(1, n + 1)}
+    if family == "C":  # Sp_2k x Sp_{2n-2k}, and GL_n
+        return {4 * k * (n - k) for k in range(1, n // 2 + 1)} | {n * (n + 1)}
+    # D: SO_k x SO_{2n-k} with k even, and GL_n
+    return {k * (2 * n - k) for k in range(2, n + 1, 2)} | {n * (n - 1)}
+
+
+@pytest.mark.parametrize("name", [t for t in ALL_TYPES if t[0] in "ABCD"])
+def test_classical_dimensions_are_spherical_classes(name):
+    """The nonzero dimensions of each classical table, from partitions and symmetric spaces.
+
+    The spherical nilpotent orbits are those of the partitions (2^k, 1^*) in
+    types A and C, and (2^2k, 1^*) and (3, 2^2k, 1^*) in types B and D
+    (Panyushev, Complexity and nilpotent orbits, Manuscripta Math. 84, 1994).
+    Their dimensions come from the dual partition s and the number of odd
+    parts (Collingwood and McGovern, Nilpotent Orbits in Semisimple Lie
+    Algebras, Cor. 6.1.4): N^2 - sum s_i^2 for sl_N, dim so_N - (sum s_i^2 -
+    #odd) / 2 and dim sp_2n - (sum s_i^2 + #odd) / 2. A semisimple class whose
+    centralizer K is an inner symmetric subgroup has dimension dim G - dim K
+    (Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces, ch. X,
+    Table V). In each classical type up to rank 8 the nonzero dimensions of
+    the table are exactly these, all in closed form and none from a walk.
+    """
+    family, n = name[0], int(name[1:])
+    rows = enumerate_pi(build_named(name))
+    expected = _spherical_orbit_dimensions(family, n) | _symmetric_space_dimensions(family, n)
+    assert {d.dimension for d in rows if d.dimension} == expected

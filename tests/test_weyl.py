@@ -111,6 +111,18 @@ def test_index_checks_reject_letters_that_are_not_ints(a3, call):
         call(a3)
 
 
+@pytest.mark.parametrize("name", ["A2", "E8"])
+def test_simple_reflection_checks_its_index_after_warm_calls(name):
+    # a memo keyed on i once returned s_1 for True and s_2 for 2.0, which
+    # equal 1 and 2 as keys, after simple_reflection(rs, 1) and (rs, 2) ran
+    rs = build_named(name)
+    assert reduced_word(simple_reflection(rs, 1)) == (1,)
+    assert reduced_word(simple_reflection(rs, 2)) == (2,)
+    for i in (True, 2.0):
+        with pytest.raises(ValueError, match=rf"index {i!r} out of range 1\.\.{rs.rank}"):
+            simple_reflection(rs, i)
+
+
 @pytest.mark.parametrize("name", ["A3", "E8"])
 def test_point_kernels_reject_bad_index(name):
     # the point update indexes Cartan row b and the word walk v[letter - 1],
