@@ -22,13 +22,9 @@ from .weyl import (
     from_word,
     identity,
     is_involution,
-    longest_element,
-    multiply,
     rank_one_minus,
     reduced_word,
-    simple_reflection,
     theta,
-    w0,
 )
 from .demazure import (
     StepOutcome,

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .certs import ExclusionCert, certs_to_json, make_cert, verify
 from .rootsys import RootSystemType
+from .spherical import ENUMERATION_MAX_RANK
 
 
 def _chain(n: int, lo: int, hi: int, coeff: int = 1) -> list[int]:
@@ -275,9 +276,6 @@ def c_certificates(n: int) -> list[ExclusionCert]:
 
 # -- assembly ---------------------------------------------------------------
 
-MAX_FAMILY_RANK = 8
-
-
 def shipped_files() -> dict[str, list[ExclusionCert]]:
     """Filename -> certificates, as written under certs/ at the repo root."""
     files = {
@@ -291,7 +289,7 @@ def shipped_files() -> dict[str, list[ExclusionCert]]:
         ("c", c_certificates, 2),
     ):
         certs = []
-        for n in range(lo, MAX_FAMILY_RANK + 1):
+        for n in range(lo, ENUMERATION_MAX_RANK + 1):
             certs.extend(builder(n))
         files[f"{fam}n.certs.json"] = certs
     return files

@@ -199,7 +199,8 @@ def parse_certs(document: str) -> list[ExclusionCert]:
 
     Any defect aborts with a CertError naming the entry's position and, when
     it has one, its label. An entry may hold only the keys in CERT_KEYS, each
-    at most once, the label must be a string and the rank at most
+    at most once, the label must be a string, the type must be written as
+    certs_to_json writes it (such as "G2") and the rank must be at most
     ENUMERATION_MAX_RANK.
     """
     try:
@@ -225,6 +226,8 @@ def parse_certs(document: str) -> list[ExclusionCert]:
             if not isinstance(label, str):
                 raise CertError(f"label must be a string, got {type(label).__name__}")
             rstype = RootSystemType.from_string(entry["type"])
+            if entry["type"] != str(rstype):
+                raise CertError(f"type {entry['type']!r} is not written as {str(rstype)!r}")
             certs.append(
                 ExclusionCert(
                     rstype,

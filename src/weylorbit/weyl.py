@@ -7,17 +7,17 @@ rho = (1, ..., 1). The entry v_b = <rho, w(alpha_b)^vee> has the sign of
 w(alpha_b), so s_b is a right descent of w exactly when v_b < 0, and w * s_b
 has the point s_b(v), an update over the Cartan neighbours of b that moves
 the length by one. Every element carries its length: each constructor knows
-it, and a point given without one is peeled at once, so a point that is no
-element's is rejected when it is built.
+it, and a point given without one must hold rank exact ints and is peeled at
+once, so a point that is no element's is rejected when it is built.
 One bounded walk, _descend, applies s_b for the first b of an index order
 with v_b < 0 until none is left. Peeling v down to rho gives reduced words
 and the Bruhat subword peel; walking -rho over a subset Pi gives the
 parabolic longest element w_Pi, and walking the negative of a weight that is
 regular on a subset C gives -w_C. The walks mutate one list and return their
-letters. rmul_s, from_word and multiply are one walk, _times_word, that
-takes one copy of the point through a word (for rmul_s, one letter) and
-builds a single element at the end; the 0-Hecke product walks its point the
-same way. None of this builds a matrix.
+letters. rmul_s and from_word are one walk, _times_word, that takes one
+copy of the point through a word (for rmul_s, one letter) and builds a
+single element at the end; the 0-Hecke product walks its point the same way.
+None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
 once along a reduced word by the root-coordinate kernel of rootsys. apply,
@@ -47,9 +47,15 @@ class WeylElement:
     __slots__ = ("rs", "v", "length", "_cols")
 
     def __init__(self, rs: RootSystem, v: Vector, length: int | None = None):
+        if length is None:
+            # a point from outside: checked, then peeled; the walks give a length
+            v = tuple(v)
+            if len(v) != rs.rank or any(type(x) is not int for x in v):
+                raise ValueError(f"point {v} must have {rs.rank} int entries for {rs.rstype}")
+            length = len(_peel(rs, list(v)))
         self.rs = rs
         self.v = v
-        self.length = len(_peel(rs, list(v))) if length is None else length
+        self.length = length
         self._cols = None
 
     def __eq__(self, other):
@@ -85,20 +91,9 @@ def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, (1,) * rs.rank, 0)
 
 
-def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
-    return rmul_s(identity(rs), i)
-
-
 def rmul_s(w: WeylElement, i: int) -> WeylElement:
     """w * s_i: the point s_i(v), one step longer when v_i > 0 and shorter otherwise."""
     return _times_word(w, (i,))
-
-
-def multiply(a: WeylElement, b: WeylElement) -> WeylElement:
-    """a * b: the point of a walked by a reduced word of b."""
-    if a.rs.rstype != b.rs.rstype:
-        raise ValueError("elements live in different root systems")
-    return _times_word(a, reduced_word(b))
 
 
 def _times_word(w: WeylElement, word) -> WeylElement:
@@ -192,17 +187,6 @@ def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
     return tuple(letters)
 
 
-def longest_element(rs: RootSystem, pi) -> WeylElement:
-    """Longest element w_Pi of the parabolic subgroup generated by pi.
-
-    w_Pi is an involution, so its point is w_Pi(rho), the negated end of the
-    cached walk _walk(rs, pi), and its length is the number of letters of
-    that walk. pi = all simple indices yields w0.
-    """
-    letters, end = _walk(rs, rs._check_subset(pi))
-    return WeylElement(rs, tuple(-x for x in end), len(letters))
-
-
 @cache
 def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
     """The walk of -rho by descents in pi: its letters and end point -w_Pi(rho).
@@ -216,10 +200,6 @@ def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
     v = [-1] * rs.rank
     letters = tuple(_descend(rs, v, sorted(pi)))
     return letters, tuple(v)
-
-
-def w0(rs: RootSystem) -> WeylElement:
-    return longest_element(rs, range(1, rs.rank + 1))
 
 
 @cache

@@ -16,16 +16,10 @@ from weylorbit import (
     apply,
     build,
     build_named,
-    fixed_simples,
     from_word,
     identity,
-    is_involution,
-    longest_element,
-    multiply,
     rank_one_minus,
     reduced_word,
-    simple_reflection,
-    w0,
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
@@ -64,6 +58,44 @@ def from_columns(rs, cols, length=None):
     norms = _simple_norms(rs.rstype)
     v = tuple(sum(c * m for c, m in zip(col, norms)) // nb for col, nb in zip(cols, norms))
     return WeylElement(rs, v, length)
+
+
+def simple(rs, i):
+    """s_i, by the word walk."""
+    return from_word(rs, [i])
+
+
+def times(a, b):
+    """a * b by the word walk: a reduced word of a, then one of b."""
+    return from_word(a.rs, reduced_word(a) + reduced_word(b))
+
+
+def longest(rs):
+    """w0, from its orbit point w0^-1(rho) = -rho, peeled when built."""
+    return WeylElement(rs, (-1,) * rs.rank)
+
+
+def column_apply(cols, v):
+    """The image of v under the matrix with the given columns: sum_j v_j cols[j]."""
+    return tuple(sum(c * col[k] for c, col in zip(v, cols)) for k in range(len(v)))
+
+
+def column_product(a, b):
+    """The columns of a * b from those of a and b: (ab)(alpha_i) = a(b(alpha_i))."""
+    return tuple(column_apply(a, bi) for bi in b)
+
+
+def column_word(rs, word):
+    """The columns of s_{a_1} s_{a_2} ... by full column rewrites of the simple roots."""
+    cols = rs.simples
+    for a in word:
+        cols = full_rmul_s(rs, cols, a)
+    return cols
+
+
+def dense_mul(u, v):
+    """u * v as the product of the two column views, turned into an element by from_columns."""
+    return from_columns(u.rs, column_product(u.cols, v.cols))
 
 
 def inversions(w):
@@ -168,9 +200,9 @@ def row_length(rs, m):
 
 
 def matrix_admissible(rs, pi):
-    """The dense rule: w0 * w_pi, built as a matrix product, fixes exactly pi."""
-    pi = frozenset(pi)
-    return fixed_simples(multiply(w0(rs), longest_element(rs, pi))) == pi
+    """The dense rule: the columns of w0 * w_pi, a product of dense columns, fix exactly pi."""
+    cols = candidate_columns(rs, pi)
+    return {i for i, (col, a) in enumerate(zip(cols, rs.simples), 1) if col == a} == set(pi)
 
 
 def form(rs, a, b):
@@ -248,9 +280,19 @@ def column_theta(rs):
     return perm
 
 
+def candidate_columns(rs, pi):
+    """The columns of w0 * w_Pi: the product of the greedy-ascent columns of w0 and w_Pi."""
+    return _candidate_columns(rs, frozenset(pi))
+
+
+@cache
+def _candidate_columns(rs, pi):
+    return column_product(column_longest(rs, range(1, rs.rank + 1)), column_longest(rs, pi))
+
+
 def candidate(rs, pi):
-    """The element w = w0 * w_Pi of an admissible pi, by one product."""
-    return multiply(w0(rs), longest_element(rs, pi))
+    """The element w = w0 * w_Pi of an admissible pi, from the dense columns of the product."""
+    return from_columns(rs, candidate_columns(rs, pi))
 
 
 def column_datum(rs, pi):
@@ -329,6 +371,11 @@ def pairing_closure(rs):
 def column_longest(rs, pi):
     """The columns of w_pi by the greedy ascent: multiply on the right by s_i for the
     first i in pi with w(alpha_i) > 0."""
+    return _column_longest(rs, frozenset(pi))
+
+
+@cache
+def _column_longest(rs, pi):
     order = sorted(pi)
     cols = rs.simples
     while True:
@@ -386,7 +433,7 @@ def left_peel_demazure(w1, w2):
     """
     cur, cur_len = w2, inversion_count(w2)
     for a in reversed(reduced_word(w1)):
-        nxt = multiply(simple_reflection(w1.rs, a), cur)
+        nxt = dense_mul(simple(w1.rs, a), cur)
         nxt_len = inversion_count(nxt)
         if nxt_len > cur_len:
             cur, cur_len = nxt, nxt_len
@@ -400,10 +447,49 @@ def dense_reflection(rs, gamma):
     while v not in rs.simples:
         i = next(i for i in range(1, rs.rank + 1) if rs.pairing(v, i) > 0)
         v = rs.reflect_simple(v, i)
-        s = simple_reflection(rs, i)
-        u, u_inv = multiply(s, u), multiply(u_inv, s)
-    s_j = simple_reflection(rs, rs.simples.index(v) + 1)
-    return multiply(u_inv, multiply(s_j, u))
+        s = simple(rs, i)
+        u, u_inv = dense_mul(s, u), dense_mul(u_inv, s)
+    s_j = simple(rs, rs.simples.index(v) + 1)
+    return dense_mul(u_inv, dense_mul(s_j, u))
+
+
+def certificate_word(rs, pi, gamma):
+    """The shortest sigma word of a certificate for (pi, gamma), or None when none exists.
+
+    With w = w0 * w_pi from candidate_columns, a breadth-first search over the
+    root pairs (u(gamma), u(w gamma)) looks for a word u that takes gamma to a
+    simple root alpha_j and w(gamma) to a negative root other than -alpha_j.
+    Then sigma = s_j u takes gamma to -alpha_j (condition 1), and since
+    beta = -gamma, sigma(w beta) is positive and not alpha_j (condition 3) and
+    w(beta) is not +-beta (condition 4). Every certificate has this form, with
+    u = s_j sigma. The word is written left letter first, as a certificate's.
+    """
+    perms = root_permutations(rs)
+    index = {a: j for j, a in enumerate(rs.simples, 1)}
+    start = (tuple(gamma), column_apply(candidate_columns(rs, pi), gamma))
+    back = {start: None}
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        x, y = pair
+        if x in index and any(c < 0 for c in y) and y != tuple(-c for c in x):
+            letters = [index[x]]
+            while back[pair] is not None:
+                pair, a = back[pair]
+                letters.append(a)
+            return tuple(letters)
+        for i, perm in enumerate(perms, 1):
+            nxt = (perm[x], perm[y])
+            if nxt not in back:
+                back[nxt] = (pair, i)
+                queue.append(nxt)
+    return None
+
+
+@cache
+def root_permutations(rs):
+    """For each s_i, its action on all roots as a dict, from the closure of the simple roots."""
+    return [{r: rs.reflect_simple(r, i) for r in _reflection_closure(rs)} for i in range(1, rs.rank + 1)]
 
 
 def type_a_cascade(rs, steps):
@@ -418,7 +504,7 @@ def type_a_cascade(rs, steps):
     for k in range(1, steps + 1):
         assert k <= n - k + 1, f"cascade exhausted after {k - 1} steps in {rs.rstype}"
         beta = tuple(1 if k <= j <= n - k + 1 else 0 for j in range(1, n + 1))
-        out = multiply(out, dense_reflection(rs, beta))
+        out = dense_mul(out, dense_reflection(rs, beta))
     return out
 
 
@@ -427,39 +513,45 @@ def dense_involution_step(w, i):
 
     Cases 2 and 3 must come with sw = ws; the rule asserts it.
     """
-    s = simple_reflection(w.rs, i)
-    sw = multiply(s, w)
+    s = simple(w.rs, i)
+    sw = dense_mul(s, w)
     w_up = all(c >= 0 for c in w.column(i))
     sw_up = all(c >= 0 for c in sw.column(i))
     if w_up and sw_up:
-        return 1, frozenset({multiply(sw, s)})
+        return 1, frozenset({dense_mul(sw, s)})
     if w_up or sw_up:
-        assert sw == multiply(w, s), "case 2 or 3 without sw = ws"
+        assert sw == dense_mul(w, s), "case 2 or 3 without sw = ws"
         return (2 if w_up else 3), frozenset({sw, w})
     return 4, frozenset({w})
 
 
 def dense_verify(cert):
-    """The certificate conditions by matrix products, an inverse and dense applications."""
+    """The certificate conditions on dense columns alone: no element is built.
+
+    sigma and its inverse are column rewrites along the word and its reverse,
+    w = w0 * w_pi is candidate_columns, and u * s_top is an involution exactly
+    when its columns square to the simple roots.
+    """
     rs = build(cert.rstype)
     word = cert.sigma_word
     top = word[0]
     alpha_top = rs.simples[top - 1]
-    sigma = from_word(rs, word)
-    cond1 = apply(sigma, cert.gamma) == tuple(-c for c in alpha_top)
+    sigma = column_word(rs, word)
+    cond1 = column_apply(sigma, cert.gamma) == tuple(-c for c in alpha_top)
     witnesses = []
-    prefix = identity(rs)
+    prefix = rs.simples
     for a in reversed(word[1:]):
-        witnesses.append(apply(prefix, rs.simples[a - 1]))
-        prefix = multiply(prefix, simple_reflection(rs, a))
+        witnesses.append(prefix[a - 1])
+        prefix = full_rmul_s(rs, prefix, a)
     cond2_match = None
     if cert.expected_cond2 is not None:
         cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
-    w = multiply(w0(rs), longest_element(rs, cert.pi))
-    u = multiply(multiply(sigma, w), inverse(sigma))
-    image = apply(u, alpha_top)
+    w = candidate_columns(rs, cert.pi)
+    u = column_product(column_product(sigma, w), column_word(rs, reversed(word)))
+    image = u[top - 1]
     cond3 = all(c >= 0 for c in image) and image != alpha_top
-    cond4 = not is_involution(multiply(u, simple_reflection(rs, top)))
+    twisted = full_rmul_s(rs, u, top)
+    cond4 = column_product(twisted, twisted) != rs.simples
     return CertReport(
         cond1=cond1,
         cond2_witnesses=tuple(witnesses),
@@ -471,14 +563,14 @@ def dense_verify(cert):
 
 
 def enumerate_group(rs):
-    """All of W by breadth-first closure under right multiplication."""
+    """All of W by breadth-first closure under right multiplication by the s_i."""
     seen = {identity(rs)}
     frontier = [identity(rs)]
     while frontier:
         nxt = []
         for w in frontier:
             for i in range(1, rs.rank + 1):
-                v = multiply(w, simple_reflection(rs, i))
+                v = rmul_s(w, i)
                 if v not in seen:
                     seen.add(v)
                     nxt.append(v)
@@ -500,8 +592,9 @@ def weyl_group_order(rstype) -> int:
 
 
 def brute_involutions(rs):
-    ident = identity(rs)
-    return {w for w in enumerate_group(rs) if multiply(w, w) == ident}
+    """The elements whose row matrix squares to the identity."""
+    ident = row_word(rs, ())
+    return {w for w in enumerate_group(rs) if row_multiply(rows(w), rows(w)) == ident}
 
 
 def brute_min_length_to_negative(rs, beta):
@@ -529,7 +622,7 @@ def brute_bruhat_order(rs):
     refs = [dense_reflection(rs, gamma) for gamma in rs.positive_roots]
     for w in group:
         for t in refs:
-            v = multiply(w, t)
+            v = dense_mul(w, t)
             if v.length > w.length:
                 leq[index[w]][index[v]] = True
     for mid in range(n):

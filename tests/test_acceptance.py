@@ -20,17 +20,14 @@ from weylorbit import (
     involution_step,
     is_admissible,
     is_involution,
-    multiply,
     parse_certs,
     rank_one_minus,
     reduced_word,
-    simple_reflection,
     spherical_datum,
     subsystem_positive_roots,
     theta,
     verify,
     verify_all,
-    w0,
 )
 from weylorbit import intmat
 from weylorbit.certs import mutate_sigma
@@ -42,8 +39,11 @@ from conftest import (
     brute_involutions,
     candidate,
     enumerate_group,
+    longest,
     one_plus,
     rows,
+    simple,
+    times,
     type_a_cascade,
 )
 
@@ -225,9 +225,9 @@ def test_criterion_04_involution_steps():
                     out = involution_step(w, i)
                     assert out.case_id in (1, 2, 3, 4)
                     assert all(is_involution(c) for c in out.candidates)
-                    s = simple_reflection(rs, i)
+                    s = simple(rs, i)
                     if out.case_id in (2, 3):
-                        assert multiply(s, w) == multiply(w, s)
+                        assert times(s, w) == times(w, s)
                     pairs += 1
         crit.extra = f"({pairs} pairs)"
 
@@ -254,7 +254,7 @@ def test_criterion_06_monoid_laws():
         for name in ALL_TYPES:
             rs = build_named(name)
             for i in range(1, rs.rank + 1):
-                s = simple_reflection(rs, i)
+                s = simple(rs, i)
                 assert demazure_mul(s, s) == s
         for name, seed in (("B3", 101), ("A4", 102)):
             rs = build_named(name)
@@ -265,7 +265,7 @@ def test_criterion_06_monoid_laws():
                 assert demazure_mul(demazure_mul(x, y), z) == demazure_mul(
                     x, demazure_mul(y, z)
                 )
-            top = w0(rs)
+            top = longest(rs)
             for _ in range(100):
                 w = elements[rng.randrange(len(elements))]
                 assert demazure_mul(top, w) == top

@@ -13,7 +13,9 @@ from weylorbit import (
     ExclusionCert,
     RootSystemType,
     apply,
+    build,
     build_named,
+    from_word,
     is_admissible,
     make_cert,
     mutate_sigma,
@@ -33,9 +35,20 @@ from weylorbit.catalog import (
     shipped_files,
 )
 from weylorbit.certs import certs_to_json
-from weylorbit.weyl import _walk
+from weylorbit.weyl import _walk, rmul_s
 
-from conftest import TABLE_TYPES, candidate, cert_documents, dense_verify, inverse
+from conftest import (
+    TABLE_TYPES,
+    candidate,
+    candidate_columns,
+    cert_documents,
+    certificate_word,
+    column_apply,
+    dense_verify,
+    inverse,
+    root_permutations,
+    times,
+)
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -103,6 +116,17 @@ def test_parse_rejects_repeated_key():
     doc = f'[{good}, {{"type":"G2","type":"B3","pi":[],"gamma":[1,0,0],"sigma":[1],"label":"x"}}]'
     with pytest.raises(CertError, match=r"^cert #1 \(x\): repeated key 'type'$"):
         parse_certs(doc)
+
+
+@pytest.mark.parametrize("spelling", ["g2", "G02", " G2 "])
+def test_parse_rejects_a_type_not_written_as_written_back(spelling):
+    # each once parsed as G2, and certs_to_json wrote it back as "G2"
+    entry = {"type": spelling, "pi": [2], "gamma": [3, 1], "sigma": [2, 1], "label": "x"}
+    good = {**entry, "type": "G2"}
+    assert certs_to_json(parse_certs(json.dumps([good]))) == json.dumps([good], indent=1)
+    with pytest.raises(CertError) as exc:
+        parse_certs(json.dumps([good, entry]))
+    assert str(exc.value) == f"cert #1 (x): type {spelling!r} is not written as 'G2'"
 
 
 def test_parse_rejects_unknown_type_and_indices():
@@ -401,11 +425,88 @@ def test_w_beta_is_minus_theta_of_w_pi_beta():
 
 def test_passing_cert_gains_length_after_twist():
     # the condition-3 image being positive forces the twisted element longer
-    from weylorbit import build, from_word, multiply, simple_reflection
-
     for cert in f4_certificates():
         rs = build(cert.rstype)
         sigma = from_word(rs, cert.sigma_word)
-        u = multiply(multiply(sigma, candidate(rs, cert.pi)), inverse(sigma))
-        twisted = multiply(u, simple_reflection(rs, cert.sigma_word[0]))
+        u = times(times(sigma, candidate(rs, cert.pi)), inverse(sigma))
+        twisted = rmul_s(u, cert.sigma_word[0])
         assert twisted.length == u.length + 1
+
+
+# -- certificate existence on roots (with condition 1, beta = -gamma) -------
+
+EXISTENCE_TYPES = (
+    [f"A{n}" for n in range(2, 6)]
+    + [f"B{n}" for n in range(2, 6)]
+    + ["C3", "C4", "C5", "D4", "D5", "E6", "F4", "G2"]
+)
+
+
+def _w_of(rs, pi, v):
+    """w0 * w_pi applied to v, by the dense columns of the product."""
+    return column_apply(candidate_columns(rs, pi), v)
+
+
+SHIPPED = ("g2", "g2_pi1", "f4", "an", "bn", "cn")
+
+
+def _shipped_certs():
+    return [c for name in SHIPPED for c in parse_certs((CERT_DIR / f"{name}.certs.json").read_text())]
+
+
+def test_certificate_exists_iff_w_gamma_is_not_plus_minus_gamma():
+    # condition 4 reads w(gamma) not in {+-gamma}; when it holds the search
+    # finds a word, and that word is a certificate verify passes
+    keys = 0
+    for name in EXISTENCE_TYPES:
+        rs = build_named(name)
+        for size in range(rs.rank + 1):
+            for pi in combinations(range(1, rs.rank + 1), size):
+                if not is_admissible(rs, pi):
+                    continue
+                for gamma in rs.positive_roots:
+                    if rs.support(gamma) <= set(pi):
+                        continue
+                    w_gamma = _w_of(rs, pi, gamma)
+                    word = certificate_word(rs, pi, gamma)
+                    exists = w_gamma not in (gamma, tuple(-c for c in gamma))
+                    assert (word is not None) == exists, (name, pi, gamma)
+                    if exists:
+                        assert verify(make_cert(rs.rstype, pi, gamma, word)).passed, word
+                    keys += 1
+    assert keys == 1899
+
+
+def test_shipped_keys_meet_the_existence_criterion():
+    certs = _shipped_certs()
+    assert len(certs) == 1477
+    for cert in certs:
+        rs = build(cert.rstype)
+        w_gamma = _w_of(rs, cert.pi, cert.gamma)
+        assert w_gamma not in (cert.gamma, tuple(-c for c in cert.gamma)), cert.label
+
+
+def test_verify_agrees_with_the_root_criterion_under_condition_1():
+    # with sigma(gamma) = -alpha, condition 4 is w(gamma) not in {+-gamma} and
+    # condition 3 is sigma(w gamma) < 0 with w(gamma) != gamma; every shipped
+    # key is certifiable, so seeded keys of three more types reach both verdicts
+    rng = random.Random(3)
+    shipped = [c for cert in _shipped_certs() for c in (cert, mutate_sigma(cert, rng))]
+    seeded = [c for name in ("D5", "E6", "E7") for c in _seeded_certs(rng, name, 40)]
+    held, verdicts = 0, set()
+    for k, c in enumerate(shipped + seeded):
+        report = verify(c)
+        if not report.cond1:
+            continue
+        rs = build(c.rstype)
+        w_gamma = image = _w_of(rs, c.pi, c.gamma)
+        for a in reversed(c.sigma_word):
+            image = root_permutations(rs)[a - 1][image]
+        exists = w_gamma not in (c.gamma, tuple(-x for x in c.gamma))
+        assert report.cond4_noninvolution == exists, c.label
+        assert report.cond3 == (any(x < 0 for x in image) and w_gamma != c.gamma), c.label
+        verdicts.add((report.cond3, report.cond4_noninvolution))
+        held += k < len(shipped)
+    assert held == 1494
+    # (cond3, cond4): cond3 fails when w(gamma) = -gamma, so (True, False) cannot occur
+    assert verdicts == {(True, True), (False, True), (False, False)}

@@ -256,6 +256,15 @@ def test_verify_repeated_key(tmp_path, capsys):
     assert out == ""
 
 
+def test_verify_type_not_written_as_written_back(tmp_path, capsys):
+    path = tmp_path / "lower.certs.json"
+    path.write_text('[{"type":"g2","pi":[2],"gamma":[3,1],"sigma":[2,1]}]')
+    status, out, err = run(capsys, "verify", str(path))
+    assert status == 1
+    assert err == "error: cert #0: type 'g2' is not written as 'G2'\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("seed", ["\u0663", "1_0", "+3", " 3"])
 def test_verify_seed_takes_only_ascii_digits(capsys, seed):
     # int() read an Arabic-Indic three as 3, 1_0 as 10, and allowed a sign or spaces

@@ -14,10 +14,7 @@ from weylorbit import (
     involution_step,
     is_admissible,
     is_involution,
-    multiply,
     reduced_word,
-    simple_reflection,
-    w0,
 )
 from weylorbit.weyl import rmul_s
 
@@ -28,24 +25,27 @@ from conftest import (
     enumerate_group,
     inversion_count,
     left_peel_demazure,
+    longest,
     rows,
+    simple,
+    times,
     weyl_group_order,
 )
 
 
 def test_idempotent_generators(b3):
     for i in range(1, 4):
-        s = simple_reflection(b3, i)
+        s = simple(b3, i)
         assert demazure_mul(s, s) == s
 
 
 def test_defining_relations(a2):
-    s1, s2 = simple_reflection(a2, 1), simple_reflection(a2, 2)
+    s1, s2 = simple(a2, 1), simple(a2, 2)
     assert demazure_mul(s1, s2) == from_word(a2, [1, 2])
     for w in enumerate_group(a2):
         for s in (s1, s2):
             prod = demazure_mul(s, w)
-            sw = multiply(s, w)
+            sw = times(s, w)
             assert prod == (sw if sw.length > w.length else w)
 
 
@@ -80,7 +80,7 @@ def test_identity_is_neutral(b3):
 
 
 def test_longest_element_absorbs(b3):
-    top = w0(b3)
+    top = longest(b3)
     rng = random.Random(11)
     for _ in range(50):
         word = [rng.randint(1, 3) for _ in range(rng.randint(0, 12))]
@@ -114,15 +114,15 @@ def test_step_examples(a2):
     e = identity(a2)
     out = involution_step(e, 1)
     assert out.case_id == 2
-    assert out.candidates == frozenset({simple_reflection(a2, 1), e})
+    assert out.candidates == frozenset({simple(a2, 1), e})
 
-    out = involution_step(simple_reflection(a2, 1), 2)
+    out = involution_step(simple(a2, 1), 2)
     assert out.case_id == 1
     assert out.candidates == frozenset({from_word(a2, [2, 1, 2])})
 
-    out = involution_step(w0(a2), 1)
+    out = involution_step(longest(a2), 1)
     assert out.case_id == 4
-    assert out.candidates == frozenset({w0(a2)})
+    assert out.candidates == frozenset({longest(a2)})
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
@@ -145,21 +145,21 @@ def test_step_cases_exhaustive(name):
             assert out.candidates
             for cand in out.candidates:
                 assert is_involution(cand)
-            s = simple_reflection(rs, i)
-            sw = multiply(s, w)
-            sws = multiply(sw, s)
+            s = simple(rs, i)
+            sw = times(s, w)
+            sws = times(sw, s)
             if out.case_id == 1:
                 assert sws.length == w.length + 2
                 assert out.candidates == {sws}
             elif out.case_id == 2:
                 assert sw.length == w.length + 1 and sws.length == w.length
-                assert sw == multiply(w, s)
+                assert sw == times(w, s)
                 assert out.candidates == {sw, w}
                 assert all(c.length >= w.length for c in out.candidates)
             elif out.case_id == 3:
                 assert sw.length == w.length - 1 and sws.length == w.length
-                assert sw == multiply(w, s)
-                assert out.candidates == {w, multiply(w, s)}
+                assert sw == times(w, s)
+                assert out.candidates == {w, times(w, s)}
             else:
                 assert sws.length == w.length - 2
                 assert out.candidates == {w}
@@ -218,7 +218,7 @@ def test_carried_lengths_of_long_e8_words():
 def test_reachability_small():
     a1 = build_named("A1")
     reach = involution_reachability(a1)
-    assert reach == {identity(a1), simple_reflection(a1, 1)}
+    assert reach == {identity(a1), simple(a1, 1)}
 
     a2 = build_named("A2")
     reach2 = involution_reachability(a2)

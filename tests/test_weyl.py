@@ -16,15 +16,12 @@ from weylorbit import (
     from_word,
     identity,
     involution_step,
+    is_admissible,
     is_involution,
-    longest_element,
-    multiply,
     passes_quali_no,
     rank_one_minus,
     reduced_word,
-    simple_reflection,
     theta,
-    w0,
 )
 
 from weylorbit import intmat, weyl
@@ -47,6 +44,7 @@ from conftest import (
     inverse,
     inversions,
     is_root,
+    longest,
     one_minus,
     rmul_s_fold,
     row_apply,
@@ -56,6 +54,8 @@ from conftest import (
     row_reflection,
     row_word,
     rows,
+    simple,
+    times,
 )
 
 
@@ -63,10 +63,10 @@ def test_identity_and_group_axioms(a2):
     e = from_word(a2, [])
     assert e == identity(a2)
     assert e.length == 0
-    s1 = simple_reflection(a2, 1)
+    s1 = simple(a2, 1)
     assert from_word(a2, [1, 1]) == e
-    assert multiply(s1, e) == s1
-    assert multiply(s1, inverse(s1)) == e
+    assert times(s1, e) == times(e, s1) == s1
+    assert times(s1, inverse(s1)) == e
 
 
 def test_braid_relation(a2):
@@ -91,17 +91,17 @@ def test_column_operations_reject_bad_index(a3):
     "call",
     [
         lambda rs: from_word(rs, [True]),
-        lambda rs: longest_element(rs, [True, 2]),
+        lambda rs: is_admissible(rs, [True, 2]),
         lambda rs: passes_quali_no(rs, [True]),
         lambda rs: from_word(rs, [2.0]),
-        lambda rs: longest_element(rs, [[1]]),
+        lambda rs: is_admissible(rs, [[1]]),
     ],
     ids=[
         "from_word-bool",
-        "longest_element-bool",
+        "is_admissible-bool",
         "passes_quali_no-bool",
         "from_word-float",
-        "longest_element-list",
+        "is_admissible-list",
     ],
 )
 def test_index_checks_reject_letters_that_are_not_ints(a3, call):
@@ -109,18 +109,6 @@ def test_index_checks_reject_letters_that_are_not_ints(a3, call):
     # indexing, and a list in pi broke hashing, each with a bare TypeError
     with pytest.raises(ValueError, match="out of range"):
         call(a3)
-
-
-@pytest.mark.parametrize("name", ["A2", "E8"])
-def test_simple_reflection_checks_its_index_after_warm_calls(name):
-    # a memo keyed on i once returned s_1 for True and s_2 for 2.0, which
-    # equal 1 and 2 as keys, after simple_reflection(rs, 1) and (rs, 2) ran
-    rs = build_named(name)
-    assert reduced_word(simple_reflection(rs, 1)) == (1,)
-    assert reduced_word(simple_reflection(rs, 2)) == (2,)
-    for i in (True, 2.0):
-        with pytest.raises(ValueError, match=rf"index {i!r} out of range 1\.\.{rs.rank}"):
-            simple_reflection(rs, i)
 
 
 @pytest.mark.parametrize("name", ["A3", "E8"])
@@ -135,7 +123,7 @@ def test_point_kernels_reject_bad_index(name):
             lambda: e.column(i),
             lambda: from_word(rs, [1, i]),
             lambda: from_word(rs, [2, i, 1]),
-            lambda: longest_element(rs, [1, i]),
+            lambda: is_admissible(rs, [1, i]),
             lambda: involution_step(e, i),
         ):
             with pytest.raises(ValueError, match=rf"index {i!r} out of range 1\.\.{rs.rank}"):
@@ -144,7 +132,7 @@ def test_point_kernels_reject_bad_index(name):
 
 @pytest.mark.parametrize("name", ["A1", "G2", "B3", "F4", "D5", "E6", "E8"])
 def test_word_walks_match_an_rmul_s_fold(name):
-    # from_word and multiply walk one mutable point; the fold builds an element per letter
+    # from_word walks one mutable point; the fold builds an element per letter
     rs = build_named(name)
     n = rs.rank
     rng = random.Random(n * 31 + ord(name[0]))
@@ -160,15 +148,15 @@ def test_word_walks_match_an_rmul_s_fold(name):
         assert got == want and got.length == want.length == len(reduced_word(got))
         elements.append(got)
     for a, b in zip(elements, elements[1:] + elements[:1]):
-        got, want = multiply(a, b), rmul_s_fold(a, reduced_word(b))
+        got, want = times(a, b), rmul_s_fold(a, reduced_word(b))
         assert got == want and got.length == want.length == len(reduced_word(got))
 
 
 def test_apply_examples(a2):
-    s1 = simple_reflection(a2, 1)
+    s1 = simple(a2, 1)
     assert apply(s1, (1, 0)) == (-1, 0)
     assert apply(s1, (0, 1)) == (1, 1)
-    assert apply(w0(a2), (1, 0)) == (0, -1)
+    assert apply(longest(a2), (1, 0)) == (0, -1)
 
 
 @pytest.mark.parametrize("v", [(1, 2), (1, 2, 3, 4)])
@@ -179,13 +167,21 @@ def test_apply_rejects_wrong_rank(a3, v):
 
 
 def test_longest_element_parabolic(b3):
-    assert longest_element(b3, []) == identity(b3)
-    assert longest_element(b3, [1]) == simple_reflection(b3, 1)
-    long = longest_element(b3, [1, 2, 3])
+    # the letters of the walk of -rho over pi are a reduced word for w_pi
+    def w_pi(pi):
+        letters, end = weyl._walk(b3, frozenset(pi))
+        w = from_word(b3, letters)
+        assert w.length == len(letters) and w.v == tuple(-x for x in end)
+        return w
+
+    assert w_pi([]) == identity(b3)
+    assert w_pi([1]) == simple(b3, 1)
+    long = w_pi([1, 2, 3])
+    assert long == longest(b3)
     assert rows(long) == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
     assert long.length == 9
     # w_pi sends the pi-positive roots negative and nothing else
-    sub = longest_element(b3, [2, 3])
+    sub = w_pi([2, 3])
     assert sub.length == 4
     assert all(any(c < 0 for c in apply(sub, a)) for a in
                [(0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 2)])
@@ -193,7 +189,7 @@ def test_longest_element_parabolic(b3):
 
 def test_is_involution(a2):
     assert is_involution(identity(a2))
-    assert is_involution(simple_reflection(a2, 1))
+    assert is_involution(simple(a2, 1))
     assert not is_involution(from_word(a2, [1, 2]))
 
 
@@ -206,15 +202,15 @@ def test_reduced_word_round_trip_exhaustive(a3):
 
 def test_reduced_word_examples(a2):
     assert reduced_word(identity(a2)) == ()
-    assert reduced_word(simple_reflection(a2, 2)) == (2,)
-    assert reduced_word(w0(a2)) in ((1, 2, 1), (2, 1, 2))
+    assert reduced_word(simple(a2, 2)) == (2,)
+    assert reduced_word(longest(a2)) in ((1, 2, 1), (2, 1, 2))
 
 
 def test_length_cocycle_exhaustive(b3):
     for w in enumerate_group(b3):
         for i in range(1, 4):
             up = all(c >= 0 for c in w.column(i))
-            ws = multiply(w, simple_reflection(b3, i))
+            ws = rmul_s(w, i)
             assert ws.length == w.length + (1 if up else -1)
 
 
@@ -275,7 +271,7 @@ def test_orbit_walks_match_column_oracles_seeded(name, count):
 
 def test_peel_is_bounded(a3, monkeypatch):
     # without the bound, an orbit-point update that does nothing would walk forever
-    s2, cols = simple_reflection(a3, 2), w0(a3).cols
+    s2, cols = simple(a3, 2), longest(a3).cols
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
     with pytest.raises(AssertionError, match="within N = 6 letters"):
         reduced_word(s2)
@@ -293,6 +289,21 @@ def test_peel_rejects_a_dominant_point_other_than_rho(a3):
         WeylElement(a3, (1, 0, 1))
     with pytest.raises(AssertionError, match="did not reach rho"):
         weyl._word_at(a3, [1, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "v", [(1, 1, 1, 1, 1), (1, 1), (1.0, 1, 1), (True, 1, 1)], ids=["long", "short", "float", "bool"]
+)
+def test_point_from_outside_must_be_rank_exact_ints(a3, v):
+    # (1, 1, 1, 1, 1) once built a length-0 element that bruhat_leq put above
+    # the identity, (1, 1) raised an IndexError, and (1.0, 1, 1) built the
+    # identity with a float in its point
+    with pytest.raises(ValueError, match=r"must have 3 int entries for A3"):
+        WeylElement(a3, v)
+    with pytest.raises(AssertionError, match="did not reach rho"):
+        WeylElement(a3, (1, 0, 1))
+    e = WeylElement(a3, [1, 1, 1])
+    assert e == identity(a3) and e.v == (1, 1, 1) and type(e.v) is tuple
 
 
 def test_point_walks_build_no_columns(monkeypatch):
@@ -329,8 +340,8 @@ def test_bruhat_is_a_partial_order(a3):
 def test_rank_one_minus(b3):
     assert rank_one_minus(identity(b3)) == 0
     assert fixed_simples(identity(b3)) == frozenset({1, 2, 3})
-    assert rank_one_minus(w0(b3)) == 3
-    assert fixed_simples(w0(b3)) == frozenset()
+    assert rank_one_minus(longest(b3)) == 3
+    assert fixed_simples(longest(b3)) == frozenset()
     for gamma in b3.positive_roots:
         assert rank_one_minus(dense_reflection(b3, gamma)) == 1
 
@@ -436,7 +447,7 @@ def test_theta_identity_iff_w0_is_minus_one(name):
     # involutive diagram automorphism
     assert all(perm[perm[i]] == i for i in perm)
     is_id = all(perm[i] == i for i in perm)
-    minus = rows(w0(rs)) == tuple(
+    minus = rows(longest(rs)) == tuple(
         tuple(-1 if i == j else 0 for j in range(rs.rank)) for i in range(rs.rank)
     )
     assert is_id == minus
@@ -447,7 +458,7 @@ def test_theta_identity_iff_w0_is_minus_one(name):
 def test_is_involution_matches_square(name):
     rs = build_named(name)
     for w in enumerate_group(rs):
-        assert is_involution(w) == (multiply(w, w) == identity(rs)), w
+        assert is_involution(w) == (times(w, w) == identity(rs)), w
 
 
 def test_inversions_count_is_length(g2, b3):
@@ -509,7 +520,7 @@ def test_length_cocycle_property(rw, data):
     w = from_word(rs, word)
     i = data.draw(st.integers(1, rs.rank))
     up = all(c >= 0 for c in w.column(i))
-    ws = multiply(w, simple_reflection(rs, i))
+    ws = times(w, simple(rs, i))
     assert ws.length - w.length == (1 if up else -1)
 
 
@@ -544,7 +555,7 @@ def test_column_layout_matches_row_oracle(name):
         assert twin == w and hash(twin) == hash(w)
     for u, mu in elements:
         for v, mv in elements:
-            assert rows(multiply(u, v)) == row_multiply(mu, mv)
+            assert rows(times(u, v)) == row_multiply(mu, mv)
             assert (u == v) == (mu == mv)
 
 
@@ -560,5 +571,5 @@ def test_column_layout_matches_row_oracle_e8():
         assert twin == w and hash(twin) == hash(w)
         elements.append((w, m))
     for (u, mu), (v, mv) in zip(elements, elements[1:]):
-        assert rows(multiply(u, v)) == row_multiply(mu, mv)
+        assert rows(times(u, v)) == row_multiply(mu, mv)
         assert (u == v) == (mu == mv)
