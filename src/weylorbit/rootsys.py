@@ -21,9 +21,11 @@ runs on the first root read and checks the closure against N then.
 
 W acts by one kernel per basis. In root coordinates, here, s_i changes only
 v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
-the Cartan neighbours of i (RootSystem._pair), and _reflect_along walks one
-list along a word. In fundamental-weight coordinates, weyl._reflect_point
-moves the orbit points of Weyl elements.
+the Cartan neighbours of i (RootSystem._pair, an explicit loop), and
+_reflect_along walks one list along a word. In fundamental-weight coordinates,
+the orbit points of Weyl elements move by v_j -= v_b <alpha_b, alpha_j^vee>
+over the row neighbours of b: weyl._descend does this update inside its walk,
+and weyl._reflect_point is the single step of every other walk.
 """
 
 from __future__ import annotations
@@ -212,7 +214,10 @@ class RootSystem:
 
     def _pair(self, v, i: int) -> int:
         """<v, alpha_{i+1}^vee> for a 0-based i, unchecked: the sum over Cartan column i."""
-        return sum(v[j] * a for j, a in self.neighbours[i])
+        c = 0
+        for j, a in self.neighbours[i]:
+            c += v[j] * a
+        return c
 
     def _reflect_along(self, v: list[int], letters) -> list[int]:
         """s_{a_k} ... s_{a_1}(v) for 1-based letters a_1..a_k, in place on a list; unchecked."""

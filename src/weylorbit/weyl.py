@@ -10,18 +10,21 @@ the length by one. Every element carries its length: each constructor knows
 it, and a point given without one must hold rank exact ints and is peeled at
 once, so a point that is no element's is rejected when it is built.
 One bounded walk, _descend, applies s_b for the first b of an index order
-with v_b < 0 until none is left. Peeling v down to rho gives reduced words
-and the Bruhat subword peel; walking -rho over a subset Pi gives the
-parabolic longest element w_Pi, and walking the negative of a weight that is
-regular on a subset C gives -w_C. The walks mutate one list and return their
-letters. rmul_s and from_word are one walk, _times_word, that takes one
-copy of the point through a word (for rmul_s, one letter) and builds a
-single element at the end; the 0-Hecke product walks its point the same way.
+with v_b < 0 until none is left, doing the point update in its own loop.
+Peeling v down to rho gives reduced words and the Bruhat subword peel;
+walking -rho over a subset Pi gives the parabolic longest element w_Pi, and
+walking the negative of a weight that is regular on a subset C gives -w_C.
+The walks mutate one list and return their letters. rmul_s and from_word are
+one walk, _times_word, that takes one copy of the point through a word (for
+rmul_s, one letter) by the single-step update _reflect_point and builds a
+single element at the end; the 0-Hecke product and the lowering of u in the
+Bruhat check move their points by the same step.
 None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
-once along a reduced word by the root-coordinate kernel of rootsys. apply,
-fixed_simples, rank_one_minus, is_involution and the involution step read it;
+once along a reduced word by the root-coordinate kernel of rootsys. apply
+(row sums of the matrix), fixed_simples, rank_one_minus, is_involution (one
+apply: w^2 = 1 exactly when w(rho) = v) and the involution step read it;
 it pays for itself where one element is applied again and again. The
 certificate checker, which would apply each element once, walks roots instead.
 theta = -w0 is no element: it is the walk that gives -w_C, taken on the
@@ -36,6 +39,7 @@ view is a pure function of it, so all of this is safe to use concurrently.
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 
 from . import intmat
 from .rootsys import RootSystem, Vector
@@ -113,14 +117,10 @@ def _times_word(w: WeylElement, word) -> WeylElement:
 
 
 def apply(w: WeylElement, v: Vector) -> Vector:
-    """Image of a lattice vector under w: the sum of v_j * w(alpha_j)."""
+    """Image of a lattice vector under w: row k of the matrix of w dotted with v."""
     if len(v) != w.rs.rank:
         raise ValueError(f"vector {tuple(v)} does not have rank {w.rs.rank}")
-    out = [0] * len(v)
-    for c, col in zip(v, w.cols):
-        if c:
-            out = [o + c * x for o, x in zip(out, col)]
-    return tuple(out)
+    return tuple([sum(map(mul, v, row)) for row in zip(*w.cols)])
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
@@ -136,25 +136,30 @@ def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
 
 
 def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
-    """Walk v in place by s_b, b the first index in order with v_b < 0; return the letters b.
+    """Walk v in place by s_b, b the first 0-based index in order with v_b < 0;
+    return the letters b + 1.
 
     v is regular for the subgroup generated by the indices in order, so it is
     u^-1(mu) for one u in that subgroup and mu in its dominant chamber
     (mu = rho for an orbit point). Each letter is a right descent of u and
     shortens it by one, so more than N = rs._n_positive letters (the number of
     positive roots, from the Coxeter number) is an error (v is no such point,
-    or an update was wrong), not a loop.
+    or an update was wrong), not a loop. The update of _reflect_point runs
+    inside the loop, over the Cartan neighbours of b, with no call per letter.
     """
+    row_neighbours = rs.row_neighbours
     letters = []
     for _ in range(rs._n_positive):
         for b in order:
-            if v[b - 1] < 0:
+            if v[b] < 0:
                 break
         else:
             return letters
-        letters.append(b)
-        _reflect_point(rs, v, b - 1)
-    if any(v[b - 1] < 0 for b in order):
+        letters.append(b + 1)
+        vb = v[b]
+        for j, a in row_neighbours[b]:
+            v[j] -= vb * a
+    if any(v[b] < 0 for b in order):
         raise AssertionError(f"walk did not stop within N = {rs._n_positive} letters")
     return letters
 
@@ -165,7 +170,7 @@ def _peel(rs: RootSystem, v: list[int]) -> list[int]:
     A walk that stops at a dominant point other than rho (the point is no
     element's) is an error.
     """
-    letters = _descend(rs, v, range(1, rs.rank + 1))
+    letters = _descend(rs, v, range(rs.rank))
     if any(x != 1 for x in v):
         raise AssertionError("peel did not reach rho")
     return letters
@@ -198,7 +203,7 @@ def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
     reduced word for w_Pi, and the end point is u^-1(rho) = -w_Pi(rho).
     """
     v = [-1] * rs.rank
-    letters = tuple(_descend(rs, v, sorted(pi)))
+    letters = tuple(_descend(rs, v, sorted(b - 1 for b in pi)))
     return letters, tuple(v)
 
 
@@ -209,9 +214,15 @@ def _two_rho(rs: RootSystem) -> Vector:
 
 
 def is_involution(w: WeylElement) -> bool:
-    """True when w*w = 1 (the identity counts): only then does w^2 fix 2 rho."""
-    two_rho = _two_rho(w.rs)
-    return apply(w, apply(w, two_rho)) == two_rho
+    """True when w*w = 1 (the identity counts), by one apply.
+
+    rho is regular, so w^2 = 1 exactly when w(rho) = w^-1(rho) = v; the
+    fundamental-weight coordinates of x = w(2 rho) are <x, alpha_j^vee>.
+    """
+    rs = w.rs
+    x = apply(w, _two_rho(rs))
+    pair = rs._pair
+    return all(pair(x, j) == 2 * b for j, b in enumerate(w.v))
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -266,7 +277,7 @@ def _twist(rs: RootSystem, comp) -> dict[int, int]:
     v = [0] * rs.rank
     for k, j in enumerate(order, 1):
         v[j - 1] = -k
-    _descend(rs, v, order)
+    _descend(rs, v, [j - 1 for j in order])
     perm = {j: order[v[j - 1] - 1] for j in order if 0 < v[j - 1] <= len(order)}
     if sorted(perm.values()) != order:
         raise AssertionError("-w_C does not permute the simple roots of C")

@@ -18,7 +18,6 @@ from weylorbit import (
     build_named,
     from_word,
     identity,
-    rank_one_minus,
     reduced_word,
 )
 from weylorbit.certs import CERT_KEYS
@@ -251,9 +250,12 @@ def form_quali_no(rs, pi):
 
 def column_reduced_word(w):
     """Reduced word by peeling the first negative column of w's view, O(n^2) per letter."""
-    rs = w.rs
+    return column_peel(w.rs, w.cols)
+
+
+def column_peel(rs, cols):
+    """Reduced word of the element with the given columns, by the first-negative-column peel."""
     letters = []
-    cols = w.cols
     while cols != rs.simples:
         i = next(i for i, col in enumerate(cols, 1) if any(c < 0 for c in col))
         letters.append(i)
@@ -296,12 +298,15 @@ def candidate(rs, pi):
 
 
 def column_datum(rs, pi):
-    """The row of an admissible pi from its element: w = candidate(rs, pi), the word
-    and length by reduced_word(w), and the integer-kernel rank of 1 - w."""
+    """The row of an admissible pi from the dense columns of w = w0 * w_pi alone: the
+    word by the first-negative-column peel and the rank of 1 - w by Fraction
+    elimination. No element is built, so no orbit-point walk runs."""
     pi = frozenset(pi)
-    w = candidate(rs, pi)
-    word = reduced_word(w)
-    rk = rank_one_minus(w)
+    cols = candidate_columns(rs, pi)
+    word = column_peel(rs, cols)
+    rk = fraction_rank(
+        [[(1 if i == j else 0) - c for i, c in enumerate(col)] for j, col in enumerate(cols)]
+    )
     return SphericalDatum(
         rs=rs,
         pi=pi,

@@ -477,6 +477,32 @@ def test_certificate_exists_iff_w_gamma_is_not_plus_minus_gamma():
     assert keys == 1899
 
 
+@pytest.mark.parametrize("name", ["E7", "E8", "B8", "C8", "D8"])
+def test_certificate_existence_on_seeded_rank_7_and_8_keys(name):
+    # the criterion of the exhaustive test above, on seeded admissible keys;
+    # 6 to 10 of the 30 keys of each type have no certificate
+    rs = build_named(name)
+    rng = random.Random(name)
+    verdicts = set()
+    pis = [
+        pi
+        for size in range(rs.rank)
+        for pi in combinations(range(1, rs.rank + 1), size)
+        if is_admissible(rs, pi)
+    ]
+    for _ in range(30):
+        pi = rng.choice(pis)
+        gamma = rng.choice([r for r in rs.positive_roots if not rs.support(r) <= set(pi)])
+        w_gamma = _w_of(rs, pi, gamma)
+        word = certificate_word(rs, pi, gamma)
+        exists = w_gamma not in (gamma, tuple(-c for c in gamma))
+        assert (word is not None) == exists, (name, pi, gamma)
+        if exists:
+            assert verify(make_cert(rs.rstype, pi, gamma, word)).passed, word
+        verdicts.add(exists)
+    assert verdicts == {True, False}
+
+
 def test_shipped_keys_meet_the_existence_criterion():
     certs = _shipped_certs()
     assert len(certs) == 1477

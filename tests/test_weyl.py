@@ -30,8 +30,11 @@ from weylorbit.weyl import WeylElement, rmul_s
 from conftest import (
     ALL_TYPES,
     brute_bruhat_order,
+    brute_involutions,
     candidate,
+    column_apply,
     column_bruhat_leq,
+    column_product,
     column_reduced_word,
     column_theta,
     dense_reflection,
@@ -270,9 +273,12 @@ def test_orbit_walks_match_column_oracles_seeded(name, count):
 
 
 def test_peel_is_bounded(a3, monkeypatch):
-    # without the bound, an orbit-point update that does nothing would walk forever
+    # without the bound, an orbit-point update that does nothing would walk forever;
+    # _descend does the update over row_neighbours in its own loop, so those rows
+    # are emptied as well as _reflect_point
     s2, cols = simple(a3, 2), longest(a3).cols
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
+    monkeypatch.setattr(a3, "row_neighbours", ((),) * a3.rank)
     with pytest.raises(AssertionError, match="within N = 6 letters"):
         reduced_word(s2)
     with pytest.raises(AssertionError, match="within N = 6 letters"):
@@ -459,6 +465,41 @@ def test_is_involution_matches_square(name):
     rs = build_named(name)
     for w in enumerate_group(rs):
         assert is_involution(w) == (times(w, w) == identity(rs)), w
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+def test_involution_criterion_matches_brute_involutions(name):
+    # one apply: w^2 = 1 exactly when w(rho) = w^-1(rho), against row matrices squared
+    rs = build_named(name)
+    assert {w for w in enumerate_group(rs) if is_involution(w)} == brute_involutions(rs)
+
+
+def test_involution_criterion_on_seeded_e8_elements():
+    # the Demazure product x^-1 * x is its own inverse, so always an involution;
+    # a random word's element is one exactly when its columns square to the simples
+    rs = build_named("E8")
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(30):
+        x = from_word(rs, [rng.randint(1, 8) for _ in range(rng.randint(0, 90))])
+        assert is_involution(demazure_mul(from_word(rs, reversed(reduced_word(x))), x))
+        w = from_word(rs, reduced_word(x)[: rng.randint(0, 6)])
+        for u in (x, w):
+            verdict = is_involution(u)
+            assert verdict == (column_product(u.cols, u.cols) == rs.simples), reduced_word(u)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", ["E8", "B8"])
+def test_row_sum_apply_matches_column_apply(name):
+    rs = build_named(name)
+    rng = random.Random(name)
+    for _ in range(30):
+        w = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 90))])
+        for _ in range(4):
+            v = tuple(rng.choice((0, 0, -4, -1, 1, 3)) for _ in range(rs.rank))
+            assert apply(w, v) == column_apply(w.cols, v), (reduced_word(w), v)
 
 
 def test_inversions_count_is_length(g2, b3):
