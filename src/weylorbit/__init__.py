@@ -29,14 +29,12 @@ from .weyl import (
 from .demazure import (
     StepOutcome,
     demazure_mul,
-    involution_reachability,
     involution_step,
 )
 from .spherical import (
     SphericalDatum,
     enumerate_pi,
     is_admissible,
-    passes_quali_no,
     spherical_datum,
 )
 from .certs import (

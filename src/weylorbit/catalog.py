@@ -3,8 +3,9 @@
 The classical-type families follow closed-form patterns in the rank, so the
 catalog constructs them programmatically; the G2 and F4 lists are fixed
 tables. Every certificate the catalog emits is checked by
-:func:`weylorbit.certs.verify` at construction time, so a transcription slip
-in this file fails fast instead of shipping.
+:func:`weylorbit.certs.verify` at construction time, its condition-2 audit
+list too when it has one, so a transcription slip in this file fails fast
+instead of shipping.
 """
 
 from __future__ import annotations
@@ -34,14 +35,15 @@ def _desc(hi: int, lo: int) -> list[int]:
     return list(range(hi, lo - 1, -1))
 
 
-def _checked(rstype, pi, gamma, word, label, out, seen) -> None:
+def _checked(rstype, pi, gamma, word, label, out, seen, expected_cond2=None) -> None:
+    """Append the certificate unless seen; it must pass, and match expected_cond2 if given."""
     key = (rstype, frozenset(pi), tuple(gamma), tuple(word))
     if key in seen:
         return
     seen.add(key)
-    cert = make_cert(rstype, pi, gamma, word, label=label)
+    cert = make_cert(rstype, pi, gamma, word, expected_cond2, label)
     report = verify(cert)
-    if not report.passed:
+    if not report.passed or report.cond2_match is False:
         raise AssertionError(f"catalog certificate failed verification: {label}: {report.as_dict()}")
     out.append(cert)
 
@@ -54,9 +56,8 @@ def g2_certificates() -> list[ExclusionCert]:
     t = RootSystemType("G", 2)
     out, seen = [], set()
     _checked(t, [2], (1, 0), [1], "G2 pi={2} gamma=[1,0]", out, seen)
-    _checked(t, [2], (3, 1), [2, 1], "G2 pi={2} gamma=[3,1]", out, seen)
-    # audit data for the condition-2 witnesses
-    out[1] = ExclusionCert(t, frozenset({2}), (3, 1), (2, 1), ((1, 0),), out[1].label)
+    # with audit data for the condition-2 witnesses
+    _checked(t, [2], (3, 1), [2, 1], "G2 pi={2} gamma=[3,1]", out, seen, [(1, 0)])
     return out
 
 

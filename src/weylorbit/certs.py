@@ -25,6 +25,9 @@ No element is built: w0 maps the positive roots onto the negative ones, so
 it maps the simple roots (the positive roots that are no sum of two others)
 to w0(alpha_j) = -alpha_theta(j), theta = -w0 an involution of the diagram,
 and w(x) = -theta(w_Pi(x)), w_Pi applied by the letters of weyl._walk.
+Every root is walked by RootSystem._reflect_along, the rootsys kernel that
+weyl's column views use too. It does not check its letters: a certificate's
+are checked when it is built, and those of weyl._walk come from the diagram.
 
 Verification is deterministic and side-effect free; a batch may be checked
 concurrently or in any order.
@@ -212,6 +215,7 @@ def parse_certs(document: str) -> list[ExclusionCert]:
         raise CertError("certificate document must be a JSON array")
     certs = []
     for pos, entry in enumerate(data):
+        given = entry.get("label") if isinstance(entry, dict) else None
         try:
             if not isinstance(entry, dict):
                 raise CertError("entry is not an object")
@@ -239,16 +243,16 @@ def parse_certs(document: str) -> list[ExclusionCert]:
                 )
             )
         except KeyError as exc:
-            raise CertError(f"{_where(pos, entry)}: missing key {exc}") from None
+            raise CertError(f"{_where(pos, given)}: missing key {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise CertError(f"{_where(pos, entry)}: {exc}") from exc
+            raise CertError(f"{_where(pos, given)}: {exc}") from exc
     return certs
 
 
-def _where(pos: int, entry) -> str:
-    """An entry's position, and its label when it has a string one."""
-    if isinstance(entry, dict) and isinstance(entry.get("label"), str):
-        return f"cert #{pos} ({entry['label']})"
+def _where(pos: int, label) -> str:
+    """An entry's position, and its label when it has a string one that is not the position."""
+    if isinstance(label, str) and label not in ("", f"cert #{pos}"):
+        return f"cert #{pos} ({label})"
     return f"cert #{pos}"
 
 
@@ -261,25 +265,25 @@ def _negate(v: Vector) -> Vector:
 
 
 def _reflect_along(rs: RootSystem, v: Vector, letters) -> Vector:
-    """s_{a_k} ... s_{a_1}(v) for letters = [a_1, ..., a_k]: v reflected by each letter in turn."""
-    for a in letters:
-        v = rs.reflect_simple(v, a)
-    return v
+    """s_{a_k} ... s_{a_1}(v) for letters = [a_1, ..., a_k], by the rootsys kernel."""
+    return tuple(rs._reflect_along(list(v), letters))
 
 
 def verify(cert: ExclusionCert) -> CertReport:
     """Check conditions 1, 3 and 4 and compute the condition-2 witnesses.
 
     The fields were checked when the certificate was built. Each quantity is
-    one root walked by simple reflections: sigma takes the word's letters
+    one root walked by the rootsys kernel: sigma takes the word's letters
     from its right end, sigma^-1 from its left end, and w(beta) is
-    -theta(w_Pi(beta)) (module docstring).
+    -theta(w_Pi(beta)) (module docstring). A pi that is not admissible, or a
+    gamma inside the pi subsystem, raises a CertError; verify_all adds the
+    entry's position and label to its message.
     """
     rs = build(cert.rstype)
     if not is_admissible(rs, cert.pi):
-        raise CertError(f"{cert.label}: pi={sorted(cert.pi)} is not admissible in {cert.rstype}")
+        raise CertError(f"pi={sorted(cert.pi)} is not admissible in {cert.rstype}")
     if cert.gamma in subsystem_positive_roots(rs, cert.pi):
-        raise CertError(f"{cert.label}: gamma lies in the pi subsystem")
+        raise CertError(f"gamma {list(cert.gamma)} lies in the pi subsystem, pi={sorted(cert.pi)}")
 
     word = cert.sigma_word
     alpha_top = rs.simples[word[0] - 1]
@@ -316,7 +320,13 @@ def verify(cert: ExclusionCert) -> CertReport:
 
 
 def verify_all(certs) -> VerifySummary:
-    reports = [(cert, verify(cert)) for cert in certs]
+    """verify each certificate; a CertError names the entry's position and label."""
+    reports = []
+    for pos, cert in enumerate(certs):
+        try:
+            reports.append((cert, verify(cert)))
+        except CertError as exc:
+            raise CertError(f"{_where(pos, cert.label)}: {exc}") from None
     passed = sum(1 for _, rep in reports if rep.passed)
     return VerifySummary(passed=passed, failed=len(reports) - passed, reports=reports)
 

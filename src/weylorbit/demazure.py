@@ -6,15 +6,15 @@ exactly one of four length cases, each constraining the possible next value
 to a small candidate set of involutions; which candidate is realized depends
 on stabilizer geometry that this module deliberately does not model. (In the
 orbit-geometry literature those finer cases are labelled I, IIa, IIb, IIIa,
-IIIb, IVa, IVb; only their shadow on lengths is computable here.)
+IIIb, IVa, IVb; only their shadow on lengths is computable here.) Each call
+classifies one step; closing {1} under the steps is left to the caller.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rootsys import RootSystem
-from .weyl import WeylElement, _reflect_point, identity, is_involution, reduced_word, rmul_s
+from .weyl import WeylElement, _reflect_point, is_involution, reduced_word, rmul_s
 
 CASE_DESCRIPTIONS = {
     1: "l(sws) = l(w) + 2",
@@ -83,29 +83,3 @@ def involution_step(w: WeylElement, i: int) -> StepOutcome:
         return StepOutcome(1, frozenset({WeylElement(rs, tuple(v), w.length + 2)}))
     return StepOutcome(4, frozenset({w}))
 
-
-MAX_REACHABILITY_RANK = 4
-
-
-def involution_reachability(rs: RootSystem) -> frozenset[WeylElement]:
-    """Closure of {1} under taking any candidate of any involution step.
-
-    Guarded to small ranks; the closure visits a subset of the involutions of
-    W, typically a large one.
-    """
-    if rs.rank > MAX_REACHABILITY_RANK:
-        raise ValueError(
-            f"reachability closure is guarded to rank <= {MAX_REACHABILITY_RANK}, got {rs.rstype}"
-        )
-    seen = {identity(rs)}
-    frontier = [identity(rs)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(1, rs.rank + 1):
-                for cand in involution_step(w, i).candidates:
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return frozenset(seen)

@@ -22,10 +22,13 @@ runs on the first root read and checks the closure against N then.
 W acts by one kernel per basis. In root coordinates, here, s_i changes only
 v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
 the Cartan neighbours of i (RootSystem._pair, an explicit loop), and
-_reflect_along walks one list along a word. In fundamental-weight coordinates,
-the orbit points of Weyl elements move by v_j -= v_b <alpha_b, alpha_j^vee>
-over the row neighbours of b: weyl._descend does this update inside its walk,
-and weyl._reflect_point is the single step of every other walk.
+_reflect_along walks one list along a word. It is the only root walk: the
+column views of weyl and every quantity of certs.verify go through it. Both
+are unchecked; a word's letters are checked when the Weyl element or the
+certificate is built. In fundamental-weight coordinates, the orbit points of
+Weyl elements move by v_j -= v_b <alpha_b, alpha_j^vee> over the row
+neighbours of b: weyl._descend does this update inside its walk, and
+weyl._reflect_point is the single step of every other walk.
 """
 
 from __future__ import annotations
@@ -225,21 +228,6 @@ class RootSystem:
         for a in letters:
             v[a - 1] -= pair(v, a - 1)
         return v
-
-    def pairing(self, v: Vector, i: int) -> int:
-        """<v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee>."""
-        self._check_index(i)
-        if len(v) != self.rank:
-            raise ValueError(f"vector {tuple(v)} does not have rank {self.rank}")
-        return self._pair(v, i - 1)
-
-    def reflect_simple(self, v: Vector, i: int) -> Vector:
-        c = self.pairing(v, i)
-        if c == 0:
-            return v
-        out = list(v)
-        out[i - 1] -= c
-        return tuple(out)
 
     def is_positive_root(self, v: Vector) -> bool:
         # a root is positive exactly when its height is

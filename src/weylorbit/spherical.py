@@ -4,7 +4,9 @@ For a subset Pi of the simple roots, the candidate element is w = w0 * w_Pi.
 Pi is admissible when w fixes exactly the simple roots in Pi; the attached
 dimension is l(w) + rk(1 - w), and l(w) = l(w0) - l(w_Pi). A second,
 diagram-level filter removes isolated components of Pi that admit a
-same-length neighbour fixed by -w0 and orthogonal to the rest of Pi.
+same-length neighbour fixed by -w0 and orthogonal to the rest of Pi; it is
+_quali_witness, which enumerate_pi runs on the components it has split Pi
+into for the first filter.
 
 Admissibility is decided on the Dynkin diagram, with theta = -w0:
 
@@ -119,25 +121,18 @@ def _theta_agrees_on(rs: RootSystem, comp: frozenset[int]) -> bool:
     return all(perm[i] == j for i, j in _twist(rs, comp).items())
 
 
-def passes_quali_no(rs: RootSystem, pi) -> tuple[bool, tuple[int, int] | None]:
-    """Diagram filter on isolated components of an admissible pi.
-
-    Fails exactly when some isolated component {a} admits a distinct simple b
-    of the same length with w0(alpha_b) = -alpha_b, that is theta(b) = b,
-    b adjacent to a, and b orthogonal to every other element of pi; the
-    witness (a, b) is returned with the failure. Simple roots are orthogonal
-    exactly when their Cartan entry is zero, so all of this is read off the
-    diagram.
-    """
-    pi = rs._check_subset(pi)
-    witness = _quali_witness(rs, pi, _components(rs, pi))
-    return witness is None, witness
-
-
 def _quali_witness(
     rs: RootSystem, pi: frozenset[int], comps: list[frozenset[int]]
 ) -> tuple[int, int] | None:
-    """The witness (a, b) of passes_quali_no, given the components of pi, or None."""
+    """Diagram filter on isolated components of pi, given its components.
+
+    pi fails exactly when some isolated component {a} admits a distinct
+    simple b of the same length with w0(alpha_b) = -alpha_b, that is
+    theta(b) = b, b adjacent to a, and b orthogonal to every other element
+    of pi; the witness (a, b) is returned then, and None when pi passes.
+    Simple roots are orthogonal exactly when their Cartan entry is zero, so
+    all of this is read off the diagram.
+    """
     perm = theta(rs)
     for comp in comps:
         if len(comp) != 1:

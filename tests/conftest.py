@@ -1,4 +1,6 @@
-"""Shared brute-force oracles, kept independent of the code paths they check."""
+"""Shared brute-force oracles, kept independent of the code paths they check,
+and the test-only views of the program: the quali-no filter as a
+(passes, witness) pair and the closure of the involution steps."""
 
 from __future__ import annotations
 
@@ -18,10 +20,12 @@ from weylorbit import (
     build_named,
     from_word,
     identity,
+    involution_step,
     reduced_word,
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
+from weylorbit.spherical import _components, _quali_witness
 from weylorbit.weyl import WeylElement, rmul_s
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
@@ -102,6 +106,12 @@ def inversions(w):
     return tuple(a for a in w.rs.positive_roots if any(c < 0 for c in apply(w, a)))
 
 
+def reflect(rs, v, i):
+    """s_i(v) for a 1-based i: v_i less <v, alpha_i^vee>, summed over the whole Cartan column."""
+    c = sum(x * row[i - 1] for x, row in zip(v, rs.cartan))
+    return tuple(x - c if j == i - 1 else x for j, x in enumerate(v))
+
+
 def depth(rs, beta):
     """Minimal length of an element sending the positive root beta negative.
 
@@ -116,7 +126,7 @@ def depth(rs, beta):
     while queue:
         v, d = queue.popleft()
         for i in range(1, rs.rank + 1):
-            img = rs.reflect_simple(v, i)
+            img = reflect(rs, v, i)
             if any(c < 0 for c in img):
                 return d + 1
             if img not in seen:
@@ -138,7 +148,7 @@ def _reflection_closure(rs):
     while frontier:
         v = frontier.pop()
         for i in range(1, rs.rank + 1):
-            img = rs.reflect_simple(v, i)
+            img = reflect(rs, v, i)
             if img not in roots:
                 roots.add(img)
                 frontier.append(img)
@@ -219,6 +229,13 @@ def form_lengths(rs):
         cls = LONG if form(rs, r, r) == longest else SHORT
         out[r] = out[tuple(-c for c in r)] = cls
     return out
+
+
+def passes_quali_no(rs, pi):
+    """(passes, witness) of the quali-no filter on pi, by spherical._quali_witness."""
+    pi = rs._check_subset(pi)
+    witness = _quali_witness(rs, pi, _components(rs, pi))
+    return witness is None, witness
 
 
 def form_quali_no(rs, pi):
@@ -357,16 +374,14 @@ def full_rmul_s(rs, cols, i):
 
 
 def pairing_closure(rs):
-    """Every root with its length class: the simples closed under s_i, each pairing
-    summed over a full Cartan column."""
+    """Every root with its length class: the simples closed under the dense reflect."""
     norms = _simple_norms(rs.rstype)
     roots = {a: LONG if m == max(norms) else SHORT for a, m in zip(rs.simples, norms)}
     frontier = list(rs.simples)
     while frontier:
         v = frontier.pop()
-        for i in range(rs.rank):
-            c = sum(v[j] * rs.cartan[j][i] for j in range(rs.rank))
-            img = tuple(x - c if j == i else x for j, x in enumerate(v))
+        for i in range(1, rs.rank + 1):
+            img = reflect(rs, v, i)
             if img not in roots:
                 roots[img] = roots[v]
                 frontier.append(img)
@@ -450,8 +465,9 @@ def dense_reflection(rs, gamma):
     u = u_inv = identity(rs)
     v = tuple(gamma)
     while v not in rs.simples:
-        i = next(i for i in range(1, rs.rank + 1) if rs.pairing(v, i) > 0)
-        v = rs.reflect_simple(v, i)
+        # s_i lowers v when <v, alpha_i^vee> > 0
+        i = next(i for i in range(1, rs.rank + 1) if reflect(rs, v, i)[i - 1] < v[i - 1])
+        v = reflect(rs, v, i)
         s = simple(rs, i)
         u, u_inv = dense_mul(s, u), dense_mul(u_inv, s)
     s_j = simple(rs, rs.simples.index(v) + 1)
@@ -494,7 +510,7 @@ def certificate_word(rs, pi, gamma):
 @cache
 def root_permutations(rs):
     """For each s_i, its action on all roots as a dict, from the closure of the simple roots."""
-    return [{r: rs.reflect_simple(r, i) for r in _reflection_closure(rs)} for i in range(1, rs.rank + 1)]
+    return [{r: reflect(rs, r, i) for r in _reflection_closure(rs)} for i in range(1, rs.rank + 1)]
 
 
 def type_a_cascade(rs, steps):
@@ -565,6 +581,33 @@ def dense_verify(cert):
         cond4_noninvolution=cond4,
         passed=cond1 and cond3 and cond4,
     )
+
+
+MAX_REACHABILITY_RANK = 4
+
+
+def involution_reachability(rs):
+    """Closure of {1} under taking any candidate of any involution step.
+
+    Guarded to small ranks; the closure visits a subset of the involutions of
+    W, typically a large one.
+    """
+    if rs.rank > MAX_REACHABILITY_RANK:
+        raise ValueError(
+            f"reachability closure is guarded to rank <= {MAX_REACHABILITY_RANK}, got {rs.rstype}"
+        )
+    seen = {identity(rs)}
+    frontier = [identity(rs)]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(1, rs.rank + 1):
+                for cand in involution_step(w, i).candidates:
+                    if cand not in seen:
+                        seen.add(cand)
+                        nxt.append(cand)
+        frontier = nxt
+    return frozenset(seen)
 
 
 def enumerate_group(rs):

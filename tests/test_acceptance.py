@@ -16,7 +16,6 @@ from weylorbit import (
     demazure_mul,
     enumerate_pi,
     fixed_simples,
-    involution_reachability,
     involution_step,
     is_admissible,
     is_involution,
@@ -39,6 +38,7 @@ from conftest import (
     brute_involutions,
     candidate,
     enumerate_group,
+    involution_reachability,
     longest,
     one_plus,
     rows,

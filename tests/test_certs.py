@@ -26,6 +26,7 @@ from weylorbit import (
     verify_all,
 )
 from weylorbit.catalog import (
+    _checked,
     a_certificates,
     b_certificates,
     c_certificates,
@@ -46,6 +47,7 @@ from conftest import (
     column_apply,
     dense_verify,
     inverse,
+    reflect,
     root_permutations,
     times,
 )
@@ -297,6 +299,15 @@ def test_shipped_files_match_catalog():
         assert on_disk == certs, f"{name} is stale; regenerate with python -m weylorbit.catalog"
 
 
+def test_catalog_check_rejects_a_wrong_audit_list():
+    # the G2 audit list used to be put in after the check, so a slip in it shipped
+    with pytest.raises(AssertionError, match="failed verification: slip"):
+        _checked(G2, [2], (3, 1), [2, 1], "slip", [], set(), [(0, 1)])
+    out = []
+    _checked(G2, [2], (3, 1), [2, 1], "audit", out, set(), [(1, 0)])
+    assert out[0].expected_cond2 == ((1, 0),)
+
+
 def test_shipped_g2_file_has_two_entries():
     certs = parse_certs((CERT_DIR / "g2.certs.json").read_text())
     assert len(certs) == 2
@@ -352,8 +363,11 @@ def _seeded_certs(rng, name, count):
         else:
             v, word = gamma, []
             while v not in rs.simples:
-                i = rng.choice([i for i in range(1, rs.rank + 1) if rs.pairing(v, i) > 0])
-                v = rs.reflect_simple(v, i)
+                # s_i lowers v when <v, alpha_i^vee> > 0
+                i = rng.choice(
+                    [i for i in range(1, rs.rank + 1) if reflect(rs, v, i)[i - 1] < v[i - 1]]
+                )
+                v = reflect(rs, v, i)
                 word.insert(0, i)
             word.insert(0, rs.simples.index(v) + 1)
         certs.append(make_cert(rs.rstype, pi, gamma, word, label=f"{name} #{k}"))
@@ -413,7 +427,7 @@ def test_w_beta_is_minus_theta_of_w_pi_beta():
                 for beta in rs.positive_roots:
                     x = beta
                     for a in reversed(letters):
-                        x = rs.reflect_simple(x, a)
+                        x = reflect(rs, x, a)
                     w_beta = [0] * rs.rank
                     for j, c in enumerate(x, 1):
                         w_beta[perm[j] - 1] = -c

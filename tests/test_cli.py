@@ -265,6 +265,27 @@ def test_verify_type_not_written_as_written_back(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"type": "A3", "pi": [1], "gamma": [0, 1, 0], "sigma": [2], "label": "bad-pi"},
+         "cert #1 (bad-pi): pi=[1] is not admissible in A3"),
+        ({"type": "G2", "pi": [2], "gamma": [0, 1], "sigma": [2]},
+         "cert #1: gamma [0, 1] lies in the pi subsystem, pi=[2]"),
+    ],
+)
+def test_verify_error_names_position_and_label(tmp_path, capsys, entry, message):
+    # used to name only the label, as "error: bad-pi: pi=[1] ...", and the
+    # parser's default label "cert #1" for the unlabelled entry
+    ok = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1], "label": "ok"}
+    path = tmp_path / "bad.certs.json"
+    path.write_text(json.dumps([ok, entry]))
+    status, out, err = run(capsys, "verify", str(path))
+    assert status == 1
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize("seed", ["\u0663", "1_0", "+3", " 3"])
 def test_verify_seed_takes_only_ascii_digits(capsys, seed):
     # int() read an Arabic-Indic three as 3, 1_0 as 10, and allowed a sign or spaces

@@ -10,7 +10,6 @@ from weylorbit import (
     demazure_mul,
     from_word,
     identity,
-    involution_reachability,
     involution_step,
     is_admissible,
     is_involution,
@@ -24,6 +23,7 @@ from conftest import (
     dense_involution_step,
     enumerate_group,
     inversion_count,
+    involution_reachability,
     left_peel_demazure,
     longest,
     rows,

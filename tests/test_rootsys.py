@@ -23,7 +23,14 @@ from weylorbit import (
 from weylorbit.cli import main
 from weylorbit.rootsys import _RANK_RULES, LONG, SHORT
 
-from conftest import ALL_TYPES, brute_min_length_to_negative, depth, is_root, pairing_closure
+from conftest import (
+    ALL_TYPES,
+    brute_min_length_to_negative,
+    depth,
+    is_root,
+    pairing_closure,
+    reflect,
+)
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
 
@@ -78,29 +85,37 @@ def test_g2_table():
     rs = build_named("G2")
     assert highest_root(rs) == (3, 2)
     assert rs.cartan == ((2, -1), (-3, 2))
-    assert rs.pairing((0, 1), 1) == -3
-    assert rs.pairing((1, 0), 2) == -1
+    assert rs._pair((0, 1), 0) == -3
+    assert rs._pair((1, 0), 1) == -1
     assert is_root(rs, (3, 2)) and is_root(rs, (2, 1))
     assert not is_root(rs, (2, 2))
 
 
 def test_cartan_pairing_examples():
+    # _pair takes a 0-based index: _pair(v, i) = <v, alpha_{i+1}^vee>
     a2 = build_named("A2")
-    assert a2.pairing((1, 0), 1) == 2
-    assert a2.pairing((1, 0), 2) == -1
+    assert a2._pair((1, 0), 0) == 2
+    assert a2._pair((1, 0), 1) == -1
     # bilinearity
-    assert a2.pairing((2, 3), 1) == 2 * 2 + 3 * (-1)
+    assert a2._pair((2, 3), 0) == 2 * 2 + 3 * (-1)
     with pytest.raises(ValueError):
-        a2.pairing((1, 0), 3)
+        a2._check_index(3)
 
 
-@pytest.mark.parametrize("v", [(1, 0, 0, 5), (1,), ()])
-def test_pairing_rejects_a_vector_of_another_rank(a3, v):
-    # (1, 0, 0, 5) used to pair to 2 with alpha_1^vee, and (1,) to raise a bare IndexError
-    with pytest.raises(ValueError, match="does not have rank 3"):
-        a3.pairing(v, 1)
-    with pytest.raises(ValueError, match="does not have rank 3"):
-        a3.reflect_simple(v, 1)
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_kernel_matches_dense_reflection(name):
+    # _pair sums over the Cartan neighbours only, the dense reflect over the
+    # whole column; _reflect_along walks a list in place
+    rs = build_named(name)
+    word = list(range(1, rs.rank + 1))
+    for v in rs.lengths:
+        walked = v
+        for i in word:
+            img = reflect(rs, v, i)
+            assert rs._pair(v, i - 1) == v[i - 1] - img[i - 1], (v, i)
+            assert rs._reflect_along(list(v), [i]) == list(img), (v, i)
+            walked = reflect(rs, walked, i)
+        assert rs._reflect_along(list(v), word) == list(walked), v
 
 
 def test_closure_rejects_an_image_that_is_not_positive():
@@ -217,7 +232,7 @@ def test_descent_to_simple():
             hits = [
                 i
                 for i in range(1, rs.rank + 1)
-                if rs.pairing(beta, i) > 0
+                if reflect(rs, beta, i)[i - 1] < beta[i - 1]
                 and rs.is_positive_root(tuple(b - a for b, a in zip(beta, rs.simples[i - 1])))
             ]
             assert hits, f"{beta} in {name} has no descent to a simple"

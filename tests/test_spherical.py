@@ -14,7 +14,6 @@ from weylorbit import (
     identity,
     is_admissible,
     is_involution,
-    passes_quali_no,
     rank_one_minus,
     spherical_datum,
     subsystem_positive_roots,
@@ -38,6 +37,7 @@ from conftest import (
     inversion_count,
     matrix_admissible,
     one_plus,
+    passes_quali_no,
     type_a_cascade,
 )
 

@@ -18,7 +18,6 @@ from weylorbit import (
     involution_step,
     is_admissible,
     is_involution,
-    passes_quali_no,
     rank_one_minus,
     reduced_word,
     theta,
@@ -49,6 +48,7 @@ from conftest import (
     is_root,
     longest,
     one_minus,
+    passes_quali_no,
     rmul_s_fold,
     row_apply,
     row_group,
