@@ -42,7 +42,6 @@ from .certs import (
     CertReport,
     ExclusionCert,
     VerifySummary,
-    make_cert,
     mutate_sigma,
     parse_certs,
     verify,

@@ -2,10 +2,10 @@
 
 The classical-type families follow closed-form patterns in the rank, so the
 catalog constructs them programmatically; the G2 and F4 lists are fixed
-tables. Every certificate the catalog emits is checked by
-:func:`weylorbit.certs.verify` at construction time, its condition-2 audit
-list too when it has one, so a transcription slip in this file fails fast
-instead of shipping.
+tables. Each family emits each certificate once, and every one is checked
+by :func:`weylorbit.certs.verify` at construction time, its condition-2
+audit list too when it has one, so a transcription slip in this file fails
+fast instead of shipping.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from .certs import ExclusionCert, certs_to_json, make_cert, verify
+from .certs import CertError, ExclusionCert, certs_to_json, verify
 from .rootsys import RootSystemType
 from .spherical import ENUMERATION_MAX_RANK
 
@@ -35,14 +35,13 @@ def _desc(hi: int, lo: int) -> list[int]:
     return list(range(hi, lo - 1, -1))
 
 
-def _checked(rstype, pi, gamma, word, label, out, seen, expected_cond2=None) -> None:
-    """Append the certificate unless seen; it must pass, and match expected_cond2 if given."""
-    key = (rstype, frozenset(pi), tuple(gamma), tuple(word))
-    if key in seen:
-        return
-    seen.add(key)
-    cert = make_cert(rstype, pi, gamma, word, expected_cond2, label)
-    report = verify(cert)
+def _checked(rstype, pi, gamma, word, label, out, expected_cond2=None) -> None:
+    """Append the certificate; it must be well formed, pass, and match expected_cond2 if given."""
+    try:
+        cert = ExclusionCert(rstype, pi, gamma, word, expected_cond2, label)
+        report = verify(cert)
+    except CertError as exc:
+        raise AssertionError(f"catalog certificate is malformed: {label}: {exc}") from None
     if not report.passed or report.cond2_match is False:
         raise AssertionError(f"catalog certificate failed verification: {label}: {report.as_dict()}")
     out.append(cert)
@@ -54,19 +53,19 @@ def _checked(rstype, pi, gamma, word, label, out, seen, expected_cond2=None) -> 
 def g2_certificates() -> list[ExclusionCert]:
     """The two certificates for pi = {alpha_2} in G2."""
     t = RootSystemType("G", 2)
-    out, seen = [], set()
-    _checked(t, [2], (1, 0), [1], "G2 pi={2} gamma=[1,0]", out, seen)
+    out = []
+    _checked(t, [2], (1, 0), [1], "G2 pi={2} gamma=[1,0]", out)
     # with audit data for the condition-2 witnesses
-    _checked(t, [2], (3, 1), [2, 1], "G2 pi={2} gamma=[3,1]", out, seen, [(1, 0)])
+    _checked(t, [2], (3, 1), [2, 1], "G2 pi={2} gamma=[3,1]", out, [(1, 0)])
     return out
 
 
 def g2_pi1_certificates() -> list[ExclusionCert]:
     """The short-root case pi = {alpha_1} in G2."""
     t = RootSystemType("G", 2)
-    out, seen = [], set()
+    out = []
     for gamma, word in [((0, 1), [2]), ((1, 1), [1, 2]), ((3, 1), [2, 1])]:
-        _checked(t, [1], gamma, word, f"G2 pi={{1}} gamma={list(gamma)}", out, seen)
+        _checked(t, [1], gamma, word, f"G2 pi={{1}} gamma={list(gamma)}", out)
     return out
 
 
@@ -96,10 +95,10 @@ _F4_TABLE = [
 
 def f4_certificates() -> list[ExclusionCert]:
     t = RootSystemType("F", 4)
-    out, seen = [], set()
+    out = []
     for pi, gamma, word in _F4_TABLE:
         label = f"F4 pi={pi} gamma={list(gamma)} via {word}"
-        _checked(t, pi, gamma, word, label, out, seen)
+        _checked(t, pi, gamma, word, label, out)
     return out
 
 
@@ -109,7 +108,7 @@ def f4_certificates() -> list[ExclusionCert]:
 def a_certificates(n: int) -> list[ExclusionCert]:
     """Type A_n: interval-pi exclusions plus the torus-rank chain family."""
     t = RootSystemType("A", n)
-    out, seen = [], set()
+    out = []
 
     # interval pi = {l .. n-l+1}: chains poking the interval from either side
     for l in range(2, (n + 1) // 2 + 1):
@@ -118,18 +117,15 @@ def a_certificates(n: int) -> list[ExclusionCert]:
             for s in range(1, l):
                 gamma = _chain(n, s, i - 1)
                 label = f"A{n} pi={pi} i={i} left t={s}"
-                _checked(t, pi, gamma, _asc(s, i - 1), label, out, seen)
+                _checked(t, pi, gamma, _asc(s, i - 1), label, out)
             for s in range(n - l + 2, n + 1):
                 gamma = _chain(n, i + 1, s)
                 label = f"A{n} pi={pi} i={i} right t={s}"
-                _checked(t, pi, gamma, _desc(s, i + 1), label, out, seen)
+                _checked(t, pi, gamma, _desc(s, i + 1), label, out)
 
     # torus-rank family: chains alpha_j + .. + alpha_s not fixed by -w0
-    ls = list(range(1, (n + 1) // 2 + 1)) + [(n + 3) // 2]
-    for l in ls:
+    for l in list(range(2, (n + 1) // 2 + 1)) + [(n + 3) // 2]:
         pi = list(range(l, n - l + 2))
-        if l == 1:
-            continue  # pi is the whole diagram, nothing to exclude
         for j in range(1, n + 1):
             for s in range(j, n + 1):
                 if s == n - j + 1:
@@ -142,43 +138,45 @@ def a_certificates(n: int) -> list[ExclusionCert]:
                 gamma = _chain(n, j, s)
                 word = _asc(j, s) if s > n - j + 1 else _desc(s, j)
                 label = f"A{n} pi={pi} torus chain {j}..{s}"
-                _checked(t, pi, gamma, word, label, out, seen)
+                _checked(t, pi, gamma, word, label, out)
     return out
 
 
 # -- type B families --------------------------------------------------------
 
 
-def _b_pi1_certs(t, n, l, pi, out, seen):
+def _b_pi1_certs(t, n, l, pi, out):
     """pi containing the tail {l..n}: exclusions for alpha_i, l <= i <= n-1."""
     for i in range(l, n):
         for j in range(1, l):
             gamma = _chain(n, j, i - 1)
             label = f"B{n} pi={pi} i={i} mu j={j}"
-            _checked(t, pi, gamma, _asc(j, i - 1), label, out, seen)
+            _checked(t, pi, gamma, _asc(j, i - 1), label, out)
             gamma = _add(_chain(n, j, i), _chain(n, i + 1, n, 2))
             word = _asc(j, n) + _desc(n - 1, i + 1)
             label = f"B{n} pi={pi} i={i} nu j={j}"
-            _checked(t, pi, gamma, word, label, out, seen)
+            _checked(t, pi, gamma, word, label, out)
 
 
 def b_certificates(n: int) -> list[ExclusionCert]:
     """Type B_n: tail subsets, alternating subsets, and the short-root cases."""
     t = RootSystemType("B", n)
-    out, seen = [], set()
+    out = []
 
     # pi = {l..n}
     for l in range(2, n + 1):
         pi = list(range(l, n + 1))
-        _b_pi1_certs(t, n, l, pi, out, seen)
-        # short-root exclusions for alpha_n
+        _b_pi1_certs(t, n, l, pi, out)
+        # short-root exclusions for alpha_n; for l < n the doubled chain is
+        # the i = n-1 nu certificate above
         for j in range(1, l):
             gamma = _chain(n, j, n - 1)
             label = f"B{n} pi={pi} alpha_n chain j={j}"
-            _checked(t, pi, gamma, _asc(j, n - 1), label, out, seen)
-            gamma = _add(_chain(n, j, n - 1), _chain(n, n, n, 2))
-            label = f"B{n} pi={pi} alpha_n doubled j={j}"
-            _checked(t, pi, gamma, _asc(j, n - 1) + [n], label, out, seen)
+            _checked(t, pi, gamma, _asc(j, n - 1), label, out)
+            if l == n:
+                gamma = _add(_chain(n, j, n - 1), _chain(n, n, n, 2))
+                label = f"B{n} pi={pi} alpha_n doubled j={j}"
+                _checked(t, pi, gamma, _asc(j, n - 1) + [n], label, out)
 
     # pi = {1, 3, .., 2k-1} + {2k+1 .. n}
     for k in range(1, n // 2 + 1):
@@ -188,21 +186,21 @@ def b_certificates(n: int) -> list[ExclusionCert]:
             for j in range(1, i - 1):
                 gamma = _chain(n, j, i - 1)
                 label = f"B{n} pi={pi} iso i={i} mu j={j}"
-                _checked(t, pi, gamma, _asc(j, i - 1), label, out, seen)
+                _checked(t, pi, gamma, _asc(j, i - 1), label, out)
             for j in range(i + 2, n + 1):
                 gamma = _chain(n, i + 1, j)
                 label = f"B{n} pi={pi} iso i={i} mu' j={j}"
-                _checked(t, pi, gamma, _desc(j, i + 1), label, out, seen)
+                _checked(t, pi, gamma, _desc(j, i + 1), label, out)
             for j in range(1, i):
                 gamma = _add(_chain(n, j, i), _chain(n, i + 1, n, 2))
                 word = _asc(j, n) + _desc(n - 1, i + 1)
                 label = f"B{n} pi={pi} iso i={i} nu j={j}"
-                _checked(t, pi, gamma, word, label, out, seen)
+                _checked(t, pi, gamma, word, label, out)
             for j in range(i + 2, n + 1):
                 gamma = _add(_chain(n, i + 1, j - 1), _chain(n, j, n, 2))
                 word = _asc(j - 1, n - 1) + _desc(n, i + 1)
                 label = f"B{n} pi={pi} iso i={i} nu' j={j}"
-                _checked(t, pi, gamma, word, label, out, seen)
+                _checked(t, pi, gamma, word, label, out)
     return out
 
 
@@ -212,7 +210,7 @@ def b_certificates(n: int) -> list[ExclusionCert]:
 def c_certificates(n: int) -> list[ExclusionCert]:
     """Type C_n: the long-root chain family plus the short-root cases."""
     t = RootSystemType("C", n)
-    out, seen = [], set()
+    out = []
 
     # pi = {l..n}
     for l in range(2, n + 1):
@@ -220,19 +218,19 @@ def c_certificates(n: int) -> list[ExclusionCert]:
         for j in range(1, l):
             gamma = _chain(n, j, n - 1)
             label = f"C{n} pi={pi} alpha_n mu j={j}"
-            _checked(t, pi, gamma, _asc(j, n - 1), label, out, seen)
+            _checked(t, pi, gamma, _asc(j, n - 1), label, out)
         for i in range(l, n):
             for j in range(1, l):
                 gamma = _chain(n, j, i - 1)
                 label = f"C{n} pi={pi} i={i} mu j={j}"
-                _checked(t, pi, gamma, _asc(j, i - 1), label, out, seen)
+                _checked(t, pi, gamma, _asc(j, i - 1), label, out)
                 gamma = _add(
                     _add(_chain(n, j, i), _chain(n, i + 1, n - 1, 2)),
                     _chain(n, n, n),
                 )
                 word = _asc(j, n - 1) + _desc(n, i + 1)
                 label = f"C{n} pi={pi} i={i} nu j={j}"
-                _checked(t, pi, gamma, word, label, out, seen)
+                _checked(t, pi, gamma, word, label, out)
 
     # pi = {1, 3, .., 2k-1} + {2k+1 .. n}
     for k in range(1, n // 2 + 1):
@@ -242,11 +240,11 @@ def c_certificates(n: int) -> list[ExclusionCert]:
             for j in range(1, min(l, i)):
                 gamma = _chain(n, j, i - 1)
                 label = f"C{n} pi={pi} iso i={i} mu j={j}"
-                _checked(t, pi, gamma, _asc(j, i - 1), label, out, seen)
+                _checked(t, pi, gamma, _asc(j, i - 1), label, out)
             for j in range(i + 2, n):
                 gamma = _chain(n, i + 1, j)
                 label = f"C{n} pi={pi} iso i={i} mu' j={j}"
-                _checked(t, pi, gamma, _desc(j, i + 1), label, out, seen)
+                _checked(t, pi, gamma, _desc(j, i + 1), label, out)
             # at j = n the doubled part of delta is empty and the chain up to
             # alpha_n is handled by the delta word, not the plain descent
             for j in range(i + 2, n + 1):
@@ -256,7 +254,7 @@ def c_certificates(n: int) -> list[ExclusionCert]:
                 )
                 word = _asc(j - 1, n - 1) + _desc(n, i + 1)
                 label = f"C{n} pi={pi} iso i={i} delta j={j}"
-                _checked(t, pi, gamma, word, label, out, seen)
+                _checked(t, pi, gamma, word, label, out)
             for j in range(1, i):
                 gamma = _add(
                     _add(_chain(n, j, i), _chain(n, i + 1, n - 1, 2)),
@@ -264,14 +262,15 @@ def c_certificates(n: int) -> list[ExclusionCert]:
                 )
                 word = _asc(j, n - 1) + _desc(n, i + 1)
                 label = f"C{n} pi={pi} iso i={i} nu j={j}"
-                _checked(t, pi, gamma, word, label, out, seen)
+                _checked(t, pi, gamma, word, label, out)
             gamma = _add(_chain(n, i + 1, n - 1, 2), _chain(n, n, n))
             label = f"C{n} pi={pi} iso i={i} nu_ii-alpha_i"
-            _checked(t, pi, gamma, _desc(n, i + 1), label, out, seen)
-        for j in range(1, min(l, n)):
+            _checked(t, pi, gamma, _desc(n, i + 1), label, out)
+        # an even j is the nu_ii-alpha_i certificate of i = j-1 above
+        for j in range(1, min(l, n), 2):
             gamma = _add(_chain(n, j, n - 1, 2), _chain(n, n, n))
             label = f"C{n} pi={pi} doubled chain j={j}"
-            _checked(t, pi, gamma, _desc(n, j), label, out, seen)
+            _checked(t, pi, gamma, _desc(n, j), label, out)
     return out
 
 
@@ -308,8 +307,10 @@ def write_files(directory) -> dict[str, int]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    target = argv[0] if argv else "certs"
-    counts = write_files(target)
+    if len(argv) > 1 or any(not arg or arg.startswith("-") for arg in argv):
+        print("usage: python -m weylorbit.catalog [DIRECTORY]  (default: certs)", file=sys.stderr)
+        return 2
+    counts = write_files(argv[0] if argv else "certs")
     for name, count in sorted(counts.items()):
         print(f"{name}: {count} certificates")
     print(f"total: {sum(counts.values())}")

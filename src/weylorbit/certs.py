@@ -3,6 +3,7 @@
 A certificate names a root system type, an admissible subset pi, a positive
 root gamma outside the pi subsystem, and a word for an element sigma written
 left factor first: sigma = s_{i_t} ... s_{i_1} for sigma_word = [i_t, ..., i_1].
+ExclusionCert is the only constructor, and it checks these fields.
 The checkable conditions, with w = w0 * w_Pi and alpha = alpha_{i_t}:
 
   1. sigma(gamma) = -alpha;
@@ -61,8 +62,8 @@ class ExclusionCert:
     pi: frozenset[int]
     gamma: Vector
     sigma_word: tuple[int, ...]
-    expected_cond2: tuple[Vector, ...] | None
-    label: str
+    expected_cond2: tuple[Vector, ...] | None = None
+    label: str = ""
 
     def __post_init__(self):
         rstype = self.rstype
@@ -180,21 +181,6 @@ def _object(pairs) -> dict:
         obj = _Repeated(obj)
         obj.key = next(key for i, key in enumerate(keys) if key in keys[:i])
     return obj
-
-
-def make_cert(
-    rstype: RootSystemType,
-    pi,
-    gamma,
-    sigma_word,
-    expected_cond2=None,
-    label: str = "",
-) -> ExclusionCert:
-    """Build a checked certificate; a defect's message starts with the label."""
-    try:
-        return ExclusionCert(rstype, pi, gamma, sigma_word, expected_cond2, label)
-    except CertError as exc:
-        raise CertError(f"{label or 'cert'}: {exc}") from None
 
 
 def parse_certs(document: str) -> list[ExclusionCert]:
@@ -341,11 +327,5 @@ def mutate_sigma(cert: ExclusionCert, rng: Random) -> ExclusionCert:
     choices = [a for a in range(1, rs.rank + 1) if a != old]
     new_word = list(cert.sigma_word)
     new_word[pos] = rng.choice(choices)
-    return ExclusionCert(
-        cert.rstype,
-        cert.pi,
-        cert.gamma,
-        tuple(new_word),
-        None,
-        f"{cert.label} [mutated @{pos}]",
-    )
+    label = f"{cert.label} [mutated @{pos}]"
+    return ExclusionCert(cert.rstype, cert.pi, cert.gamma, tuple(new_word), label=label)

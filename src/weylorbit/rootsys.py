@@ -209,11 +209,14 @@ class RootSystem:
             raise ValueError(f"simple-root index {i!r} out of range 1..{self.rank}")
 
     def _check_subset(self, pi) -> frozenset[int]:
-        """pi as a frozenset of simple indices, each one checked before hashing."""
+        """pi as a frozenset of distinct simple indices, each one checked before hashing."""
         pi = tuple(pi)
         for i in pi:
             self._check_index(i)
-        return frozenset(pi)
+        subset = frozenset(pi)
+        if len(subset) != len(pi):
+            raise ValueError(f"pi {list(pi)} repeats an index")
+        return subset
 
     def _pair(self, v, i: int) -> int:
         """<v, alpha_{i+1}^vee> for a 0-based i, unchecked: the sum over Cartan column i."""

@@ -198,7 +198,7 @@ def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
 
 
 def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
-    pi = frozenset(pi)
+    pi = rs._check_subset(pi)
     if not is_admissible(rs, pi):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
     return _datum(rs, pi)

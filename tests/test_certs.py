@@ -17,7 +17,6 @@ from weylorbit import (
     build_named,
     from_word,
     is_admissible,
-    make_cert,
     mutate_sigma,
     parse_certs,
     subsystem_positive_roots,
@@ -33,6 +32,7 @@ from weylorbit.catalog import (
     f4_certificates,
     g2_certificates,
     g2_pi1_certificates,
+    main as catalog_main,
     shipped_files,
 )
 from weylorbit.certs import certs_to_json
@@ -65,18 +65,18 @@ def test_g2_passes():
 
 
 def test_g2_wrong_sigma_fails_cond1():
-    cert = make_cert(G2, [2], (1, 0), [2], label="wrong generator")
+    cert = ExclusionCert(G2, [2], (1, 0), [2], label="wrong generator")
     report = verify(cert)
     assert not report.cond1
     assert not report.passed
 
 
 def test_cond2_witness_values():
-    cert = make_cert(G2, [2], (3, 1), [2, 1], expected_cond2=[(1, 0)])
+    cert = ExclusionCert(G2, [2], (3, 1), [2, 1], expected_cond2=[(1, 0)])
     report = verify(cert)
     assert report.cond2_witnesses == ((1, 0),)
     assert report.cond2_match is True
-    mismatch = make_cert(G2, [2], (3, 1), [2, 1], expected_cond2=[(0, 1)])
+    mismatch = ExclusionCert(G2, [2], (3, 1), [2, 1], expected_cond2=[(0, 1)])
     assert verify(mismatch).cond2_match is False
 
 
@@ -191,7 +191,7 @@ def test_parse_rejects_rank_above_enumeration_bound():
     with pytest.raises(CertError, match="^cert #0: type A60 has rank above 8"):
         parse_certs(json.dumps([entry]))
     with pytest.raises(CertError, match="rank above 8"):
-        make_cert(RootSystemType("D", 9), [], (1,) + (0,) * 8, [1])
+        ExclusionCert(RootSystemType("D", 9), [], (1,) + (0,) * 8, [1])
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,7 +209,7 @@ def test_parse_fuzz_returns_certs_or_cert_error(data):
 def test_float_gamma_is_not_truncated():
     # [3.9, 1.2] used to be read as the root (3, 1) and then pass
     with pytest.raises(CertError, match="3.9"):
-        make_cert(G2, [2], [3.9, 1.2], [2, 1])
+        ExclusionCert(G2, [2], [3.9, 1.2], [2, 1])
 
 
 def test_parse_rejects_non_string_type():
@@ -219,13 +219,13 @@ def test_parse_rejects_non_string_type():
 
 
 def test_verify_rejects_inadmissible_pi():
-    cert = make_cert(RootSystemType("A", 3), [1], (0, 1, 0), [2], label="bad pi")
+    cert = ExclusionCert(RootSystemType("A", 3), [1], (0, 1, 0), [2], label="bad pi")
     with pytest.raises(CertError, match="admissible"):
         verify(cert)
 
 
 def test_verify_rejects_gamma_inside_pi_subsystem():
-    cert = make_cert(RootSystemType("G", 2), [2], (0, 1), [2], label="inside pi")
+    cert = ExclusionCert(RootSystemType("G", 2), [2], (0, 1), [2], label="inside pi")
     with pytest.raises(CertError, match="pi subsystem"):
         verify(cert)
 
@@ -233,9 +233,9 @@ def test_verify_rejects_gamma_inside_pi_subsystem():
 @pytest.mark.parametrize("bad", [0, -1, 3])
 @pytest.mark.parametrize("field", ["sigma top", "sigma inner", "pi"])
 def test_verify_rejects_out_of_range_indices(field, bad):
-    # a certificate built without make_cert is checked when it is built, so
-    # verify never sees index 0 or -1, which would wrap to the last simple
-    # root, or 3, which would fall off the end of G2
+    # a certificate is checked when it is built, so verify never sees index 0
+    # or -1, which would wrap to the last simple root, or 3, which would fall
+    # off the end of G2
     pi, sigma = {2}, (2, 1)
     if field == "sigma top":
         sigma = (bad, 1)
@@ -255,7 +255,7 @@ def test_verify_rejects_empty_sigma():
 
 def test_cert_fields_are_normalised():
     cert = ExclusionCert(G2, [2], [3, 1], [2, 1], [[1, 0]], "x")
-    assert cert == make_cert(G2, {2}, (3, 1), (2, 1), expected_cond2=((1, 0),), label="x")
+    assert cert == ExclusionCert(G2, {2}, (3, 1), (2, 1), expected_cond2=((1, 0),), label="x")
     assert (cert.pi, cert.gamma, cert.sigma_word, cert.expected_cond2) == (
         frozenset({2}), (3, 1), (2, 1), ((1, 0),)
     )
@@ -268,7 +268,7 @@ def test_verify_all_empty():
 
 
 def test_verify_all_counts_and_order():
-    certs = g2_certificates() + [make_cert(G2, [2], (1, 0), [2], label="bad")]
+    certs = g2_certificates() + [ExclusionCert(G2, [2], (1, 0), [2], label="bad")]
     summary = verify_all(certs)
     assert (summary.passed, summary.failed) == (2, 1)
     assert not summary.ok
@@ -302,10 +302,34 @@ def test_shipped_files_match_catalog():
 def test_catalog_check_rejects_a_wrong_audit_list():
     # the G2 audit list used to be put in after the check, so a slip in it shipped
     with pytest.raises(AssertionError, match="failed verification: slip"):
-        _checked(G2, [2], (3, 1), [2, 1], "slip", [], set(), [(0, 1)])
+        _checked(G2, [2], (3, 1), [2, 1], "slip", [], [(0, 1)])
     out = []
-    _checked(G2, [2], (3, 1), [2, 1], "audit", out, set(), [(1, 0)])
+    _checked(G2, [2], (3, 1), [2, 1], "audit", out, [(1, 0)])
     assert out[0].expected_cond2 == ((1, 0),)
+
+
+def test_catalog_check_rejects_a_malformed_entry():
+    out = []
+    with pytest.raises(AssertionError, match="malformed: letter zero: sigma letter 0"):
+        _checked(G2, [2], (3, 1), [0, 1], "letter zero", out)
+    assert out == []
+
+
+def test_shipped_files_repeat_no_certificate():
+    # each catalog family emits each certificate once; nothing drops a repeat
+    for path in sorted(CERT_DIR.glob("*.certs.json")):
+        keys = [(c.rstype, c.pi, c.gamma, c.sigma_word) for c in parse_certs(path.read_text())]
+        assert len(set(keys)) == len(keys), path.name
+
+
+def test_catalog_main_refuses_options_and_extra_arguments(tmp_path, monkeypatch, capsys):
+    # --help used to be taken for a directory name, "" for the current one, and
+    # extra arguments were ignored
+    monkeypatch.chdir(tmp_path)
+    for argv in (["--help"], ["-o"], [""], ["out", "extra"]):
+        assert catalog_main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: python -m weylorbit.catalog")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_shipped_g2_file_has_two_entries():
@@ -327,7 +351,7 @@ def test_mutation_mostly_detected():
 
 
 def test_mutate_rank_one_raises_cert_error():
-    cert = make_cert(RootSystemType("A", 1), [], [1], [1], label="lone")
+    cert = ExclusionCert(RootSystemType("A", 1), [], [1], [1], label="lone")
     with pytest.raises(CertError, match="lone: .*rank 1"):
         mutate_sigma(cert, random.Random(0))
 
@@ -370,7 +394,7 @@ def _seeded_certs(rng, name, count):
                 v = reflect(rs, v, i)
                 word.insert(0, i)
             word.insert(0, rs.simples.index(v) + 1)
-        certs.append(make_cert(rs.rstype, pi, gamma, word, label=f"{name} #{k}"))
+        certs.append(ExclusionCert(rs.rstype, pi, gamma, word, label=f"{name} #{k}"))
     return certs
 
 
@@ -403,7 +427,7 @@ def test_witnesses_match_dense_oracle_on_long_words(name):
         while len(word) + 2 <= target:
             pos = rng.randint(1, len(word))
             word[pos:pos] = [rng.randint(1, rs.rank)] * 2
-        cert = make_cert(rs.rstype, base.pi, base.gamma, word, label=f"{name} #{k}")
+        cert = ExclusionCert(rs.rstype, base.pi, base.gamma, word, label=f"{name} #{k}")
         report = verify(cert)
         assert len(report.cond2_witnesses) == len(word) - 1
         assert report == dense_verify(cert), cert.label
@@ -486,7 +510,7 @@ def test_certificate_exists_iff_w_gamma_is_not_plus_minus_gamma():
                     exists = w_gamma not in (gamma, tuple(-c for c in gamma))
                     assert (word is not None) == exists, (name, pi, gamma)
                     if exists:
-                        assert verify(make_cert(rs.rstype, pi, gamma, word)).passed, word
+                        assert verify(ExclusionCert(rs.rstype, pi, gamma, word)).passed, word
                     keys += 1
     assert keys == 1899
 
@@ -512,7 +536,7 @@ def test_certificate_existence_on_seeded_rank_7_and_8_keys(name):
         exists = w_gamma not in (gamma, tuple(-c for c in gamma))
         assert (word is not None) == exists, (name, pi, gamma)
         if exists:
-            assert verify(make_cert(rs.rstype, pi, gamma, word)).passed, word
+            assert verify(ExclusionCert(rs.rstype, pi, gamma, word)).passed, word
         verdicts.add(exists)
     assert verdicts == {True, False}
 

@@ -131,6 +131,13 @@ def test_quali_no_rejects_bad_index(a3, pi):
         passes_quali_no(a3, pi)
 
 
+def test_repeated_pi_index_is_rejected(a3):
+    # [2, 2] used to be read as {2}: an admissible pi with the row of {2}
+    for query in (spherical_datum, is_admissible, subsystem_positive_roots):
+        with pytest.raises(ValueError, match=r"pi \[2, 2\] repeats an index"):
+            query(a3, [2, 2])
+
+
 def test_enumerate_pi_examples(a3, g2, b3):
     assert pis(g2) == {frozenset({1}), frozenset({2})}
     assert pis(a3) == {frozenset({2})}
