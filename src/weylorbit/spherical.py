@@ -5,8 +5,7 @@ Pi is admissible when w fixes exactly the simple roots in Pi; the attached
 dimension is l(w) + rk(1 - w), and l(w) = l(w0) - l(w_Pi). A second,
 diagram-level filter removes isolated components of Pi that admit a
 same-length neighbour fixed by -w0 and orthogonal to the rest of Pi; it is
-_quali_witness, which enumerate_pi runs on the components it has split Pi
-into for the first filter.
+_quali_witness, which enumerate_pi runs on the components it built Pi from.
 
 Admissibility is decided on the Dynkin diagram, with theta = -w0:
 
@@ -42,15 +41,18 @@ alpha_i - alpha_theta(i) for each 2-cycle of theta and negates alpha_i for
 each fixed point, so the fixed space has dimension
 |Pi| + #{2-cycles outside Pi}, and rk(1 - w) is n minus that.
 
-Every subset evaluation is a pure function of the immutable root system, so
-the enumeration is embarrassingly parallel if a caller wants it to be.
+enumerate_pi tests no subset that fails the first filter: the components of
+an admissible Pi are pairwise non-adjacent connected subsets C with
+theta|C = -w_C. So it grows the connected subsets of the diagram once, walks
+-w_C only on those that theta maps to themselves, and recurses over unions
+of the pieces that pass, each added only clear of the closed neighbourhoods
+of those already taken, which yields each admissible Pi once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
 
 from .rootsys import RootSystem
 from .weyl import _twist, _walk, _word_at, theta
@@ -116,8 +118,13 @@ def _components(rs: RootSystem, pi: frozenset[int]) -> list[frozenset[int]]:
 
 @cache
 def _theta_agrees_on(rs: RootSystem, comp: frozenset[int]) -> bool:
-    """-w_C(alpha_i) = alpha_{theta(i)} for every i in the connected component C."""
+    """-w_C(alpha_i) = alpha_{theta(i)} for every i in the connected component C.
+
+    -w_C permutes C, so a C that theta does not map to itself fails unwalked.
+    """
     perm = theta(rs)
+    if any(perm[i] not in comp for i in comp):
+        return False
     return all(perm[i] == j for i, j in _twist(rs, comp).items())
 
 
@@ -153,28 +160,47 @@ def _quali_witness(
     return None
 
 
+def _connected(rs: RootSystem) -> list[frozenset[int]]:
+    """Every connected subset of the diagram once, grown from the singletons."""
+    out = []
+    level = {frozenset({i}) for i in range(1, rs.rank + 1)}
+    while level:
+        out += level
+        level = {
+            c | {j + 1} for c in level for i in c for j, _ in rs.neighbours[i - 1] if j + 1 not in c
+        }
+    return out
+
+
 def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     """All admissible pi passing both filters, sorted by dimension.
 
     The empty set and the full diagram always appear; the latter is flagged
-    central (its element is the identity). Each subset is split into its
-    components once, for both filters.
+    central (its element is the identity). Each pi is built once, as a union
+    of its components (module docstring), which the second filter reuses.
     """
     if rs.rank > ENUMERATION_MAX_RANK:
         raise ValueError(
             f"enumeration is guarded to rank <= {ENUMERATION_MAX_RANK}, "
             f"got {rs.rstype}"
         )
-    indices = range(1, rs.rank + 1)
+    pieces = [
+        (c, frozenset(j + 1 for i in c for j, _ in rs.neighbours[i - 1]))
+        for c in _connected(rs)
+        if _theta_agrees_on(rs, c)
+    ]
     found = []
-    for size in range(rs.rank + 1):
-        for combo in combinations(indices, size):
-            pi = frozenset(combo)
-            comps = _components(rs, pi)
-            if _admissible(rs, comps) and _quali_witness(rs, pi, comps) is None:
-                found.append(_datum(rs, pi))
+    stack = [(0, frozenset(), frozenset(), [])]
+    while stack:
+        start, pi, blocked, comps = stack.pop()
+        if _quali_witness(rs, pi, comps) is None:
+            found.append(_datum(rs, pi))
+        for k in range(start, len(pieces)):
+            comp, closed = pieces[k]
+            if not comp & blocked:
+                stack.append((k + 1, pi | comp, blocked | closed, comps + [comp]))
     found.sort(key=lambda d: (d.dimension, len(d.pi), sorted(d.pi)))
-    full = frozenset(indices)
+    full = frozenset(range(1, rs.rank + 1))
     if not any(d.pi == frozenset() for d in found) or not any(d.pi == full for d in found):
         raise AssertionError("the empty set and the full diagram must always pass")
     return found
@@ -199,6 +225,6 @@ def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
 
 def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     pi = rs._check_subset(pi)
-    if not is_admissible(rs, pi):
+    if not _admissible(rs, _components(rs, pi)):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
     return _datum(rs, pi)

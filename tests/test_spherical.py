@@ -19,12 +19,13 @@ from weylorbit import (
     subsystem_positive_roots,
 )
 from weylorbit import intmat
-from weylorbit.spherical import _theta_agrees_on
+from weylorbit.spherical import _connected, _theta_agrees_on
 from weylorbit.weyl import _twist, _walk
 
 from conftest import (
     ALL_TYPES,
     candidate,
+    candidate_columns,
     column_datum,
     column_longest,
     connected_subsets,
@@ -34,10 +35,12 @@ from conftest import (
     form_lengths,
     form_quali_no,
     fraction_rank,
+    full_rmul_s,
     inversion_count,
     matrix_admissible,
     one_plus,
     passes_quali_no,
+    reflect,
     type_a_cascade,
 )
 
@@ -91,11 +94,63 @@ def test_twist_matches_longest_columns(name):
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_rows_match_column_datum(name):
-    # each row's word, length and rank off the walk of w_pi and theta, against
-    # the same row read off the element w0 * w_pi
+    # the slow path as oracle: the pi of all 2^n subsets that pass the dense
+    # rule and the form-based quali filter, each once, and each row's word,
+    # length and rank, off the walk of w_pi and theta, against the same row
+    # read off the dense columns of w0 * w_pi, in the same order
     rs = build_named(name)
-    for d in enumerate_pi(rs):
-        assert d.as_dict() == column_datum(rs, d.pi).as_dict(), sorted(d.pi)
+    expected = {
+        frozenset(pi)
+        for size in range(rs.rank + 1)
+        for pi in combinations(range(1, rs.rank + 1), size)
+        if matrix_admissible(rs, pi) and not form_quali_no(rs, pi)
+    }
+    rows = enumerate_pi(rs)
+    assert len(rows) == len(expected) and {d.pi for d in rows} == expected
+    oracle = sorted(
+        (column_datum(rs, pi) for pi in expected),
+        key=lambda d: (d.dimension, len(d.pi), sorted(d.pi)),
+    )
+    assert [d.as_dict() for d in rows] == [d.as_dict() for d in oracle]
+
+
+def test_connected_pieces_are_the_connected_subsets():
+    total = 0
+    for name in ALL_TYPES:
+        rs = build_named(name)
+        pieces = _connected(rs)
+        assert len(pieces) == len(set(pieces)), name
+        assert set(pieces) == set(connected_subsets(rs)), name
+        total += len(pieces)
+    assert total == 605
+
+
+def test_dimension_is_twice_the_involution_walk():
+    """l(w) + rk(1 - w) is twice the number of steps that walk w down to 1.
+
+    The Bruhat order on involutions is graded (Richardson and Springer, The
+    Bruhat order on symmetric varieties, Geom. Dedicata 35, 1990; Hultman,
+    Trans. AMS 359, 2007), and rk(1 - w) is the reflection length of an
+    involution (Carter, Compositio Math. 25, 1972, Lemma 2). For the first
+    right descent s, w -> w s lowers both terms by one when w(alpha_s) =
+    -alpha_s, and w -> s w s lowers the length by two otherwise. The columns
+    w(alpha_i) are dense products, so no matrix rank and no theta is read.
+    """
+    rows = 0
+    for name in ALL_TYPES:
+        rs = build_named(name)
+        for d in enumerate_pi(rs):
+            rows += 1
+            cols, steps = candidate_columns(rs, d.pi), 0
+            while cols != rs.simples:
+                s = next(i for i, col in enumerate(cols, 1) if any(c < 0 for c in col))
+                flipped = cols[s - 1] == tuple(-c for c in rs.simples[s - 1])
+                cols = full_rmul_s(rs, cols, s)
+                if not flipped:
+                    cols = tuple(reflect(rs, col, s) for col in cols)
+                steps += 1
+            assert d.dimension == 2 * steps, (name, sorted(d.pi))
+    assert rows == 207
 
 
 def test_rank_identity_on_every_admissible_pi():
