@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import json
 import reprlib
-from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
 from .spherical import ENUMERATION_MAX_RANK, is_admissible
@@ -50,54 +50,79 @@ class CertError(ValueError):
     """Malformed certificate data; message carries position and label."""
 
 
-@dataclass(frozen=True)
 class ExclusionCert:
     """A certificate, checked when it is built: a defect raises CertError.
 
     pi is normalised to a frozenset, and gamma, sigma_word and the
-    expected_cond2 entries to tuples of exact ints.
+    expected_cond2 entries to tuples of exact ints. Immutable; equal fields
+    give equal certificates, which hash alike.
     """
+
+    __slots__ = ("rstype", "pi", "gamma", "sigma_word", "expected_cond2", "label")
+    __match_args__ = __slots__
 
     rstype: RootSystemType
     pi: frozenset[int]
     gamma: Vector
     sigma_word: tuple[int, ...]
-    expected_cond2: tuple[Vector, ...] | None = None
-    label: str = ""
+    expected_cond2: tuple[Vector, ...] | None
+    label: str
 
-    def __post_init__(self):
-        rstype = self.rstype
+    def __new__(cls, rstype, pi, gamma, sigma_word, expected_cond2=None, label=""):
         if rstype.rank > ENUMERATION_MAX_RANK:
             raise CertError(f"type {rstype} has rank above {ENUMERATION_MAX_RANK}")
         rs = build(rstype)
-        indices = _ints(self.pi, "pi")
+        indices = _ints(pi, "pi")
         pi = frozenset(indices)
         if len(pi) != len(indices):
             raise CertError(f"pi {list(indices)} repeats an index")
         for i in pi:
             if not 1 <= i <= rs.rank:
                 raise CertError(f"pi index {i} out of range for {rstype}")
-        gamma = _ints(self.gamma, "gamma")
+        gamma = _ints(gamma, "gamma")
         if len(gamma) != rs.rank or not rs.is_positive_root(gamma):
             raise CertError(f"gamma {list(gamma)} is not a positive root of {rstype}")
-        word = _ints(self.sigma_word, "sigma")
+        word = _ints(sigma_word, "sigma")
         if not word:
             raise CertError("sigma word must be nonempty")
         for a in word:
             if not 1 <= a <= rs.rank:
                 raise CertError(f"sigma letter {a} out of range for {rstype}")
-        expected = None
-        if self.expected_cond2 is not None:
-            expected = tuple(
-                _ints(v, "expected_cond2") for v in _seq(self.expected_cond2, "expected_cond2")
+        if expected_cond2 is not None:
+            expected_cond2 = tuple(
+                _ints(v, "expected_cond2") for v in _seq(expected_cond2, "expected_cond2")
             )
-            for v in expected:
+            for v in expected_cond2:
                 if len(v) != rs.rank:
                     raise CertError(f"expected_cond2 entry {list(v)} has wrong rank")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "sigma_word", word)
-        object.__setattr__(self, "expected_cond2", expected)
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (rstype, pi, gamma, word, expected_cond2, label)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _values(self) -> tuple:
+        return (self.rstype, self.pi, self.gamma, self.sigma_word, self.expected_cond2, self.label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def as_dict(self) -> dict:
         out = {
@@ -112,8 +137,7 @@ class ExclusionCert:
         return out
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(NamedTuple):
     cond1: bool
     cond2_witnesses: tuple[Vector, ...]
     cond2_match: bool | None
@@ -132,8 +156,7 @@ class CertReport:
         }
 
 
-@dataclass
-class VerifySummary:
+class VerifySummary(NamedTuple):
     passed: int
     failed: int
     reports: list[tuple[ExclusionCert, CertReport]]

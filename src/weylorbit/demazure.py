@@ -12,7 +12,7 @@ classifies one step; closing {1} under the steps is left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .weyl import WeylElement, _reflect_point, is_involution, reduced_word, rmul_s
 
@@ -24,8 +24,7 @@ CASE_DESCRIPTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """One involution step: the length case and the admissible next values."""
 
     case_id: int

@@ -33,7 +33,6 @@ weyl._reflect_point is the single step of every other walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -54,20 +53,51 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
 class RootSystemType:
-    """A simple type such as B3: family letter plus rank."""
+    """A simple type such as B3: family letter plus rank.
+
+    Immutable. It is the cache key of build, so two types are equal, and
+    hash alike, exactly when they are of this class with the same family and
+    rank.
+    """
+
+    __slots__ = ("family", "rank")
+    __match_args__ = __slots__
 
     family: str
     rank: int
 
-    def __post_init__(self):
-        rule = _RANK_RULES.get(self.family)
+    def __new__(cls, family: str, rank: int):
+        rule = _RANK_RULES.get(family)
         if rule is None:
-            raise ValueError(f"unknown family {self.family!r}, expected one of A-G")
+            raise ValueError(f"unknown family {family!r}, expected one of A-G")
         # type() and not isinstance(): a bool is an int, and True would build A1
-        if type(self.rank) is not int or not rule(self.rank):
-            raise ValueError(f"rank {self.rank} is not valid for family {self.family}")
+        if type(rank) is not int or not rule(rank):
+            raise ValueError(f"rank {rank} is not valid for family {family}")
+        self = object.__new__(cls)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) == (other.family, other.rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(family={self.family!r}, rank={self.rank!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.family, self.rank)
 
     @classmethod
     def from_string(cls, text: str) -> "RootSystemType":

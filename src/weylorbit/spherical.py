@@ -51,8 +51,8 @@ of those already taken, which yields each admissible Pi once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .rootsys import RootSystem
 from .weyl import _twist, _walk, _word_at, theta
@@ -60,8 +60,7 @@ from .weyl import _twist, _walk, _word_at, theta
 ENUMERATION_MAX_RANK = 8
 
 
-@dataclass(frozen=True)
-class SphericalDatum:
+class SphericalDatum(NamedTuple):
     """One admissible Pi with the invariants of w = w0 * w_Pi."""
 
     rs: RootSystem

@@ -373,6 +373,27 @@ def full_rmul_s(rs, cols, i):
     return tuple(tuple(x - row[c] * y for x, y in zip(col, wi)) for col, row in zip(cols, rs.cartan))
 
 
+def involution_walk(rs, cols):
+    """The number of steps that walk an involution, given by its dense columns, down to 1.
+
+    While w != 1, take its first right descent s, the first negative column:
+    w -> w s when w(alpha_s) = -alpha_s, and w -> s w s otherwise. Each step
+    lowers l(w) + rk(1 - w) by exactly two (the Bruhat order on involutions is
+    graded: Richardson and Springer 1990, Hultman 2007), so the count is
+    (l(w) + rk(1 - w)) / 2. Each step shortens an involution, so columns that
+    have not reached 1 after N steps were not an involution's.
+    """
+    for steps in range(len(rs.positive_roots) + 1):
+        if cols == rs.simples:
+            return steps
+        s = next(i for i, col in enumerate(cols, 1) if any(c < 0 for c in col))
+        flipped = cols[s - 1] == tuple(-c for c in rs.simples[s - 1])
+        cols = full_rmul_s(rs, cols, s)
+        if not flipped:
+            cols = tuple(reflect(rs, col, s) for col in cols)
+    raise AssertionError("the walk does not reach 1: the columns are no involution")
+
+
 def pairing_closure(rs):
     """Every root with its length class: the simples closed under the dense reflect."""
     norms = _simple_norms(rs.rstype)

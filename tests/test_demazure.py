@@ -13,6 +13,7 @@ from weylorbit import (
     involution_step,
     is_admissible,
     is_involution,
+    rank_one_minus,
     reduced_word,
 )
 from weylorbit.weyl import rmul_s
@@ -20,10 +21,12 @@ from weylorbit.weyl import rmul_s
 from conftest import (
     brute_involutions,
     candidate,
+    column_word,
     dense_involution_step,
     enumerate_group,
     inversion_count,
     involution_reachability,
+    involution_walk,
     left_peel_demazure,
     longest,
     rows,
@@ -213,6 +216,44 @@ def test_carried_lengths_of_long_e8_words():
     for _ in range(20):
         w = from_word(rs, [rng.randint(1, 8) for _ in range(rng.randrange(300, 1200))])
         assert w.length == inversion_count(w)
+
+
+def _grade(w):
+    """(l(w) + rk(1 - w)) / 2 of an involution w: the walk on its dense columns."""
+    return involution_walk(w.rs, column_word(w.rs, reduced_word(w)))
+
+
+def test_involution_dimension_is_twice_the_walk():
+    # on every involution of small types, l(w) + rk(1 - w) is twice the number
+    # of walk steps: the carried length and the Bareiss rank against dense columns
+    count = 0
+    for name in ("A3", "B3", "C3", "D4", "G2", "A4", "F4"):
+        rs = build_named(name)
+        for w in brute_involutions(rs):
+            count += 1
+            assert w.length + rank_one_minus(w) == 2 * _grade(w), (name, reduced_word(w))
+    assert count == 268
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "E8"])
+def test_involution_steps_move_one_grade(name):
+    # the step graph is graded: a candidate other than w lies one grade up in
+    # cases 1 and 2 and one grade down in case 3
+    rs = build_named(name)
+    if name == "E8":
+        involutions = list(_seeded_involutions(rs, random.Random(name), 20))
+    else:
+        involutions = involution_reachability(rs)
+    moves = set()
+    for w in involutions:
+        grade = _grade(w)
+        for i in range(1, rs.rank + 1):
+            out = involution_step(w, i)
+            for cand in out.candidates - {w}:
+                up = out.case_id in (1, 2)
+                assert _grade(cand) == grade + (1 if up else -1), (reduced_word(w), i)
+                moves.add(out.case_id)
+    assert moves == {1, 2, 3}
 
 
 def test_reachability_small():

@@ -35,12 +35,11 @@ from conftest import (
     form_lengths,
     form_quali_no,
     fraction_rank,
-    full_rmul_s,
     inversion_count,
+    involution_walk,
     matrix_admissible,
     one_plus,
     passes_quali_no,
-    reflect,
     type_a_cascade,
 )
 
@@ -141,14 +140,7 @@ def test_dimension_is_twice_the_involution_walk():
         rs = build_named(name)
         for d in enumerate_pi(rs):
             rows += 1
-            cols, steps = candidate_columns(rs, d.pi), 0
-            while cols != rs.simples:
-                s = next(i for i, col in enumerate(cols, 1) if any(c < 0 for c in col))
-                flipped = cols[s - 1] == tuple(-c for c in rs.simples[s - 1])
-                cols = full_rmul_s(rs, cols, s)
-                if not flipped:
-                    cols = tuple(reflect(rs, col, s) for col in cols)
-                steps += 1
+            steps = involution_walk(rs, candidate_columns(rs, d.pi))
             assert d.dimension == 2 * steps, (name, sorted(d.pi))
     assert rows == 207
 
