@@ -39,19 +39,23 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     and m(x)m(s) = m(x) otherwise. l(xs) > l(x) exactly when x(alpha_s) > 0,
     that is when the entry s of the point x^-1(rho) is positive, so the
     product's point is walked in place by s_b for each letter b with v_b > 0,
-    and no column is built. The result is never shorter than either factor,
-    and its length is that of w1 plus the letters applied.
+    the update done inline over the Cartan neighbours of b, and no column is
+    built. The result is never shorter than either factor, and its length is
+    that of w1 plus the letters applied.
     """
     if w1.rs.rstype != w2.rs.rstype:
         raise ValueError("elements live in different root systems")
     rs = w1.rs
+    row_neighbours = rs.row_neighbours
     v = list(w1.v)
-    steps = 0
+    length = w1.length
     for b in reduced_word(w2):
-        if v[b - 1] > 0:
-            _reflect_point(rs, v, b - 1)
-            steps += 1
-    return WeylElement(rs, tuple(v), w1.length + steps)
+        x = v[b - 1]
+        if x > 0:
+            for j, a in row_neighbours[b - 1]:
+                v[j] -= x * a
+            length += 1
+    return WeylElement(rs, tuple(v), length)
 
 
 def involution_step(w: WeylElement, i: int) -> StepOutcome:

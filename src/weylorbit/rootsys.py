@@ -27,8 +27,9 @@ column views of weyl and every quantity of certs.verify go through it. Both
 are unchecked; a word's letters are checked when the Weyl element or the
 certificate is built. In fundamental-weight coordinates, the orbit points of
 Weyl elements move by v_j -= v_b <alpha_b, alpha_j^vee> over the row
-neighbours of b: weyl._descend does this update inside its walk, and
-weyl._reflect_point is the single step of every other walk.
+neighbours of b: weyl._descend, weyl.bruhat_leq and demazure.demazure_mul do
+this update inside their loops, and weyl._reflect_point is the single step
+of the word walk _times_word and of the involution step.
 """
 
 from __future__ import annotations

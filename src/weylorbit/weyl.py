@@ -11,22 +11,25 @@ it, and a point given without one must hold rank exact ints and is peeled at
 once, so a point that is no element's is rejected when it is built.
 One bounded walk, _descend, applies s_b for the first b of an index order
 with v_b < 0 until none is left, doing the point update in its own loop.
-Peeling v down to rho gives reduced words and the Bruhat subword peel;
-walking -rho over a subset Pi gives the parabolic longest element w_Pi, and
-walking the negative of a weight that is regular on a subset C gives -w_C.
-The walks mutate one list and return their letters. rmul_s and from_word are
-one walk, _times_word, that takes one copy of the point through a word (for
+Peeling v down to rho gives reduced words; walking -rho over a subset Pi
+gives the parabolic longest element w_Pi, and walking the negative of a
+weight that is regular on a subset C gives -w_C. These walks mutate one list
+and return their letters. The Bruhat check is one walk of its own over two
+points: it peels w by the same first descent and lowers u beside it, both
+updates inline, and builds no letter list. rmul_s and from_word are one
+walk, _times_word, that takes one copy of the point through a word (for
 rmul_s, one letter) by the single-step update _reflect_point and builds a
-single element at the end; the 0-Hecke product and the lowering of u in the
-Bruhat check move their points by the same step.
+single element at the end; the 0-Hecke product walks its point along a
+reduced word of its right factor with the update inline.
 None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
 once along a reduced word by the root-coordinate kernel of rootsys. apply
-(row sums of the matrix), fixed_simples, rank_one_minus, is_involution (one
-apply: w^2 = 1 exactly when w(rho) = v) and the involution step read it;
-it pays for itself where one element is applied again and again. The
-certificate checker, which would apply each element once, walks roots instead.
+(the sum of v_i w(alpha_i) over the columns), fixed_simples, rank_one_minus,
+is_involution (one apply: w^2 = 1 exactly when w(rho) = v) and the
+involution step read it; it pays for itself where one element is applied
+again and again. The certificate checker, which would apply each element
+once, walks roots instead.
 theta = -w0 is no element: it is the walk that gives -w_C, taken on the
 whole diagram (_twist).
 What depends only on the root system (the identity, the weight walk of each
@@ -39,7 +42,6 @@ view is a pure function of it, so all of this is safe to use concurrently.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
 
 from . import intmat
 from .rootsys import RootSystem, Vector
@@ -117,10 +119,19 @@ def _times_word(w: WeylElement, word) -> WeylElement:
 
 
 def apply(w: WeylElement, v: Vector) -> Vector:
-    """Image of a lattice vector under w: row k of the matrix of w dotted with v."""
-    if len(v) != w.rs.rank:
+    """Image of a lattice vector under w: sum of v_i * w(alpha_i) over the cached columns.
+
+    A zero coefficient skips its column, and a zero entry of a column its addition.
+    """
+    out = [0] * w.rs.rank
+    if len(v) != len(out):
         raise ValueError(f"vector {tuple(v)} does not have rank {w.rs.rank}")
-    return tuple([sum(map(mul, v, row)) for row in zip(*w.cols)])
+    for c, col in zip(v, w.cols):
+        if c:
+            for k, x in enumerate(col):
+                if x:
+                    out[k] += c * x
+    return tuple(out)
 
 
 def from_word(rs: RootSystem, word) -> WeylElement:
@@ -226,21 +237,51 @@ def is_involution(w: WeylElement) -> bool:
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order by the subword criterion.
+    """Bruhat order by the subword criterion, in one walk over both orbit points.
 
-    Peels a fixed reduced word of w from the right, lowering u along the way:
-    u <= w iff u ends at the identity. Both walks run on the stored points.
+    w is peeled by its lexicographically-first right descent b, and u is
+    lowered at b (u <- u s_b, one shorter) whenever v_u[b] < 0; both point
+    updates run inline, in one pass over the Cartan neighbours of b. By the
+    lifting property (Bjorner-Brenti, Prop. 2.2.7), u <= w iff u ends at the
+    identity, so the walk returns True as soon as u's carried length reaches
+    0, when its point must be rho. Otherwise w is walked down to rho, under
+    the bound of N letters, and the answer is False. No letter list is built
+    and no column is read.
     """
     if u.rs.rstype != w.rs.rstype:
         raise ValueError("elements live in different root systems")
-    if u.length > w.length:
+    left = u.length
+    if left > w.length:
         return False
-    rs = u.rs
-    vu = list(u.v)
-    for s in _peel(rs, list(w.v)):
-        if vu[s - 1] < 0:
-            _reflect_point(rs, vu, s - 1)
-    return all(x == 1 for x in vu)
+    rs = w.rs
+    vu, vw = list(u.v), list(w.v)
+    row_neighbours = rs.row_neighbours
+    steps = rs._n_positive
+    while left:
+        for x in vw:
+            if x < 0:
+                break
+        else:
+            if any(x != 1 for x in vw):
+                raise AssertionError("peel did not reach rho")
+            return False
+        if not steps:
+            raise AssertionError(f"walk did not stop within N = {rs._n_positive} letters")
+        steps -= 1
+        # the entries before the first negative one are >= 0, so index finds it
+        b = vw.index(x)
+        y = vu[b]
+        if y < 0:
+            for j, a in row_neighbours[b]:
+                vw[j] -= x * a
+                vu[j] -= y * a
+            left -= 1
+        else:
+            for j, a in row_neighbours[b]:
+                vw[j] -= x * a
+    if any(x != 1 for x in vu):
+        raise AssertionError("u reached length 0 away from rho")
+    return True
 
 
 def fixed_simples(w: WeylElement) -> frozenset[int]:

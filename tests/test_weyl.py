@@ -289,6 +289,54 @@ def test_peel_is_bounded(a3, monkeypatch):
         weyl._twist(a3, {1, 2, 3})
 
 
+def test_point_walks_with_no_update_give_no_verdict(monkeypatch):
+    # with the point update emptied, the Bruhat walk either runs past N letters
+    # or lowers u to length 0 away from rho, and the 0-Hecke product's peel of
+    # its right factor runs past N: neither returns a verdict, whether or not
+    # u <= w. u = 1 is left out, since it is below every w without a walk
+    rs = build_named("E6")
+    pairs = [
+        (u, w)
+        for u, w in _seeded_pairs(rs, random.Random("no update"), 120)
+        if 0 < u.length <= w.length
+    ]
+    assert {column_bruhat_leq(u, w) for u, w in pairs} == {True, False}
+    monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
+    monkeypatch.setattr(rs, "row_neighbours", ((),) * rs.rank)
+    for u, w in pairs:
+        with pytest.raises(AssertionError, match="within N = 36 letters|away from rho"):
+            bruhat_leq(u, w)
+        with pytest.raises(AssertionError, match="within N = 36 letters"):
+            demazure_mul(u, w)
+
+
+def _element_of_length(rs, rng, length):
+    """A random element of the given length, grown by random right ascents."""
+    w = identity(rs)
+    while w.length < length:
+        w = rmul_s(w, rng.choice([b for b, x in enumerate(w.v, 1) if x > 0]))
+    return w
+
+
+@pytest.mark.parametrize("name", ["E8", "B8", "F4"])
+def test_bruhat_early_exits_match_column_oracle(name):
+    # the walk stops once u is lowered to the identity: u = 1 at once, u = w
+    # and a subword u of w on the way; l(u) = l(w) with u != w walks w to rho
+    rs = build_named(name)
+    rng = random.Random(f"early exits {name}")
+    e = identity(rs)
+    for _ in range(12):
+        w = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randrange(1, 2 * rs._n_positive))])
+        sub = from_word(rs, [a for a in reduced_word(w) if rng.random() < 0.7])
+        peer = _element_of_length(rs, rng, w.length)
+        cases = [(e, w, True), (w, w, True), (sub, w, True)]
+        if peer != w:
+            cases += [(peer, w, False), (w, peer, False)]
+        for u, x, want in cases:
+            assert column_bruhat_leq(u, x) is want, (reduced_word(u), reduced_word(x))
+            assert bruhat_leq(u, x) is want, (reduced_word(u), reduced_word(x))
+
+
 def test_peel_rejects_a_dominant_point_other_than_rho(a3):
     # a point that no element has can be dominant and singular
     with pytest.raises(AssertionError, match="did not reach rho"):
