@@ -53,9 +53,10 @@ class CertError(ValueError):
 class ExclusionCert:
     """A certificate, checked when it is built: a defect raises CertError.
 
-    pi is normalised to a frozenset, and gamma, sigma_word and the
-    expected_cond2 entries to tuples of exact ints. Immutable; equal fields
-    give equal certificates, which hash alike.
+    rstype must be a RootSystemType and label a str, so that certs_to_json
+    writes what parse_certs reads back. pi is normalised to a frozenset, and
+    gamma, sigma_word and the expected_cond2 entries to tuples of exact ints.
+    Immutable; equal fields give equal certificates, which hash alike.
     """
 
     __slots__ = ("rstype", "pi", "gamma", "sigma_word", "expected_cond2", "label")
@@ -69,6 +70,10 @@ class ExclusionCert:
     label: str
 
     def __new__(cls, rstype, pi, gamma, sigma_word, expected_cond2=None, label=""):
+        if not isinstance(label, str):
+            raise CertError(f"label must be a string, got {type(label).__name__}")
+        if not isinstance(rstype, RootSystemType):
+            raise CertError(f"type must be a RootSystemType, got {type(rstype).__name__}")
         if rstype.rank > ENUMERATION_MAX_RANK:
             raise CertError(f"type {rstype} has rank above {ENUMERATION_MAX_RANK}")
         rs = build(rstype)
@@ -235,9 +240,6 @@ def parse_certs(document: str) -> list[ExclusionCert]:
                 raise CertError(
                     f"unknown key {min(unknown)!r}, expected only {', '.join(sorted(CERT_KEYS))}"
                 )
-            label = entry.get("label", f"cert #{pos}")
-            if not isinstance(label, str):
-                raise CertError(f"label must be a string, got {type(label).__name__}")
             rstype = RootSystemType.from_string(entry["type"])
             if entry["type"] != str(rstype):
                 raise CertError(f"type {entry['type']!r} is not written as {str(rstype)!r}")
@@ -248,7 +250,7 @@ def parse_certs(document: str) -> list[ExclusionCert]:
                     entry["gamma"],
                     entry["sigma"],
                     entry.get("expected_cond2"),
-                    label,
+                    entry.get("label", f"cert #{pos}"),
                 )
             )
         except KeyError as exc:

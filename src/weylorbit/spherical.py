@@ -3,9 +3,9 @@
 For a subset Pi of the simple roots, the candidate element is w = w0 * w_Pi.
 Pi is admissible when w fixes exactly the simple roots in Pi; the attached
 dimension is l(w) + rk(1 - w), and l(w) = l(w0) - l(w_Pi). A second,
-diagram-level filter removes isolated components of Pi that admit a
-same-length neighbour fixed by -w0 and orthogonal to the rest of Pi; it is
-_quali_witness, which enumerate_pi runs on the components it built Pi from.
+diagram-level filter, _quali_witness, drops each Pi with an isolated root
+(one with no neighbour in Pi) that admits a same-length neighbour fixed by
+-w0 and orthogonal to the rest of Pi.
 
 Admissibility is decided on the Dynkin diagram, with theta = -w0:
 
@@ -13,10 +13,11 @@ Admissibility is decided on the Dynkin diagram, with theta = -w0:
     so w(alpha_i) is negative and alpha_i is never fixed;
   - for i in Pi, w_Pi(alpha_i) = -alpha_{theta_Pi(i)} with theta_Pi = -w_Pi,
     so alpha_i is fixed exactly when theta(i) = theta_Pi(i);
-  - theta_Pi acts on each connected component C of Pi as -w_C.
+  - theta_Pi = -w_Pi permutes Pi, also when Pi is not connected: W_Pi is the
+    product of the commuting groups of the components of Pi.
 
-No element is built for this: -w_C is read off as a permutation of C by
-walking the negative of a weight that is regular on C by descents in C
+No element is built for this: -w_Pi is read off as a permutation of Pi by
+one walk of the negative of a weight that is regular on Pi by descents in Pi
 (weyl._twist), and theta is the same walk on the whole diagram.
 
 A table row needs no element either, and no root beyond the simple ones.
@@ -41,8 +42,9 @@ alpha_i - alpha_theta(i) for each 2-cycle of theta and negates alpha_i for
 each fixed point, so the fixed space has dimension
 |Pi| + #{2-cycles outside Pi}, and rk(1 - w) is n minus that.
 
-enumerate_pi tests no subset that fails the first filter: the components of
-an admissible Pi are pairwise non-adjacent connected subsets C with
+enumerate_pi tests no subset that fails the first filter: -w_Pi acts on
+each connected component C of Pi as -w_C, so the components of an
+admissible Pi are pairwise non-adjacent connected subsets C with
 theta|C = -w_C. So it grows the connected subsets of the diagram once, walks
 -w_C only on those that theta maps to themselves, and recurses over unions
 of the pieces that pass, each added only clear of the closed neighbourhoods
@@ -88,74 +90,55 @@ def is_admissible(rs: RootSystem, pi) -> bool:
 
     Decided on the diagram, without building w0 * w_Pi: a simple root outside
     pi is sent negative, and alpha_i with i in pi is fixed exactly when
-    -w_Pi(alpha_i) = alpha_{theta(i)}, theta = -w0. Since w_Pi is the product
-    of the w_C over the connected components C of pi, each component is
-    checked on its own.
+    -w_Pi(alpha_i) = alpha_{theta(i)}, theta = -w0. One walk over the whole
+    of pi decides this; pi need not be connected.
     """
-    return _admissible(rs, _components(rs, rs._check_subset(pi)))
-
-
-def _admissible(rs: RootSystem, comps: list[frozenset[int]]) -> bool:
-    return all(_theta_agrees_on(rs, comp) for comp in comps)
-
-
-def _components(rs: RootSystem, pi: frozenset[int]) -> list[frozenset[int]]:
-    remaining = set(pi)
-    comps = []
-    while remaining:
-        comp, frontier = set(), [remaining.pop()]
-        while frontier:
-            a = frontier.pop()
-            comp.add(a)
-            for j, _ in rs.neighbours[a - 1]:
-                if j + 1 in remaining:
-                    remaining.discard(j + 1)
-                    frontier.append(j + 1)
-        comps.append(frozenset(comp))
-    return comps
+    return _theta_agrees_on(rs, rs._check_subset(pi))
 
 
 @cache
-def _theta_agrees_on(rs: RootSystem, comp: frozenset[int]) -> bool:
-    """-w_C(alpha_i) = alpha_{theta(i)} for every i in the connected component C.
+def _theta_agrees_on(rs: RootSystem, pi: frozenset[int]) -> bool:
+    """-w_Pi(alpha_i) = alpha_{theta(i)} for every i in pi, connected or not.
 
-    -w_C permutes C, so a C that theta does not map to itself fails unwalked.
+    -w_Pi permutes pi, so a pi that theta does not map to itself fails unwalked.
     """
     perm = theta(rs)
-    if any(perm[i] not in comp for i in comp):
+    if any(perm[i] not in pi for i in pi):
         return False
-    return all(perm[i] == j for i, j in _twist(rs, comp).items())
+    return all(perm[i] == j for i, j in _twist(rs, pi).items())
 
 
-def _quali_witness(
-    rs: RootSystem, pi: frozenset[int], comps: list[frozenset[int]]
-) -> tuple[int, int] | None:
-    """Diagram filter on isolated components of pi, given its components.
+def _quali_witness(rs: RootSystem, pi: frozenset[int]) -> tuple[int, int] | None:
+    """Diagram filter on the isolated roots of pi.
 
-    pi fails exactly when some isolated component {a} admits a distinct
-    simple b of the same length with w0(alpha_b) = -alpha_b, that is
-    theta(b) = b, b adjacent to a, and b orthogonal to every other element
-    of pi; the witness (a, b) is returned then, and None when pi passes.
-    Simple roots are orthogonal exactly when their Cartan entry is zero, so
-    all of this is read off the diagram.
+    An isolated root of pi is an a in pi with no Cartan neighbour in pi. pi
+    fails exactly when some isolated a admits a distinct simple b of the same
+    length with w0(alpha_b) = -alpha_b, that is theta(b) = b, b adjacent to
+    a, and b orthogonal to every other element of pi; the witness (a, b) with
+    the smallest such a, then the smallest b, is returned then, and None when
+    pi passes. Simple roots are orthogonal exactly when their Cartan entry is
+    zero, so all of this is read off the diagram.
     """
     perm = theta(rs)
-    for comp in comps:
-        if len(comp) != 1:
-            continue
-        (a,) = comp
-        norm = rs._norms[a - 1]
-        # b runs over the neighbours of the isolated a, in increasing order, so
-        # b lies outside pi; it must have no neighbour in pi but a
+    for a in sorted(pi):
+        # a is isolated when this loop meets no other index of pi; a plain loop,
+        # not a generator, as it runs for every root of every pi enumerate_pi tries
         for j, _ in rs.neighbours[a - 1]:
-            b = j + 1
-            if (
-                b != a
-                and perm[b] == b
-                and rs._norms[j] == norm
-                and not any(k + 1 in pi and k + 1 != a for k, _ in rs.neighbours[j])
-            ):
-                return a, b
+            if j + 1 != a and j + 1 in pi:
+                break
+        else:
+            norm = rs._norms[a - 1]
+            # b runs over the neighbours of the isolated a, in increasing order,
+            # so b lies outside pi; it must have no neighbour in pi but a
+            for j, _ in rs.neighbours[a - 1]:
+                b = j + 1
+                if (
+                    b != a
+                    and perm[b] == b
+                    and rs._norms[j] == norm
+                    and not any(k + 1 in pi and k + 1 != a for k, _ in rs.neighbours[j])
+                ):
+                    return a, b
     return None
 
 
@@ -176,7 +159,7 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 
     The empty set and the full diagram always appear; the latter is flagged
     central (its element is the identity). Each pi is built once, as a union
-    of its components (module docstring), which the second filter reuses.
+    of its components (module docstring).
     """
     if rs.rank > ENUMERATION_MAX_RANK:
         raise ValueError(
@@ -189,15 +172,15 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
         if _theta_agrees_on(rs, c)
     ]
     found = []
-    stack = [(0, frozenset(), frozenset(), [])]
+    stack = [(0, frozenset(), frozenset())]
     while stack:
-        start, pi, blocked, comps = stack.pop()
-        if _quali_witness(rs, pi, comps) is None:
+        start, pi, blocked = stack.pop()
+        if _quali_witness(rs, pi) is None:
             found.append(_datum(rs, pi))
         for k in range(start, len(pieces)):
             comp, closed = pieces[k]
             if not comp & blocked:
-                stack.append((k + 1, pi | comp, blocked | closed, comps + [comp]))
+                stack.append((k + 1, pi | comp, blocked | closed))
     found.sort(key=lambda d: (d.dimension, len(d.pi), sorted(d.pi)))
     full = frozenset(range(1, rs.rank + 1))
     if not any(d.pi == frozenset() for d in found) or not any(d.pi == full for d in found):
@@ -224,6 +207,6 @@ def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
 
 def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     pi = rs._check_subset(pi)
-    if not _admissible(rs, _components(rs, pi)):
+    if not _theta_agrees_on(rs, pi):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
     return _datum(rs, pi)

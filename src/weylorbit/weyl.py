@@ -313,6 +313,8 @@ def _twist(rs: RootSystem, comp) -> dict[int, int]:
     lambda_{c_k} = k on the k-th index c_k of C (0 elsewhere) is regular for
     W_C; the walk of -lambda by descents in C takes it to w_C(-lambda), and
     w_C(omega_j) = -omega_{theta_C(j)} on C gives v_j = lambda_{theta_C(j)}.
+    C need not be connected: W_C is the product of the commuting groups of
+    its components, so one walk gives -w_C on each of them at once.
     """
     order = sorted(comp)
     v = [0] * rs.rank

@@ -25,7 +25,7 @@ from weylorbit import (
 )
 from weylorbit.certs import CERT_KEYS
 from weylorbit.rootsys import LONG, SHORT, _simple_norms
-from weylorbit.spherical import _components, _quali_witness
+from weylorbit.spherical import _quali_witness
 from weylorbit.weyl import WeylElement, rmul_s
 
 # Every type the tables command covers at its default rank bound: 2498 subsets.
@@ -234,15 +234,15 @@ def form_lengths(rs):
 def passes_quali_no(rs, pi):
     """(passes, witness) of the quali-no filter on pi, by spherical._quali_witness."""
     pi = rs._check_subset(pi)
-    witness = _quali_witness(rs, pi, _components(rs, pi))
+    witness = _quali_witness(rs, pi)
     return witness is None, witness
 
 
 def form_quali_no(rs, pi):
     """Every witness (a, b) that passes_quali_no may report, found by the symmetric form.
 
-    pi passes exactly when the set is empty; which witness the filter reports
-    depends on the order it meets the components in.
+    pi passes exactly when the set is empty; the filter reports the witness
+    with the smallest isolated a, then the smallest b.
     """
     pi = frozenset(pi)
     perm = column_theta(rs)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -284,6 +285,26 @@ def test_round_trip_through_json():
     certs = g2_certificates() + f4_certificates()
     again = parse_certs(certs_to_json(certs))
     assert again == certs
+    for path in sorted(CERT_DIR.glob("*.certs.json")):
+        certs = parse_certs(path.read_text())
+        assert parse_certs(certs_to_json(certs)) == certs, path.name
+
+
+@pytest.mark.parametrize(
+    "rstype, label, message",
+    [
+        ("G2", "x", "type must be a RootSystemType, got str"),
+        (G2, None, "label must be a string, got NoneType"),
+        (G2, 7, "label must be a string, got int"),
+        (G2, ["x"], "label must be a string, got list"),
+    ],
+    ids=["str-type", "none-label", "int-label", "list-label"],
+)
+def test_cert_rejects_a_field_json_cannot_carry(rstype, label, message):
+    # a str type used to raise AttributeError, and a None label built a
+    # certificate that certs_to_json wrote as null and parse_certs then refused
+    with pytest.raises(CertError, match=f"^{re.escape(message)}$"):
+        ExclusionCert(rstype, [2], (3, 1), [2, 1], label=label)
 
 
 def test_catalog_families_all_pass():

@@ -65,12 +65,19 @@ def test_diagram_rule_matches_matrix_rule(name):
             assert is_admissible(rs, pi) == matrix_admissible(rs, pi), pi
             ok, witness = passes_quali_no(rs, pi)
             witnesses = form_quali_no(rs, pi)
-            assert ok == (not witnesses) and witness in (witnesses or {None}), pi
+            assert ok == (not witnesses) and witness == min(witnesses, default=None), pi
             # the walk of -rho over pi spells w_Pi, whose dense columns come from
             # the greedy ascent, and ends at the point of w0 w_Pi, a dense product
             letters, end = _walk(rs, frozenset(pi))
             w_pi = from_word(rs, letters)
-            assert w_pi.cols == column_longest(rs, pi), pi
+            w_pi_cols = column_longest(rs, pi)
+            assert w_pi.cols == w_pi_cols, pi
+            # one weight walk over pi, connected or not, gives -w_Pi on all of pi
+            perm = _twist(rs, pi)
+            assert sorted(perm) == sorted(perm.values()) == list(pi), pi
+            for i in pi:
+                assert w_pi_cols[i - 1] == tuple(-c for c in rs.simples[perm[i] - 1]), (pi, i)
+            assert _theta_agrees_on(rs, frozenset(pi)) == matrix_admissible(rs, pi), pi
             assert w_pi.length == len(letters) == inversion_count(w_pi), pi
             w = candidate(rs, pi)
             assert w.v == end, pi
