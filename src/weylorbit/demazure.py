@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .weyl import WeylElement, _reflect_point, is_involution, reduced_word, rmul_s
+from .weyl import WeylElement, _peel, _reflect_point, is_involution, rmul_s
 
 CASE_DESCRIPTIONS = {
     1: "l(sws) = l(w) + 2",
@@ -34,14 +34,14 @@ class StepOutcome(NamedTuple):
 def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     """The w with m(w) = m(w1) m(w2).
 
-    Applies a reduced word of w2, left letter first, onto w1 by the
-    right-hand form of the relations: m(x)m(s) = m(xs) when l(xs) > l(x),
-    and m(x)m(s) = m(x) otherwise. l(xs) > l(x) exactly when x(alpha_s) > 0,
-    that is when the entry s of the point x^-1(rho) is positive, so the
-    product's point is walked in place by s_b for each letter b with v_b > 0,
-    the update done inline over the Cartan neighbours of b, and no column is
-    built. The result is never shorter than either factor, and its length is
-    that of w1 plus the letters applied.
+    Applies the peel of w2's point (a reduced word, right letter first) from
+    its back onto w1 by the right-hand form of the relations: m(x)m(s) = m(xs)
+    when l(xs) > l(x), and m(x)m(s) = m(x) otherwise. l(xs) > l(x) exactly
+    when x(alpha_s) > 0, that is when the entry s of the point x^-1(rho) is
+    positive, so the product's point is walked in place by s_b for each
+    letter b with v_b > 0 (v_b negated, its row neighbours updated inline),
+    and no column is built. The result is never shorter than either factor,
+    and its length is that of w1 plus the letters applied.
     """
     if w1.rs.rstype != w2.rs.rstype:
         raise ValueError("elements live in different root systems")
@@ -49,9 +49,10 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     row_neighbours = rs.row_neighbours
     v = list(w1.v)
     length = w1.length
-    for b in reduced_word(w2):
+    for b in reversed(_peel(rs, list(w2.v))):
         x = v[b - 1]
         if x > 0:
+            v[b - 1] = -x
             for j, a in row_neighbours[b - 1]:
                 v[j] -= x * a
             length += 1
@@ -61,27 +62,31 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
 def involution_step(w: WeylElement, i: int) -> StepOutcome:
     """Classify the step (w, s_i) for an involution w and list candidates.
 
-    Everything is read off beta = w(alpha_i), a column of w's cached view.
-    Since w is an involution, l(sw) = l(ws), and l(ws) > l(w) exactly when
-    beta > 0. Since w s_i w^-1 = s_beta, sw = ws holds exactly when
-    beta = +-alpha_i, which gives cases 2 and 3. Otherwise s_i(beta) has the
-    sign of beta, so l(sws) moves two steps the same way: case 1 when
-    beta > 0, case 4 when beta < 0. The case-1 candidate s_i w s_i has the
-    point s_i w s_i(rho) = s_i w(rho - alpha_i) = s_i(v - beta), with v the
-    point of w = w^-1 and beta taken in fundamental-weight coordinates.
+    Everything is read off beta = w(alpha_i), a column of w's cached view, and
+    its height h. Since w is an involution, l(sw) = l(ws), which exceeds l(w)
+    exactly when beta > 0, that is h > 0. Since w s_i w^-1 = s_beta, sw = ws
+    exactly when beta = +-alpha_i, that is beta_i = h = +-1 (the roots of
+    height +-1 are the +-alpha_j): cases 2 and 3. Otherwise s_i(beta) has the
+    sign of beta, so l(sws) moves two steps the same way: case 1 when beta > 0,
+    case 4 when beta < 0. The case-1 candidate s_i w s_i has the point
+    s_i w s_i(rho) = s_i w(rho - alpha_i) = s_i(v - beta), v the point of w = w^-1
+    and beta in weight coordinates: 2 beta_j + sum_{k != j} beta_k <alpha_k, alpha_j^vee>.
     """
     if not is_involution(w):
         raise ValueError("involution_step requires an involution")
     rs = w.rs
     beta = w.column(i)
-    alpha = rs.simples[i - 1]
-    if beta == alpha:
+    h = sum(beta)
+    if beta[i - 1] == h == 1:
         return StepOutcome(2, frozenset({rmul_s(w, i), w}))
-    if beta == tuple(-c for c in alpha):
+    if beta[i - 1] == h == -1:
         return StepOutcome(3, frozenset({w, rmul_s(w, i)}))
-    if all(c >= 0 for c in beta):
-        pair = rs._pair
-        v = [x - pair(beta, j) for j, x in enumerate(w.v)]
+    if h > 0:
+        v = [x - 2 * c for x, c in zip(w.v, beta)]
+        for c, row in zip(beta, rs.row_neighbours):
+            if c:
+                for j, a in row:
+                    v[j] -= c * a
         _reflect_point(rs, v, i - 1)
         return StepOutcome(1, frozenset({WeylElement(rs, tuple(v), w.length + 2)}))
     return StepOutcome(4, frozenset({w}))

@@ -25,11 +25,11 @@ the Cartan neighbours of i (RootSystem._pair, an explicit loop), and
 _reflect_along walks one list along a word. It is the only root walk: the
 column views of weyl and every quantity of certs.verify go through it. Both
 are unchecked; a word's letters are checked when the Weyl element or the
-certificate is built. In fundamental-weight coordinates, the orbit points of
-Weyl elements move by v_j -= v_b <alpha_b, alpha_j^vee> over the row
-neighbours of b: weyl._descend, weyl.bruhat_leq and demazure.demazure_mul do
-this update inside their loops, and weyl._reflect_point is the single step
-of the word walk _times_word and of the involution step.
+certificate is built. In fundamental-weight coordinates, s_b negates entry b
+of an orbit point (the Cartan diagonal is 2) and moves v_j -= v_b <alpha_b,
+alpha_j^vee> over the row neighbours j != b of b: weyl._descend, bruhat_leq
+and demazure_mul do this inside their loops, and weyl._reflect_point is the
+single step of the word walk _times_word and of the involution step.
 """
 
 from __future__ import annotations
@@ -205,9 +205,9 @@ class RootSystem:
         self.neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((j, row[i]) for j, row in enumerate(cartan) if row[i]) for i in range(n)
         )
-        # row_neighbours[i]: the nonzero (j, <alpha_i, alpha_j^vee>), the same j
+        # row_neighbours[i]: the nonzero (j, <alpha_i, alpha_j^vee>), j != i (s_i negates v_i)
         self.row_neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in cartan
+            tuple((j, a) for j, a in enumerate(cartan[i]) if a and j != i) for i in range(n)
         )
 
         norms = _simple_norms(rstype)

@@ -5,7 +5,7 @@ coordinates. W acts simply transitively on the regular weights, so v alone
 identifies w: equality and hashing compare points, and the identity is
 rho = (1, ..., 1). The entry v_b = <rho, w(alpha_b)^vee> has the sign of
 w(alpha_b), so s_b is a right descent of w exactly when v_b < 0, and w * s_b
-has the point s_b(v), an update over the Cartan neighbours of b that moves
+has the point s_b(v), v_b negated and its row neighbours updated, which moves
 the length by one. Every element carries its length: each constructor knows
 it, and a point given without one must hold rank exact ints and is peeled at
 once, so a point that is no element's is rejected when it is built.
@@ -26,14 +26,14 @@ The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
 once along a reduced word by the root-coordinate kernel of rootsys. apply
 (the sum of v_i w(alpha_i) over the columns), fixed_simples, rank_one_minus,
-is_involution (one apply: w^2 = 1 exactly when w(rho) = v) and the
-involution step read it; it pays for itself where one element is applied
-again and again. The certificate checker, which would apply each element
-once, walks roots instead.
+is_involution (w^2 = 1 exactly when <v, w(alpha_b)^vee> = 1 for every b, one
+coroot pairing per column) and the involution step read it; it pays for
+itself where one element is applied again and again. The certificate
+checker, which would apply each element once, walks roots instead.
 theta = -w0 is no element: it is the walk that gives -w_C, taken on the
 whole diagram (_twist).
 What depends only on the root system (the identity, the weight walk of each
-parabolic subgroup, 2 rho and theta) is memoized by functools.cache, keyed on
+parabolic subgroup and theta) is memoized by functools.cache, keyed on
 the immutable root system, as rootsys memoizes the root table; nothing is
 stored on the root system itself. An element's point never changes and its
 view is a pure function of it, so all of this is safe to use concurrently.
@@ -42,6 +42,7 @@ view is a pure function of it, so all of this is safe to use concurrently.
 from __future__ import annotations
 
 from functools import cache
+from operator import mul
 
 from . import intmat
 from .rootsys import RootSystem, Vector
@@ -140,8 +141,10 @@ def from_word(rs: RootSystem, word) -> WeylElement:
 
 
 def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
-    """v <- s_b(v) in place, for a 0-based b: v_j -= v_b <alpha_b, alpha_j^vee>."""
+    """v <- s_b(v) in place, for a 0-based b: v_b negated (<alpha_b, alpha_b^vee> = 2),
+    and v_j -= v_b <alpha_b, alpha_j^vee> over the row neighbours j != b."""
     vb = v[b]
+    v[b] = -vb
     for j, a in rs.row_neighbours[b]:
         v[j] -= vb * a
 
@@ -156,7 +159,7 @@ def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
     shortens it by one, so more than N = rs._n_positive letters (the number of
     positive roots, from the Coxeter number) is an error (v is no such point,
     or an update was wrong), not a loop. The update of _reflect_point runs
-    inside the loop, over the Cartan neighbours of b, with no call per letter.
+    inside the loop (v_b negated, then its row neighbours), with no call per letter.
     """
     row_neighbours = rs.row_neighbours
     letters = []
@@ -168,6 +171,7 @@ def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
             return letters
         letters.append(b + 1)
         vb = v[b]
+        v[b] = -vb
         for j, a in row_neighbours[b]:
             v[j] -= vb * a
     if any(v[b] < 0 for b in order):
@@ -218,22 +222,21 @@ def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
     return letters, tuple(v)
 
 
-@cache
-def _two_rho(rs: RootSystem) -> Vector:
-    """The sum of the positive roots: a regular vector, fixed by no w != 1."""
-    return tuple(map(sum, zip(*rs.positive_roots)))
-
-
 def is_involution(w: WeylElement) -> bool:
-    """True when w*w = 1 (the identity counts), by one apply.
+    """True when w*w = 1 (the identity counts), by one coroot pairing per column.
 
-    rho is regular, so w^2 = 1 exactly when w(rho) = w^-1(rho) = v; the
-    fundamental-weight coordinates of x = w(2 rho) are <x, alpha_j^vee>.
+    The column c = w(alpha_b) has |c|^2 = m_b, with m_i = |alpha_i|^2 the
+    simple norms, so c^vee = sum_i c_i (m_i / m_b) alpha_i^vee and
+    <v, c^vee> = sum_i c_i v_i m_i / m_b. By W-invariance this is
+    <w^-1(v), alpha_b^vee>, entry b of w^-2(rho); rho is regular, so w^2 = 1
+    exactly when sum_i c_i v_i m_i = m_b for every b.
     """
-    rs = w.rs
-    x = apply(w, _two_rho(rs))
-    pair = rs._pair
-    return all(pair(x, j) == 2 * b for j, b in enumerate(w.v))
+    norms = w.rs._norms
+    vm = tuple(map(mul, w.v, norms))
+    for col, m in zip(w.cols, norms):
+        if sum(map(mul, col, vm)) != m:
+            return False
+    return True
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -241,8 +244,8 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
 
     w is peeled by its lexicographically-first right descent b, and u is
     lowered at b (u <- u s_b, one shorter) whenever v_u[b] < 0; both point
-    updates run inline, in one pass over the Cartan neighbours of b. By the
-    lifting property (Bjorner-Brenti, Prop. 2.2.7), u <= w iff u ends at the
+    updates run inline, entry b negated and one pass over its row neighbours.
+    By the lifting property (Bjorner-Brenti, Prop. 2.2.7), u <= w iff u ends at the
     identity, so the walk returns True as soon as u's carried length reaches
     0, when its point must be rho. Otherwise w is walked down to rho, under
     the bound of N letters, and the answer is False. No letter list is built
@@ -270,8 +273,10 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         steps -= 1
         # the entries before the first negative one are >= 0, so index finds it
         b = vw.index(x)
+        vw[b] = -x
         y = vu[b]
         if y < 0:
+            vu[b] = -y
             for j, a in row_neighbours[b]:
                 vw[j] -= x * a
                 vu[j] -= y * a

@@ -274,11 +274,12 @@ def test_orbit_walks_match_column_oracles_seeded(name, count):
 
 def test_peel_is_bounded(a3, monkeypatch):
     # without the bound, an orbit-point update that does nothing would walk forever;
-    # _descend does the update over row_neighbours in its own loop, so those rows
-    # are emptied as well as _reflect_point
+    # _descend does the update in its own loop, negating v_b and then going over
+    # row_neighbours, so each row b is made ((b, -2),), which restores v_b, as
+    # well as emptying _reflect_point
     s2, cols = simple(a3, 2), longest(a3).cols
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
-    monkeypatch.setattr(a3, "row_neighbours", ((),) * a3.rank)
+    monkeypatch.setattr(a3, "row_neighbours", tuple(((b, -2),) for b in range(a3.rank)))
     with pytest.raises(AssertionError, match="within N = 6 letters"):
         reduced_word(s2)
     with pytest.raises(AssertionError, match="within N = 6 letters"):
@@ -290,7 +291,8 @@ def test_peel_is_bounded(a3, monkeypatch):
 
 
 def test_point_walks_with_no_update_give_no_verdict(monkeypatch):
-    # with the point update emptied, the Bruhat walk either runs past N letters
+    # with the point update made a no-op (v_b negated, then restored by a row
+    # ((b, -2),)), the Bruhat walk either runs past N letters
     # or lowers u to length 0 away from rho, and the 0-Hecke product's peel of
     # its right factor runs past N: neither returns a verdict, whether or not
     # u <= w. u = 1 is left out, since it is below every w without a walk
@@ -302,7 +304,7 @@ def test_point_walks_with_no_update_give_no_verdict(monkeypatch):
     ]
     assert {column_bruhat_leq(u, w) for u, w in pairs} == {True, False}
     monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
-    monkeypatch.setattr(rs, "row_neighbours", ((),) * rs.rank)
+    monkeypatch.setattr(rs, "row_neighbours", tuple(((b, -2),) for b in range(rs.rank)))
     for u, w in pairs:
         with pytest.raises(AssertionError, match="within N = 36 letters|away from rho"):
             bruhat_leq(u, w)
@@ -517,19 +519,22 @@ def test_is_involution_matches_square(name):
 
 @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
 def test_involution_criterion_matches_brute_involutions(name):
-    # one apply: w^2 = 1 exactly when w(rho) = w^-1(rho), against row matrices squared
+    # one coroot pairing per column: w^2 = 1 exactly when <v, w(alpha_b)^vee> = 1
+    # for every b, against row matrices squared
     rs = build_named(name)
     assert {w for w in enumerate_group(rs) if is_involution(w)} == brute_involutions(rs)
 
 
-def test_involution_criterion_on_seeded_e8_elements():
+@pytest.mark.parametrize("name", ["E8", "B8", "C8", "F4", "G2"])
+def test_involution_criterion_on_seeded_elements(name):
     # the Demazure product x^-1 * x is its own inverse, so always an involution;
-    # a random word's element is one exactly when its columns square to the simples
-    rs = build_named("E8")
+    # a random word's element is one exactly when its columns square to the
+    # simples. Outside E8 the simple norms differ, and the criterion weighs by them
+    rs = build_named(name)
     rng = random.Random(20)
     verdicts = set()
     for _ in range(30):
-        x = from_word(rs, [rng.randint(1, 8) for _ in range(rng.randint(0, 90))])
+        x = from_word(rs, [rng.randint(1, rs.rank) for _ in range(rng.randint(0, 90))])
         assert is_involution(demazure_mul(from_word(rs, reversed(reduced_word(x))), x))
         w = from_word(rs, reduced_word(x)[: rng.randint(0, 6)])
         for u in (x, w):
