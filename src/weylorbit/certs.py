@@ -42,7 +42,7 @@ from random import Random
 from typing import NamedTuple
 
 from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
-from .spherical import ENUMERATION_MAX_RANK, is_admissible
+from .spherical import ENUMERATION_MAX_RANK, _theta_agrees_on
 from .weyl import _walk, theta
 
 
@@ -291,7 +291,7 @@ def verify(cert: ExclusionCert) -> CertReport:
     entry's position and label to its message.
     """
     rs = build(cert.rstype)
-    if not is_admissible(rs, cert.pi):
+    if not _theta_agrees_on(rs, cert.pi):
         raise CertError(f"pi={sorted(cert.pi)} is not admissible in {cert.rstype}")
     if cert.gamma in subsystem_positive_roots(rs, cert.pi):
         raise CertError(f"gamma {list(cert.gamma)} lies in the pi subsystem, pi={sorted(cert.pi)}")

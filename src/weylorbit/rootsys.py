@@ -16,8 +16,8 @@ number N = n h / 2 of positive roots, from the Coxeter number h. Weyl walks,
 the spherical filters and the table rows read nothing else, and a root
 system stores nothing else. The root table (the positive roots and the
 length classes) is _root_table, a function memoized by functools.cache and
-keyed on the root system like the derived data of weyl and spherical; it
-runs on the first root read and checks the closure against N then.
+keyed on the root system like the derived data of weyl; it runs on the
+first root read and checks the closure against N then.
 
 W acts by one kernel per basis. In root coordinates, here, s_i changes only
 v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
@@ -181,14 +181,16 @@ class _RootTable(NamedTuple):
 class RootSystem:
     """Immutable root system of one simple type.
 
-    Built through :func:`build`. __init__ stores the diagram data (cartan,
-    neighbours, row_neighbours, simples, the simple norms _norms and the
-    number of positive roots _n_positive), and nothing writes to the instance
-    after it. The root table behind positive_roots, is_positive_root, lengths
-    and highest_root is _root_table(rs), a functools.cache function of the
-    root system, run on the first root read and checked against _n_positive
-    then. All queries are read-only, so instances are safe to share across
-    threads.
+    Built through :func:`build`, one per type: the functools.cache functions
+    of rootsys and weyl keep each instance they meet alive, so one built
+    directly adds cache entries that are never freed. __init__ stores the
+    diagram data (cartan, neighbours, row_neighbours, simples, the simple
+    norms _norms and the number of positive roots _n_positive), and nothing
+    writes to the instance after it. The root table behind positive_roots,
+    is_positive_root, lengths and highest_root is _root_table(rs), a
+    functools.cache function of the root system, run on the first root read
+    and checked against _n_positive then. All queries are read-only, so
+    instances are safe to share across threads.
     """
 
     def __init__(self, rstype: RootSystemType):

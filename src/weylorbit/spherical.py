@@ -16,18 +16,19 @@ Admissibility is decided on the Dynkin diagram, with theta = -w0:
   - theta_Pi = -w_Pi permutes Pi, also when Pi is not connected: W_Pi is the
     product of the commuting groups of the components of Pi.
 
-No element is built for this: -w_Pi is read off as a permutation of Pi by
-one walk of the negative of a weight that is regular on Pi by descents in Pi
-(weyl._twist), and theta is the same walk on the whole diagram.
+No element is built for this: one walk of the negative of a weight that is
+regular on Pi, by descents in Pi (weyl._walk, cached per (rs, Pi)), gives
+-w_Pi as a permutation of Pi and a reduced word for w_Pi, and theta is the
+same walk on the whole diagram.
 
 A table row needs no element either, and no root beyond the simple ones.
-The walk of -rho to -w_Pi(rho) (weyl._walk) gives a reduced word for w_Pi,
-so l(w) = N - l(w_Pi), with N = n h / 2 the number of positive roots, read
-off the Coxeter number h (RootSystem._n_positive). The walk's end point is
-the orbit point w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is
-the reduced word of w. The same walk's letters let the certificate checker
-apply w to a root as -theta(w_Pi(x)), so this module builds and caches no
-Weyl element at all. The rank is read off theta:
+With that word, l(w) = N - l(w_Pi), with N = n h / 2 the number of positive
+roots, read off the Coxeter number h (RootSystem._n_positive). Taking -rho,
+the point of w0, through its letters gives the orbit point
+w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is the reduced word
+of w. The same letters let the certificate checker apply w to a root as
+-theta(w_Pi(x)), so this module builds and caches nothing. The rank is read
+off theta:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
 
@@ -53,11 +54,10 @@ of those already taken, which yields each admissible Pi once.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import NamedTuple
 
 from .rootsys import RootSystem
-from .weyl import _twist, _walk, _word_at, theta
+from .weyl import _reflect_point, _walk, _word_at, theta
 
 ENUMERATION_MAX_RANK = 8
 
@@ -96,16 +96,13 @@ def is_admissible(rs: RootSystem, pi) -> bool:
     return _theta_agrees_on(rs, rs._check_subset(pi))
 
 
-@cache
 def _theta_agrees_on(rs: RootSystem, pi: frozenset[int]) -> bool:
     """-w_Pi(alpha_i) = alpha_{theta(i)} for every i in pi, connected or not.
 
     -w_Pi permutes pi, so a pi that theta does not map to itself fails unwalked.
     """
     perm = theta(rs)
-    if any(perm[i] not in pi for i in pi):
-        return False
-    return all(perm[i] == j for i, j in _twist(rs, pi).items())
+    return all(perm[i] in pi for i in pi) and _walk(rs, pi)[1].items() <= perm.items()
 
 
 def _quali_witness(rs: RootSystem, pi: frozenset[int]) -> tuple[int, int] | None:
@@ -190,14 +187,17 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 
 def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
     """The row of an admissible pi, off the walk of w_Pi and theta (module docstring)."""
-    letters, end = _walk(rs, pi)
+    letters = _walk(rs, pi)[0]
+    end = [-1] * rs.rank
+    for b in letters:
+        _reflect_point(rs, end, b - 1)
     length = rs._n_positive - len(letters)
     swaps = sum(1 for i, j in theta(rs).items() if i < j and i not in pi)
     rk = rs.rank - len(pi) - swaps
     return SphericalDatum(
         rs=rs,
         pi=pi,
-        w_word=_word_at(rs, list(end)),
+        w_word=_word_at(rs, end),
         length=length,
         rank_one_minus=rk,
         dimension=length + rk,

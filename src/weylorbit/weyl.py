@@ -11,16 +11,16 @@ it, and a point given without one must hold rank exact ints and is peeled at
 once, so a point that is no element's is rejected when it is built.
 One bounded walk, _descend, applies s_b for the first b of an index order
 with v_b < 0 until none is left, doing the point update in its own loop.
-Peeling v down to rho gives reduced words; walking -rho over a subset Pi
-gives the parabolic longest element w_Pi, and walking the negative of a
-weight that is regular on a subset C gives -w_C. These walks mutate one list
-and return their letters. The Bruhat check is one walk of its own over two
-points: it peels w by the same first descent and lowers u beside it, both
-updates inline, and builds no letter list. rmul_s and from_word are one
-walk, _times_word, that takes one copy of the point through a word (for
-rmul_s, one letter) by the single-step update _reflect_point and builds a
-single element at the end; the 0-Hecke product walks its point along a
-reduced word of its right factor with the update inline.
+Peeling v down to rho gives reduced words; walking the negative of a weight
+that is regular on a subset Pi, by descents in Pi, gives a reduced word for
+the parabolic longest element w_Pi and -w_Pi as a permutation of Pi (_walk).
+These walks mutate one list and return their letters. The Bruhat check is
+one walk of its own over two points: it peels w by the same first descent
+and lowers u beside it, both updates inline, and builds no letter list.
+rmul_s and from_word are one walk, _times_word, that takes one copy of the
+point through a word (for rmul_s, one letter) by the single-step update
+_reflect_point and builds a single element at the end; the 0-Hecke product
+walks its point along a reduced word of its right factor, the update inline.
 None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
@@ -30,9 +30,9 @@ is_involution (w^2 = 1 exactly when <v, w(alpha_b)^vee> = 1 for every b, one
 coroot pairing per column) and the involution step read it; it pays for
 itself where one element is applied again and again. The certificate
 checker, which would apply each element once, walks roots instead.
-theta = -w0 is no element: it is the walk that gives -w_C, taken on the
-whole diagram (_twist).
-What depends only on the root system (the identity, the weight walk of each
+theta = -w0 is no element: it is the permutation of _walk taken on the
+whole diagram.
+What depends only on the root system (the identity, the walk of each
 parabolic subgroup and theta) is memoized by functools.cache, keyed on
 the immutable root system, as rootsys memoizes the root table; nothing is
 stored on the root system itself. An element's point never changes and its
@@ -208,18 +208,26 @@ def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
 
 
 @cache
-def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], Vector]:
-    """The walk of -rho by descents in pi: its letters and end point -w_Pi(rho).
+def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], dict[int, int]]:
+    """A reduced word b_1 ... b_k for w_Pi and -w_Pi as a permutation of pi, off one walk.
 
-    -rho is the point of w0, and s_b is applied for the first b in pi with
-    v_b < 0, each letter shortening the element u = w0 s_{b_1} ... s_{b_k}
-    whose point v is, until v_b >= 0 for every b in pi. Then u is the
-    shortest element w0 w_Pi of the coset w0 W_Pi, so b_1 ... b_k is a
-    reduced word for w_Pi, and the end point is u^-1(rho) = -w_Pi(rho).
+    lambda_{c_k} = k on the k-th index c_k of pi (0 elsewhere) is regular for
+    W_Pi, so -lambda is the point u^-1(mu) of u = w_Pi, mu W_Pi-dominant.
+    _descend applies s_b for the first b in pi with v_b < 0, each letter a
+    right descent of u, until u = 1: the letters spell w_Pi (an involution),
+    and v ends at mu = w_Pi(-lambda), where w_Pi(omega_j) = -omega_{theta_Pi(j)}
+    on pi gives v_j = lambda_{theta_Pi(j)}. pi need not be connected: W_Pi is
+    the product of the commuting groups of its components.
     """
-    v = [-1] * rs.rank
-    letters = tuple(_descend(rs, v, sorted(b - 1 for b in pi)))
-    return letters, tuple(v)
+    order = sorted(pi)
+    v = [0] * rs.rank
+    for k, j in enumerate(order, 1):
+        v[j - 1] = -k
+    letters = tuple(_descend(rs, v, [j - 1 for j in order]))
+    perm = {j: order[v[j - 1] - 1] for j in order if 0 < v[j - 1] <= len(order)}
+    if sorted(perm.values()) != order:
+        raise AssertionError("-w_Pi does not permute the simple roots of pi")
+    return letters, perm
 
 
 def is_involution(w: WeylElement) -> bool:
@@ -309,24 +317,4 @@ def rank_one_minus(w: WeylElement) -> int:
 @cache
 def theta(rs: RootSystem) -> dict[int, int]:
     """The diagram automorphism -w0 as a permutation of simple indices."""
-    return _twist(rs, range(1, rs.rank + 1))
-
-
-def _twist(rs: RootSystem, comp) -> dict[int, int]:
-    """-w_C as a permutation of the simple indices in C, read off a weight walk.
-
-    lambda_{c_k} = k on the k-th index c_k of C (0 elsewhere) is regular for
-    W_C; the walk of -lambda by descents in C takes it to w_C(-lambda), and
-    w_C(omega_j) = -omega_{theta_C(j)} on C gives v_j = lambda_{theta_C(j)}.
-    C need not be connected: W_C is the product of the commuting groups of
-    its components, so one walk gives -w_C on each of them at once.
-    """
-    order = sorted(comp)
-    v = [0] * rs.rank
-    for k, j in enumerate(order, 1):
-        v[j - 1] = -k
-    _descend(rs, v, [j - 1 for j in order])
-    perm = {j: order[v[j - 1] - 1] for j in order if 0 < v[j - 1] <= len(order)}
-    if sorted(perm.values()) != order:
-        raise AssertionError("-w_C does not permute the simple roots of C")
-    return perm
+    return _walk(rs, frozenset(range(1, rs.rank + 1)))[1]

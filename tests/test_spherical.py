@@ -20,7 +20,7 @@ from weylorbit import (
 )
 from weylorbit import intmat
 from weylorbit.spherical import _connected, _theta_agrees_on
-from weylorbit.weyl import _twist, _walk
+from weylorbit.weyl import _reflect_point, _walk
 
 from conftest import (
     ALL_TYPES,
@@ -66,35 +66,34 @@ def test_diagram_rule_matches_matrix_rule(name):
             ok, witness = passes_quali_no(rs, pi)
             witnesses = form_quali_no(rs, pi)
             assert ok == (not witnesses) and witness == min(witnesses, default=None), pi
-            # the walk of -rho over pi spells w_Pi, whose dense columns come from
-            # the greedy ascent, and ends at the point of w0 w_Pi, a dense product
-            letters, end = _walk(rs, frozenset(pi))
+            # the walk over pi spells w_Pi, whose dense columns come from the greedy
+            # ascent, and, connected or not, gives -w_Pi on all of pi
+            letters, perm = _walk(rs, frozenset(pi))
             w_pi = from_word(rs, letters)
             w_pi_cols = column_longest(rs, pi)
             assert w_pi.cols == w_pi_cols, pi
-            # one weight walk over pi, connected or not, gives -w_Pi on all of pi
-            perm = _twist(rs, pi)
             assert sorted(perm) == sorted(perm.values()) == list(pi), pi
             for i in pi:
                 assert w_pi_cols[i - 1] == tuple(-c for c in rs.simples[perm[i] - 1]), (pi, i)
             assert _theta_agrees_on(rs, frozenset(pi)) == matrix_admissible(rs, pi), pi
             assert w_pi.length == len(letters) == inversion_count(w_pi), pi
+            # -rho, the point of w0, taken through the letters is the point of
+            # w0 w_Pi, a dense product
+            end = [-1] * rs.rank
+            for b in letters:
+                _reflect_point(rs, end, b - 1)
             w = candidate(rs, pi)
-            assert w.v == end, pi
+            assert w.v == tuple(end), pi
             assert w.length == len(rs.positive_roots) - len(letters) == inversion_count(w), pi
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_twist_matches_longest_columns(name):
-    # the weight walk's -w_C against the columns of w_C built by rmul_s, and the
-    # admissibility of each component against the element-based rule
+    # theta = -w_C on each connected C, against the rule read off the columns of
+    # w_C built by rmul_s (the walk's -w_C against those columns is
+    # test_diagram_rule_matches_matrix_rule's, on every subset)
     rs = build_named(name)
     for comp in connected_subsets(rs):
-        perm = _twist(rs, comp)
-        w_c = column_longest(rs, comp)
-        assert sorted(perm) == sorted(comp), comp
-        for i in comp:
-            assert w_c[i - 1] == tuple(-c for c in rs.simples[perm[i] - 1]), (comp, i)
         assert _theta_agrees_on(rs, comp) == element_theta_agrees_on(rs, comp), comp
 
 

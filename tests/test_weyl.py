@@ -170,11 +170,16 @@ def test_apply_rejects_wrong_rank(a3, v):
 
 
 def test_longest_element_parabolic(b3):
-    # the letters of the walk of -rho over pi are a reduced word for w_pi
+    # the letters of the walk over pi are a reduced word for w_pi, and take -rho,
+    # the point of w0, to the point -w_pi(rho) of w0 w_pi
     def w_pi(pi):
-        letters, end = weyl._walk(b3, frozenset(pi))
+        letters, _ = weyl._walk(b3, frozenset(pi))
         w = from_word(b3, letters)
-        assert w.length == len(letters) and w.v == tuple(-x for x in end)
+        end = [-1] * b3.rank
+        for b in letters:
+            weyl._reflect_point(b3, end, b - 1)
+        assert w.length == len(letters)
+        assert tuple(end) == candidate(b3, pi).v == tuple(-x for x in w.v)
         return w
 
     assert w_pi([]) == identity(b3)
@@ -287,7 +292,11 @@ def test_peel_is_bounded(a3, monkeypatch):
     with pytest.raises(AssertionError, match="within N = 6 letters"):
         weyl._walk.__wrapped__(a3, frozenset({1, 3}))  # past the cache
     with pytest.raises(AssertionError, match="within N = 6 letters"):
-        weyl._twist(a3, {1, 2, 3})
+        weyl._walk.__wrapped__(a3, frozenset({1, 2, 3}))
+    # theta reads _walk off the module, so it meets the bare walk too
+    monkeypatch.setattr(weyl, "_walk", weyl._walk.__wrapped__)
+    with pytest.raises(AssertionError, match="within N = 6 letters"):
+        weyl.theta.__wrapped__(a3)
 
 
 def test_point_walks_with_no_update_give_no_verdict(monkeypatch):
