@@ -16,7 +16,7 @@ from random import Random
 
 from . import certs as certs_mod
 from . import demazure, spherical, weyl
-from .rootsys import _RANK_RULES, RootSystemType, build, build_named, highest_root
+from .rootsys import _RANK_RULES, RootSystem, RootSystemType, build, highest_root
 
 
 def _digits(text: str) -> bool:
@@ -60,6 +60,15 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _build(text: str) -> RootSystem:
+    """The root system of a typed name, refused above the enumeration rank before it
+    is built: the build alone makes an n x n Cartan list and n simple roots."""
+    rstype = RootSystemType.from_string(text)
+    if rstype.rank > spherical.ENUMERATION_MAX_RANK:
+        raise ValueError(f"type {rstype} has rank above {spherical.ENUMERATION_MAX_RANK}")
+    return build(rstype)
+
+
 def _emit(rows: list[list], header: list[str], fmt: str, json_payload) -> None:
     if fmt == "json":
         print(json.dumps(json_payload, indent=1))
@@ -77,7 +86,7 @@ def _emit(rows: list[list], header: list[str], fmt: str, json_payload) -> None:
 
 
 def _cmd_roots(args) -> int:
-    rs = build_named(args.type)
+    rs = _build(args.type)
     rows = [
         [k + 1, list(r), rs.height(r), rs.lengths[r]]
         for k, r in enumerate(rs.positive_roots)
@@ -93,7 +102,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
-    rs = build_named(args.type)
+    rs = _build(args.type)
     w = weyl.from_word(rs, args.word)
     info = {
         "type": str(rs.rstype),
@@ -121,7 +130,7 @@ def _pi_row(entry: dict) -> list:
 
 
 def _cmd_pi(args) -> int:
-    rs = build_named(args.type)
+    rs = _build(args.type)
     data = spherical.enumerate_pi(rs)
     dicts = [d.as_dict() for d in data]
     rows = [_pi_row(d) for d in dicts]
@@ -130,7 +139,7 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    rs = build_named(args.type)
+    rs = _build(args.type)
     datum = spherical.spherical_datum(rs, args.pi)
     d = datum.as_dict()
     rows = [[k, d[k]] for k in ("pi", "w_word", "length", "rank", "dimension", "central")]
@@ -139,7 +148,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_step(args) -> int:
-    rs = build_named(args.type)
+    rs = _build(args.type)
     w = weyl.from_word(rs, args.word)
     outcome = demazure.involution_step(w, args.s)
     cands = sorted(

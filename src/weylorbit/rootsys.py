@@ -10,14 +10,19 @@ the plates, and since W preserves lengths every other positive root inherits
 the class of the root it is reflected from while the reflection closure is
 built, and a negative root the class of its positive root.
 
-What the Dynkin diagram gives directly is built with the root system: the
-Cartan matrix, its neighbour lists, the simple roots and their norms, and the
-number N = n h / 2 of positive roots, from the Coxeter number h. Weyl walks,
-the spherical filters and the table rows read nothing else, and a root
-system stores nothing else. The root table (the positive roots and the
-length classes) is _root_table, a function memoized by functools.cache and
-keyed on the root system like the derived data of weyl; it runs on the
-first root read and checks the closure against N then.
+Each plate is one line of _plate: the edges of the Dynkin diagram, the norms
+m_i of the simple roots and the Coxeter number h. The Cartan integers are
+read off them: adjacent simple roots have (alpha_i, alpha_j) = -max(m_i,
+m_j) / 2, so <alpha_i, alpha_j^vee> = -max(m_i, m_j) / m_j, the form is
+symmetric by construction, and roots on no common edge are orthogonal.
+What the diagram gives directly is built with the root system: the Cartan
+matrix, its neighbour lists, the simple roots and their norms, and the
+number N = n h / 2 of positive roots. Weyl walks, the spherical filters and
+the table rows read nothing else, and a root system stores nothing else.
+The root table (the positive roots and the length classes) is _root_table,
+a function memoized by functools.cache and keyed on the root system like
+the derived data of weyl; it runs on the first root read and checks the
+closure against N then.
 
 W acts by one kernel per basis. In root coordinates, here, s_i changes only
 v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
@@ -114,63 +119,21 @@ class RootSystemType:
         return f"{self.family}{self.rank}"
 
 
-def _dynkin_bonds(rstype: RootSystemType) -> list[tuple[int, int, int, int]]:
-    """Bonds (i, j, c_ij, c_ji), 1-based, c_ij = <alpha_i, alpha_j^vee>."""
-    fam, n = rstype.family, rstype.rank
-    single = -1
-    if fam == "A":
-        return [(i, i + 1, single, single) for i in range(1, n)]
-    if fam in "BC":
-        double = (n - 1, n, -2, -1) if fam == "B" else (n - 1, n, -1, -2)
-        return [(i, i + 1, single, single) for i in range(1, n - 1)] + [double]
-    if fam == "D":
-        bonds = [(i, i + 1, single, single) for i in range(1, n - 2)]
-        bonds.append((n - 2, n - 1, single, single))
-        bonds.append((n - 2, n, single, single))
-        return bonds
-    if fam == "E":
-        bonds = [(1, 3, single, single), (2, 4, single, single)]
-        bonds += [(i, i + 1, single, single) for i in range(3, n)]
-        return bonds
-    if fam == "F":
-        return [(1, 2, single, single), (2, 3, -2, -1), (3, 4, single, single)]
-    if fam == "G":
-        return [(1, 2, -1, -3)]
-    raise AssertionError(fam)
-
-
-def _simple_norms(rstype: RootSystemType) -> tuple[int, ...]:
-    """Squared lengths of the simple roots, scaled so short roots have norm 2."""
-    fam, n = rstype.family, rstype.rank
-    if fam in "ADE":
-        return (2,) * n
-    if fam == "B":
-        return (4,) * (n - 1) + (2,)
-    if fam == "C":
-        return (2,) * (n - 1) + (4,)
-    if fam == "F":
-        return (4, 4, 2, 2)
-    if fam == "G":
-        return (2, 6)
-    raise AssertionError(fam)
-
-
-def _coxeter_number(rstype: RootSystemType) -> int:
-    """The Coxeter number h; there are n h / 2 positive roots (Humphreys, 3.18)."""
-    fam, n = rstype.family, rstype.rank
-    if fam == "A":
-        return n + 1
-    if fam in "BC":
-        return 2 * n
-    if fam == "D":
-        return 2 * n - 2
-    if fam == "E":
-        return {6: 12, 7: 18, 8: 30}[n]
-    if fam == "F":
-        return 12
-    if fam == "G":
-        return 6
-    raise AssertionError(fam)
+def _plate(rstype: RootSystemType) -> tuple[list[tuple[int, int]], tuple[int, ...], int]:
+    """The plate of a type: its diagram's edges (i, j), 1-based, the simple
+    norms (short roots 2) and the Coxeter number h, with N = n h / 2 positive
+    roots (Bourbaki, Ch. VI, Plates I-IX; Humphreys, 3.18)."""
+    n = rstype.rank
+    chain = [(i, i + 1) for i in range(1, n)]
+    match rstype.family:
+        case "A": return chain, (2,) * n, n + 1
+        case "B": return chain, (4,) * (n - 1) + (2,), 2 * n
+        case "C": return chain, (2,) * (n - 1) + (4,), 2 * n
+        case "D": return chain[:-1] + [(n - 2, n)], (2,) * n, 2 * n - 2
+        case "E": return [(1, 3), (2, 4)] + chain[2:], (2,) * n, {6: 12, 7: 18, 8: 30}[n]
+        case "F": return chain, (4, 4, 2, 2), 12
+        case "G": return chain, (2, 6), 6
+    raise AssertionError(rstype.family)
 
 
 class _RootTable(NamedTuple):
@@ -184,9 +147,10 @@ class RootSystem:
     Built through :func:`build`, one per type: the functools.cache functions
     of rootsys and weyl keep each instance they meet alive, so one built
     directly adds cache entries that are never freed. __init__ stores the
-    diagram data (cartan, neighbours, row_neighbours, simples, the simple
-    norms _norms and the number of positive roots _n_positive), and nothing
-    writes to the instance after it. The root table behind positive_roots,
+    diagram data of the type's _plate (cartan, read off its edges and simple
+    norms, neighbours, row_neighbours, simples, the norms _norms and the
+    number of positive roots _n_positive), and nothing writes to the
+    instance after it. The root table behind positive_roots,
     is_positive_root, lengths and highest_root is _root_table(rs), a
     functools.cache function of the root system, run on the first root read
     and checked against _n_positive then. All queries are read-only, so
@@ -198,10 +162,13 @@ class RootSystem:
         self.rank = rstype.rank
         n = self.rank
 
+        edges, norms, h = _plate(rstype)
         cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for i, j, cij, cji in _dynkin_bonds(rstype):
-            cartan[i - 1][j - 1] = cij
-            cartan[j - 1][i - 1] = cji
+        for i, j in edges:
+            # (alpha_i, alpha_j) = -max(m_i, m_j) / 2, so <alpha_i, alpha_j^vee> = -max / m_j
+            m = max(norms[i - 1], norms[j - 1])
+            cartan[i - 1][j - 1] = -m // norms[j - 1]
+            cartan[j - 1][i - 1] = -m // norms[i - 1]
         self.cartan: tuple[tuple[int, ...], ...] = tuple(map(tuple, cartan))
         # neighbours[i]: the nonzero (j, <alpha_j, alpha_i^vee>), 0-based, j = i included
         self.neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
@@ -212,13 +179,8 @@ class RootSystem:
             tuple((j, a) for j, a in enumerate(cartan[i]) if a and j != i) for i in range(n)
         )
 
-        norms = _simple_norms(rstype)
-        # the form (alpha_i, alpha_j) = c_ij * norm_j / 2 must be symmetric
-        for i, j, cij, cji in _dynkin_bonds(rstype):
-            if cij * norms[j - 1] != cji * norms[i - 1]:
-                raise AssertionError(f"asymmetric form for {rstype}")
         self._norms = norms
-        self._n_positive = n * _coxeter_number(rstype) // 2
+        self._n_positive = n * h // 2
 
         self.simples: tuple[Vector, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)

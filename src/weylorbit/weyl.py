@@ -32,11 +32,12 @@ itself where one element is applied again and again. The certificate
 checker, which would apply each element once, walks roots instead.
 theta = -w0 is no element: it is the permutation of _walk taken on the
 whole diagram.
-What depends only on the root system (the identity, the walk of each
-parabolic subgroup and theta) is memoized by functools.cache, keyed on
-the immutable root system, as rootsys memoizes the root table; nothing is
-stored on the root system itself. An element's point never changes and its
-view is a pure function of it, so all of this is safe to use concurrently.
+What depends only on the root system (the walk of each parabolic subgroup
+and theta) is memoized by functools.cache, keyed on the immutable root
+system, as rootsys memoizes the root table; nothing is stored on the root
+system itself, and the identity is built fresh on each call. An element's
+point never changes and its view is a pure function of it, so all of this
+is safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class WeylElement:
         return self.cols[i - 1]
 
 
-@cache
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, (1,) * rs.rank, 0)
 

@@ -24,7 +24,7 @@ from weylorbit import (
     reduced_word,
 )
 from weylorbit.certs import CERT_KEYS
-from weylorbit.rootsys import LONG, SHORT, _simple_norms
+from weylorbit.rootsys import LONG, SHORT
 from weylorbit.spherical import _quali_witness
 from weylorbit.weyl import WeylElement, rmul_s
 
@@ -58,7 +58,7 @@ def from_columns(rs, cols, length=None):
     point that no element has, which the constructor rejects unless a length
     is given.
     """
-    norms = _simple_norms(rs.rstype)
+    norms = rs._norms
     v = tuple(sum(c * m for c, m in zip(col, norms)) // nb for col, nb in zip(cols, norms))
     return WeylElement(rs, v, length)
 
@@ -216,7 +216,7 @@ def matrix_admissible(rs, pi):
 
 def form(rs, a, b):
     """The symmetric form (alpha_i, alpha_j) = c_ij * norm_j / 2, short roots of norm 2."""
-    norms = _simple_norms(rs.rstype)
+    norms = rs._norms
     n = rs.rank
     return sum(a[i] * rs.cartan[i][j] * norms[j] // 2 * b[j] for i in range(n) for j in range(n))
 
@@ -396,7 +396,7 @@ def involution_walk(rs, cols):
 
 def pairing_closure(rs):
     """Every root with its length class: the simples closed under the dense reflect."""
-    norms = _simple_norms(rs.rstype)
+    norms = rs._norms
     roots = {a: LONG if m == max(norms) else SHORT for a, m in zip(rs.simples, norms)}
     frontier = list(rs.simples)
     while frontier:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+from weylorbit import cli, rootsys
 from weylorbit.cli import main
 
 from conftest import cert_documents
@@ -178,6 +179,33 @@ def test_tables_rejects_max_rank_outside_enumeration(capsys, value):
         main(["tables", "--max-rank", value])
     assert exc.value.code == 2
     assert "1..8" in capsys.readouterr().err
+
+
+RANK_ARGV = [
+    ["roots"], ["weyl", "--word", "1"], ["pi"], ["dim", "--pi", "1"],
+    ["step", "--word", "1", "--s", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", RANK_ARGV, ids=lambda argv: argv[0])
+def test_commands_refuse_a_rank_above_the_enumeration(capsys, argv):
+    # roots, weyl, dim and step used to answer for A9, and pi to fail only
+    # after A9 was built
+    status, out, err = run(capsys, argv[0], "A9", *argv[1:])
+    assert (status, out, err) == (1, "", "error: type A9 has rank above 8\n")
+
+
+@pytest.mark.parametrize("argv", RANK_ARGV, ids=lambda argv: argv[0])
+def test_a_huge_rank_is_refused_before_the_build(capsys, monkeypatch, argv):
+    # the build of A100000 alone would ask for 10^10 Cartan entries; any route
+    # to a build fails here instead of allocating them
+    def unreachable(*args):
+        raise AssertionError("a root system was built")
+
+    monkeypatch.setattr(cli, "build", unreachable)
+    monkeypatch.setattr(rootsys.RootSystem, "__init__", unreachable)
+    status, out, err = run(capsys, argv[0], "A100000", *argv[1:])
+    assert (status, out, err) == (1, "", "error: type A100000 has rank above 8\n")
 
 
 def test_weyl_subcommand(capsys):

@@ -1,5 +1,6 @@
 """Root table construction and queries."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -262,6 +263,50 @@ def test_coxeter_count_matches_the_table(rstype):
     assert n_positive == rs.rank * (rs.height(highest_root(rs)) + 1) // 2
 
 
+def plate_simple_roots(rstype):
+    """The simple roots of Bourbaki's plates as exact vectors (Ch. VI, Plates I-IX)."""
+    fam, n = rstype.family, rstype.rank
+    half = Fraction(1, 2)
+
+    def vec(dim, *terms):
+        v = [Fraction(0)] * dim
+        for k, c in terms:
+            v[k - 1] += c
+        return tuple(v)
+
+    if fam == "A":
+        return [vec(n + 1, (i, 1), (i + 1, -1)) for i in range(1, n + 1)]
+    if fam in "BCD":
+        last = {"B": [(n, 1)], "C": [(n, 2)], "D": [(n - 1, 1), (n, 1)]}[fam]
+        return [vec(n, (i, 1), (i + 1, -1)) for i in range(1, n)] + [vec(n, *last)]
+    if fam == "E":
+        # E8: alpha_1 = (e_1 + e_8 - e_2 - ... - e_7) / 2, alpha_2 = e_1 + e_2 and
+        # alpha_i = e_{i-1} - e_{i-2}; E6 and E7 are its first 6 and 7 roots
+        e8 = [(half,) + (-half,) * 6 + (half,), vec(8, (1, 1), (2, 1))]
+        e8 += [vec(8, (i - 1, 1), (i - 2, -1)) for i in range(3, 9)]
+        return e8[:n]
+    if fam == "F":
+        return [vec(4, (2, 1), (3, -1)), vec(4, (3, 1), (4, -1)), vec(4, (4, 1)),
+                (half, -half, -half, -half)]
+    # G2, in the plane x_1 + x_2 + x_3 = 0
+    return [vec(3, (1, 1), (2, -1)), vec(3, (1, -2), (2, 1), (3, 1))]
+
+
+@pytest.mark.parametrize("rstype", TYPES_TO_12, ids=str)
+def test_cartan_matrix_matches_the_plate_vectors(rstype):
+    # an oracle that shares nothing with _plate: c_ij = 2 (a_i, a_j) / (a_j, a_j)
+    # and the norms |a_i|^2, short roots scaled to 2, from the plates' vectors
+    a = plate_simple_roots(rstype)
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in a] for u in a]
+    rs = RootSystem(rstype)
+    n = rs.rank
+    assert rs.cartan == tuple(
+        tuple(2 * gram[i][j] / gram[j][j] for j in range(n)) for i in range(n)
+    )
+    short = min(gram[i][i] for i in range(n))
+    assert rs._norms == tuple(2 * gram[i][i] / short for i in range(n))
+
+
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_root_table_is_built_on_first_read(name):
     # the table rows, the filters and the walks read only the diagram data:
@@ -303,10 +348,13 @@ def test_reads_and_walks_write_nothing_on_the_root_system(capsys):
 
 
 def test_a_wrong_coxeter_number_fails_the_first_root_read(monkeypatch):
-    coxeter = rootsys._coxeter_number
-    monkeypatch.setattr(
-        rootsys, "_coxeter_number", lambda t: coxeter(t) + (str(t) == "E6")
-    )
+    plate = rootsys._plate
+
+    def wrong_h(rstype):
+        edges, norms, h = plate(rstype)
+        return edges, norms, h + (str(rstype) == "E6")
+
+    monkeypatch.setattr(rootsys, "_plate", wrong_h)
     reads = [
         lambda rs: rs.positive_roots,
         lambda rs: rs.lengths,
