@@ -34,7 +34,7 @@ Verification is deterministic and side-effect free; a batch may be checked
 concurrently or in any order.
 """
 
-from __future__ import annotations
+# annotations are not postponed: NamedTuple would compile each string field annotation on import
 
 import json
 import reprlib

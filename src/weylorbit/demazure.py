@@ -10,7 +10,7 @@ IIIb, IVa, IVb; only their shadow on lengths is computable here.) Each call
 classifies one step; closing {1} under the steps is left to the caller.
 """
 
-from __future__ import annotations
+# annotations are not postponed: NamedTuple would compile each string field annotation on import
 
 from typing import NamedTuple
 

@@ -32,12 +32,13 @@ column views of weyl and every quantity of certs.verify go through it. Both
 are unchecked; a word's letters are checked when the Weyl element or the
 certificate is built. In fundamental-weight coordinates, s_b negates entry b
 of an orbit point (the Cartan diagonal is 2) and moves v_j -= v_b <alpha_b,
-alpha_j^vee> over the row neighbours j != b of b: weyl._descend, bruhat_leq
-and demazure_mul do this inside their loops, and weyl._reflect_point is the
-single step of the word walk _times_word and of the involution step.
+alpha_j^vee> over the row neighbours j != b of b: weyl._descend, bruhat_leq,
+the word walk _times_word and demazure_mul do this inside their loops, and
+weyl._reflect_point is the single step of the involution step and of the
+spherical table rows.
 """
 
-from __future__ import annotations
+# annotations are not postponed: NamedTuple would compile each string field annotation on import
 
 from functools import cache
 from types import MappingProxyType

@@ -52,7 +52,7 @@ of the pieces that pass, each added only clear of the closed neighbourhoods
 of those already taken, which yields each admissible Pi once.
 """
 
-from __future__ import annotations
+# annotations are not postponed: NamedTuple would compile each string field annotation on import
 
 from typing import NamedTuple
 

@@ -18,10 +18,10 @@ These walks mutate one list and return their letters. The Bruhat check is
 one walk of its own over two points: it peels w by the same first descent
 and lowers u beside it, both updates inline, and builds no letter list.
 rmul_s and from_word are one walk, _times_word, that takes one copy of the
-point through a word (for rmul_s, one letter) by the single-step update
-_reflect_point and builds a single element at the end; the 0-Hecke product
-walks its point along a reduced word of its right factor, the update inline.
-None of this builds a matrix.
+point through a word (for rmul_s, one letter), checking each letter and doing
+the update in its own loop, and builds a single element at the end; the
+0-Hecke product walks its point along a reduced word of its right factor, the
+update inline. None of this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
 once along a reduced word by the root-coordinate kernel of rootsys. apply
@@ -107,15 +107,25 @@ def _times_word(w: WeylElement, word) -> WeylElement:
     """w * s_{a_1} s_{a_2} ...: each letter checked and applied to one mutable point.
 
     s_b lengthens w by one when v_b > 0 and shortens it otherwise; one element
-    is built at the end.
+    is built at the end. The check and the update of _reflect_point run inside
+    the loop, with no call per letter; a bad letter goes to rs._check_index,
+    which raises its message.
     """
     rs = w.rs
+    n = rs.rank
+    row_neighbours = rs.row_neighbours
     v = list(w.v)
     length = w.length
     for letter in word:
-        rs._check_index(letter)
-        length += 1 if v[letter - 1] > 0 else -1
-        _reflect_point(rs, v, letter - 1)
+        # type() and not isinstance(): a bool is an int, and True would read as 1
+        if not (type(letter) is int and 1 <= letter <= n):
+            rs._check_index(letter)
+        b = letter - 1
+        vb = v[b]
+        v[b] = -vb
+        length += 1 if vb > 0 else -1
+        for j, a in row_neighbours[b]:
+            v[j] -= vb * a
     return WeylElement(rs, tuple(v), length)
 
 
@@ -158,8 +168,9 @@ def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
     (mu = rho for an orbit point). Each letter is a right descent of u and
     shortens it by one, so more than N = rs._n_positive letters (the number of
     positive roots, from the Coxeter number) is an error (v is no such point,
-    or an update was wrong), not a loop. The update of _reflect_point runs
-    inside the loop (v_b negated, then its row neighbours), with no call per letter.
+    or an update was wrong), not a loop. The point update runs inside the
+    loop (v_b negated, then its row neighbours), with no call per letter, as
+    in _times_word.
     """
     row_neighbours = rs.row_neighbours
     letters = []

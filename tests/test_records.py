@@ -58,9 +58,19 @@ def _records():
     }
 
 
-@pytest.mark.parametrize("name", _records())
+RECORD_NAMES = [
+    "RootSystemType", "SphericalDatum", "StepOutcome", "ExclusionCert", "CertReport",
+    "VerifySummary",
+]
+
+
+# the names are static so that a fault in building a record fails its tests,
+# not the collection of the whole suite
+@pytest.mark.parametrize("name", RECORD_NAMES)
 def test_record_contract(name):
-    cls, given, stored, defaults = _records()[name]
+    records = _records()
+    assert list(records) == RECORD_NAMES
+    cls, given, stored, defaults = records[name]
     stored = stored or given
     by_keyword = cls(**given)
     by_position = cls(*given.values())
@@ -87,15 +97,45 @@ def test_record_contract(name):
         assert getattr(by_keyword, first) == stored[first]
 
 
-def test_cold_import_loads_no_dataclasses():
-    # importing the CLI should compile no record classes at start-up: dataclasses
-    # generates their methods and imports inspect to do so. -I -S keeps the
-    # environment and site out of the new interpreter.
-    code = (
-        f"import sys; sys.path.insert(0, {str(SRC)!r}); import weylorbit.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
-    )
+@pytest.fixture(scope="module")
+def cold_import():
+    """The output lines of one fresh interpreter that imports the CLI and then
+    reads the field annotations of the five NamedTuple records.
+
+    -I -S keeps the environment and site out of the new interpreter. Line 1:
+    the modules of {dataclasses, inspect} loaded by the import. Line 2: the
+    records whose annotations miss a field, and the fields annotated by a str
+    or a typing.ForwardRef.
+    """
+    code = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import weylorbit.cli
+print(sorted({{'dataclasses', 'inspect'}} & sys.modules.keys()))
+from typing import ForwardRef
+from weylorbit import CertReport, SphericalDatum, StepOutcome, VerifySummary
+from weylorbit.rootsys import _RootTable
+bad = []
+for cls in (_RootTable, SphericalDatum, StepOutcome, CertReport, VerifySummary):
+    notes = cls.__annotations__
+    if list(notes) != list(cls._fields):
+        bad.append(cls.__name__)
+    bad += [f'{{cls.__name__}}.{{f}}' for f, t in notes.items() if isinstance(t, (str, ForwardRef))]
+print(bad)
+"""
     proc = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.splitlines()
+
+
+def test_cold_import_loads_no_dataclasses(cold_import):
+    # importing the CLI should compile no record classes at start-up: dataclasses
+    # generates their methods and imports inspect to do so
+    assert cold_import[0] == "[]"
+
+
+def test_record_annotations_are_not_postponed(cold_import):
+    # a postponed annotation is a str that NamedTuple turns into a ForwardRef
+    # and compiles on every fresh import
+    assert cold_import[1] == "[]"

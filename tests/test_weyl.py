@@ -662,6 +662,20 @@ def test_column_layout_matches_row_oracle(name):
             assert (u == v) == (mu == mv)
 
 
+@pytest.mark.parametrize("name", ["B8", "C8", "F4"])
+def test_long_words_match_row_oracle_on_asymmetric_rows(name):
+    # the word walk reads row b of the Cartan matrix, which differs from
+    # column b in these types; words of N to 2N letters shorten as well as lengthen
+    rs = build_named(name)
+    rng = random.Random(f"long words {name}")
+    n, n_pos = rs.rank, rs._n_positive
+    for _ in range(6):
+        word = [rng.randint(1, n) for _ in range(rng.randint(n_pos, 2 * n_pos))]
+        w = from_word(rs, word)
+        assert w.length < len(word)
+        _agrees_with_rows(rs, w, row_word(rs, word))
+
+
 def test_column_layout_matches_row_oracle_e8():
     rs = build_named("E8")
     rng = random.Random(8)
