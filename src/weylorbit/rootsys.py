@@ -33,9 +33,9 @@ are unchecked; a word's letters are checked when the Weyl element or the
 certificate is built. In fundamental-weight coordinates, s_b negates entry b
 of an orbit point (the Cartan diagonal is 2) and moves v_j -= v_b <alpha_b,
 alpha_j^vee> over the row neighbours j != b of b: weyl._descend, bruhat_leq,
-the word walk _times_word and demazure_mul do this inside their loops, and
-weyl._reflect_point is the single step of the involution step and of the
-spherical table rows.
+the word walk _times_word, demazure_mul and the spherical table rows do this
+inside their loops, and weyl._reflect_point is the single step of the
+involution step.
 """
 
 # annotations are not postponed: NamedTuple would compile each string field annotation on import
@@ -149,13 +149,13 @@ class RootSystem:
     of rootsys and weyl keep each instance they meet alive, so one built
     directly adds cache entries that are never freed. __init__ stores the
     diagram data of the type's _plate (cartan, read off its edges and simple
-    norms, neighbours, row_neighbours, simples, the norms _norms and the
-    number of positive roots _n_positive), and nothing writes to the
-    instance after it. The root table behind positive_roots,
-    is_positive_root, lengths and highest_root is _root_table(rs), a
-    functools.cache function of the root system, run on the first root read
-    and checked against _n_positive then. All queries are read-only, so
-    instances are safe to share across threads.
+    norms, neighbours, row_neighbours, simples, the closed neighbourhoods
+    _near as bit masks, the norms _norms and the number of positive roots
+    _n_positive), and nothing writes to the instance after it. The root
+    table behind positive_roots, is_positive_root, lengths and highest_root
+    is _root_table(rs), a functools.cache function of the root system, run
+    on the first root read and checked against _n_positive then. All
+    queries are read-only, so instances are safe to share across threads.
     """
 
     def __init__(self, rstype: RootSystemType):
@@ -179,6 +179,8 @@ class RootSystem:
         self.row_neighbours: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple((j, a) for j, a in enumerate(cartan[i]) if a and j != i) for i in range(n)
         )
+        # _near[i]: the closed neighbourhood of i as a bit mask, bit j for each j of neighbours[i]
+        self._near: tuple[int, ...] = tuple(sum(1 << j for j, _ in c) for c in self.neighbours)
 
         self._norms = norms
         self._n_positive = n * h // 2

@@ -46,10 +46,13 @@ each fixed point, so the fixed space has dimension
 enumerate_pi tests no subset that fails the first filter: -w_Pi acts on
 each connected component C of Pi as -w_C, so the components of an
 admissible Pi are pairwise non-adjacent connected subsets C with
-theta|C = -w_C. So it grows the connected subsets of the diagram once, walks
--w_C only on those that theta maps to themselves, and recurses over unions
-of the pieces that pass, each added only clear of the closed neighbourhoods
-of those already taken, which yields each admissible Pi once.
+theta|C = -w_C. So it grows the connected subsets of the diagram once, as
+int bit masks (bit i - 1 for alpha_i), walks -w_C only on those that theta
+maps to themselves, and recurses over unions of the pieces that pass, each
+added only clear of the closed neighbourhoods of those already taken, which
+yields each admissible Pi once. A union's row reads its pieces' letters one
+after another, a reduced word of w_Pi as the pieces commute, so no union is
+walked.
 """
 
 # annotations are not postponed: NamedTuple would compile each string field annotation on import
@@ -57,7 +60,7 @@ of those already taken, which yields each admissible Pi once.
 from typing import NamedTuple
 
 from .rootsys import RootSystem
-from .weyl import _reflect_point, _walk, _word_at, theta
+from .weyl import _walk, _word_at, theta
 
 ENUMERATION_MAX_RANK = 8
 
@@ -105,8 +108,13 @@ def _theta_agrees_on(rs: RootSystem, pi: frozenset[int]) -> bool:
     return all(perm[i] in pi for i in pi) and _walk(rs, pi)[1].items() <= perm.items()
 
 
-def _quali_witness(rs: RootSystem, pi: frozenset[int]) -> tuple[int, int] | None:
-    """Diagram filter on the isolated roots of pi.
+def _members(mask: int) -> frozenset[int]:
+    """The simple indices i whose bit i - 1 is set in mask."""
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _quali_witness(rs: RootSystem, pi: int) -> tuple[int, int] | None:
+    """Diagram filter on the isolated roots of pi, a bit mask (bit i - 1 for alpha_i).
 
     An isolated root of pi is an a in pi with no Cartan neighbour in pi. pi
     fails exactly when some isolated a admits a distinct simple b of the same
@@ -114,40 +122,37 @@ def _quali_witness(rs: RootSystem, pi: frozenset[int]) -> tuple[int, int] | None
     a, and b orthogonal to every other element of pi; the witness (a, b) with
     the smallest such a, then the smallest b, is returned then, and None when
     pi passes. Simple roots are orthogonal exactly when their Cartan entry is
-    zero, so all of this is read off the diagram.
+    zero, so all of this is read off the closed neighbourhood masks rs._near.
     """
     perm = theta(rs)
-    for a in sorted(pi):
-        # a is isolated when this loop meets no other index of pi; a plain loop,
-        # not a generator, as it runs for every root of every pi enumerate_pi tries
-        for j, _ in rs.neighbours[a - 1]:
-            if j + 1 != a and j + 1 in pi:
-                break
-        else:
-            norm = rs._norms[a - 1]
-            # b runs over the neighbours of the isolated a, in increasing order,
-            # so b lies outside pi; it must have no neighbour in pi but a
-            for j, _ in rs.neighbours[a - 1]:
-                b = j + 1
-                if (
-                    b != a
-                    and perm[b] == b
-                    and rs._norms[j] == norm
-                    and not any(k + 1 in pi and k + 1 != a for k, _ in rs.neighbours[j])
-                ):
-                    return a, b
+    near, norms = rs._near, rs._norms
+    for a, m in enumerate(near):
+        # a lies in pi and is isolated: its closed neighbourhood meets pi in a alone
+        if m & pi == 1 << a:
+            # b runs over the neighbours of a other than a, in increasing order; its
+            # closed neighbourhood too must meet pi in a alone, so b lies outside pi
+            for b, _ in rs.row_neighbours[a]:
+                if near[b] & pi == 1 << a and perm[b + 1] == b + 1 and norms[b] == norms[a]:
+                    return a + 1, b + 1
     return None
 
 
-def _connected(rs: RootSystem) -> list[frozenset[int]]:
-    """Every connected subset of the diagram once, grown from the singletons."""
-    out = []
-    level = {frozenset({i}) for i in range(1, rs.rank + 1)}
+def _connected(rs: RootSystem) -> dict[int, int]:
+    """Every connected subset of the diagram once, as a bit mask mapped to its closed
+    neighbourhood, grown from the singletons by one index of that neighbourhood
+    outside it at a time."""
+    near = rs._near
+    out = {}
+    level = {1 << i: m for i, m in enumerate(near)}
     while level:
-        out += level
-        level = {
-            c | {j + 1} for c in level for i in c for j, _ in rs.neighbours[i - 1] if j + 1 not in c
-        }
+        out.update(level)
+        grown = {}
+        for c, closed in level.items():
+            rim = closed & ~c
+            for j, m in enumerate(near):
+                if rim >> j & 1:
+                    grown[c | 1 << j] = closed | m
+        level = grown
     return out
 
 
@@ -156,28 +161,32 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 
     The empty set and the full diagram always appear; the latter is flagged
     central (its element is the identity). Each pi is built once, as a union
-    of its components (module docstring).
+    of its components, whose letters its row reads (module docstring).
     """
     if rs.rank > ENUMERATION_MAX_RANK:
         raise ValueError(
             f"enumeration is guarded to rank <= {ENUMERATION_MAX_RANK}, "
             f"got {rs.rstype}"
         )
-    pieces = [
-        (c, frozenset(j + 1 for i in c for j, _ in rs.neighbours[i - 1]))
-        for c in _connected(rs)
-        if _theta_agrees_on(rs, c)
-    ]
+    perm = theta(rs)
+    # theta maps a subset to itself when it holds both or neither of each 2-cycle
+    swapped = [1 << i - 1 | 1 << j - 1 for i, j in perm.items() if i < j]
+    pieces = []
+    for comp, closed in _connected(rs).items():
+        if all(comp & s in (0, s) for s in swapped):
+            letters, twist = _walk(rs, _members(comp))
+            if twist.items() <= perm.items():
+                pieces.append((comp, closed, letters))
     found = []
-    stack = [(0, frozenset(), frozenset())]
+    stack = [(0, 0, 0, ())]
     while stack:
-        start, pi, blocked = stack.pop()
+        start, pi, blocked, letters = stack.pop()
         if _quali_witness(rs, pi) is None:
-            found.append(_datum(rs, pi))
+            found.append(_datum(rs, _members(pi), letters))
         for k in range(start, len(pieces)):
-            comp, closed = pieces[k]
+            comp, closed, more = pieces[k]
             if not comp & blocked:
-                stack.append((k + 1, pi | comp, blocked | closed))
+                stack.append((k + 1, pi | comp, blocked | closed, letters + more))
     found.sort(key=lambda d: (d.dimension, len(d.pi), sorted(d.pi)))
     full = frozenset(range(1, rs.rank + 1))
     if not any(d.pi == frozenset() for d in found) or not any(d.pi == full for d in found):
@@ -185,12 +194,17 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     return found
 
 
-def _datum(rs: RootSystem, pi: frozenset[int]) -> SphericalDatum:
-    """The row of an admissible pi, off the walk of w_Pi and theta (module docstring)."""
-    letters = _walk(rs, pi)[0]
+def _datum(rs: RootSystem, pi: frozenset[int], letters: tuple[int, ...]) -> SphericalDatum:
+    """The row of an admissible pi, off theta and a reduced word for w_Pi: its walk, or for a
+    union its pieces' walks one after another; -rho walks it inline (module docstring)."""
+    row_neighbours = rs.row_neighbours
     end = [-1] * rs.rank
     for b in letters:
-        _reflect_point(rs, end, b - 1)
+        b -= 1
+        vb = end[b]
+        end[b] = -vb
+        for j, a in row_neighbours[b]:
+            end[j] -= vb * a
     length = rs._n_positive - len(letters)
     swaps = sum(1 for i, j in theta(rs).items() if i < j and i not in pi)
     rk = rs.rank - len(pi) - swaps
@@ -209,4 +223,4 @@ def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     pi = rs._check_subset(pi)
     if not _theta_agrees_on(rs, pi):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
-    return _datum(rs, pi)
+    return _datum(rs, pi, _walk(rs, pi)[0])

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, kept independent of the code paths they check,
-and the test-only views of the program: the quali-no filter as a
-(passes, witness) pair and the closure of the involution steps."""
+the test-only views of the program: the quali-no filter as a
+(passes, witness) pair and the closure of the involution steps, and a
+per-test watchdog that fails a test running past its time limit."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ from collections import deque
 from fractions import Fraction
 from functools import cache
 from math import factorial
+import signal
 
 import pytest
 from hypothesis import strategies as st
@@ -231,10 +233,15 @@ def form_lengths(rs):
     return out
 
 
+def members(m):
+    """The simple indices of a bit mask (bit i - 1 for alpha_i), as a frozenset."""
+    return frozenset(i + 1 for i in range(m.bit_length()) if m >> i & 1)
+
+
 def passes_quali_no(rs, pi):
-    """(passes, witness) of the quali-no filter on pi, by spherical._quali_witness."""
-    pi = rs._check_subset(pi)
-    witness = _quali_witness(rs, pi)
+    """(passes, witness) of the quali-no filter on pi, by spherical._quali_witness on its
+    bit mask (bit i - 1 for alpha_i)."""
+    witness = _quali_witness(rs, sum(1 << i - 1 for i in rs._check_subset(pi)))
     return witness is None, witness
 
 
@@ -749,3 +756,42 @@ def b3():
 @pytest.fixture(scope="session")
 def g2():
     return build_named("G2")
+
+
+# Far above the slowest test (under 2 s): a walk that never ends fails its own
+# test with this error instead of hanging the run.
+WATCHDOG_SECONDS = 60.0
+
+
+class WatchdogExpired(BaseException):
+    """A test ran past its watchdog limit. A BaseException, like KeyboardInterrupt,
+    so that no `except Exception` in the code under test swallows it."""
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "watchdog(seconds): lower the per-test watchdog limit for one test"
+    )
+
+
+@pytest.fixture(autouse=True)
+def watchdog(request):
+    """Arm a one-shot SIGALRM timer for each test; its handler raises WatchdogExpired
+    naming the test. Where there is no SIGALRM, it does nothing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    marker = request.node.get_closest_marker("watchdog")
+    limit = marker.args[0] if marker else WATCHDOG_SECONDS
+    test = request.node.nodeid
+
+    def expire(signum, frame):
+        raise WatchdogExpired(f"{test} ran past its {limit} s watchdog")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -18,7 +18,8 @@ from weylorbit import (
     spherical_datum,
     subsystem_positive_roots,
 )
-from weylorbit import intmat
+from weylorbit import intmat, spherical
+from weylorbit.rootsys import RootSystem
 from weylorbit.spherical import _connected, _theta_agrees_on
 from weylorbit.weyl import _reflect_point, _walk
 
@@ -38,6 +39,7 @@ from conftest import (
     inversion_count,
     involution_walk,
     matrix_admissible,
+    members,
     one_plus,
     passes_quali_no,
     type_a_cascade,
@@ -120,14 +122,38 @@ def test_rows_match_column_datum(name):
 
 
 def test_connected_pieces_are_the_connected_subsets():
+    # the masks of _connected, each mapped to its closed neighbourhood, against
+    # the brute-force search over all 2^n subsets
     total = 0
     for name in ALL_TYPES:
         rs = build_named(name)
-        pieces = _connected(rs)
-        assert len(pieces) == len(set(pieces)), name
+        pieces = {members(m): members(closed) for m, closed in _connected(rs).items()}
         assert set(pieces) == set(connected_subsets(rs)), name
+        for comp, closed in pieces.items():
+            near = {j for j in range(1, rs.rank + 1) if any(rs.cartan[i - 1][j - 1] for i in comp)}
+            assert closed == near, (name, comp)
         total += len(pieces)
     assert total == 605
+
+
+@pytest.mark.parametrize("name", ["A8", "B8", "C8", "D8", "E7", "F4", "G2"])
+def test_enumerate_pi_walks_no_disconnected_subset(monkeypatch, name):
+    # a disconnected pi's row reads its pieces' letters, so the walk runs only on
+    # connected subsets (theta's walk of the whole diagram is weyl's own call)
+    walked = []
+
+    def recording_walk(rs, pi):
+        walked.append(pi)
+        return _walk(rs, pi)
+
+    monkeypatch.setattr(spherical, "_walk", recording_walk)
+    rs = RootSystem(build_named(name).rstype)
+    rows = enumerate_pi(rs)
+    connected = set(connected_subsets(rs))
+    assert walked and set(walked) <= connected
+    # of these, B8, C8, D8 and E7 have rows with a disconnected pi, built all the same
+    disconnected = [d.pi for d in rows if d.pi and d.pi not in connected]
+    assert bool(disconnected) == (name in ("B8", "C8", "D8", "E7")), disconnected
 
 
 def test_dimension_is_twice_the_involution_walk():
