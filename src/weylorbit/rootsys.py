@@ -18,11 +18,10 @@ symmetric by construction, and roots on no common edge are orthogonal.
 What the diagram gives directly is built with the root system: the Cartan
 matrix, its neighbour lists, the simple roots and their norms, and the
 number N = n h / 2 of positive roots. Weyl walks, the spherical filters and
-the table rows read nothing else, and a root system stores nothing else.
-The root table (the positive roots and the length classes) is _root_table,
-a function memoized by functools.cache and keyed on the root system like
-the derived data of weyl; it runs on the first root read and checks the
-closure against N then.
+the table rows read nothing else. A root system stores nothing else but two
+memos, which die with it: the walks of weyl, and the root table (the
+positive roots and the length classes), built by _roots on the first root
+read and checked against N then. build is the only module-level cache.
 
 W acts by one kernel per basis. In root coordinates, here, s_i changes only
 v_i, by the pairing <v, alpha_i^vee> = sum_j v_j <alpha_j, alpha_i^vee> over
@@ -145,17 +144,15 @@ class _RootTable(NamedTuple):
 class RootSystem:
     """Immutable root system of one simple type.
 
-    Built through :func:`build`, one per type: the functools.cache functions
-    of rootsys and weyl keep each instance they meet alive, so one built
-    directly adds cache entries that are never freed. __init__ stores the
-    diagram data of the type's _plate (cartan, read off its edges and simple
-    norms, neighbours, row_neighbours, simples, the closed neighbourhoods
-    _near as bit masks, the norms _norms and the number of positive roots
-    _n_positive), and nothing writes to the instance after it. The root
-    table behind positive_roots, is_positive_root, lengths and highest_root
-    is _root_table(rs), a functools.cache function of the root system, run
-    on the first root read and checked against _n_positive then. All
-    queries are read-only, so instances are safe to share across threads.
+    __init__ stores the diagram data of the type's _plate (cartan, read off
+    its edges and simple norms, neighbours, row_neighbours, simples, the
+    closed neighbourhoods _near as bit masks, the norms _norms and the number
+    of positive roots _n_positive) and two empty memos, the only attributes
+    written after it, with idempotent fills: _walks, the walks of weyl._walk
+    keyed on pi (the whole diagram is _diagram, for theta), and _table, the
+    root table behind positive_roots, is_positive_root, lengths and
+    highest_root, filled by _roots on the first root read. All else is
+    read-only, so instances are safe to share across threads.
     """
 
     def __init__(self, rstype: RootSystemType):
@@ -188,16 +185,20 @@ class RootSystem:
         self.simples: tuple[Vector, ...] = tuple(
             tuple(1 if k == i else 0 for k in range(n)) for i in range(n)
         )
+        self._diagram = frozenset(range(1, n + 1))
+        self._walks: dict[frozenset[int], tuple[tuple[int, ...], dict[int, int]]] = {}
+        # not a cached_property: its write to __dict__ would slow every later attribute read
+        self._table: _RootTable | None = None
 
     @property
     def positive_roots(self) -> tuple[Vector, ...]:
         """The positive roots, sorted by height and then coefficientwise."""
-        return _root_table(self).positive_roots
+        return self._roots().positive_roots
 
     @property
     def lengths(self) -> Mapping[Vector, str]:
         """The length class, LONG or SHORT, of every root, negative ones too; read-only."""
-        return _root_table(self).lengths
+        return self._roots().lengths
 
     # -- elementwise queries ------------------------------------------------
 
@@ -233,7 +234,7 @@ class RootSystem:
     def is_positive_root(self, v: Vector) -> bool:
         # a root is positive exactly when its height is
         v = tuple(v)
-        return v in _root_table(self).lengths and sum(v) > 0
+        return v in self._roots().lengths and sum(v) > 0
 
     def support(self, v: Vector) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(v) if c)
@@ -241,52 +242,54 @@ class RootSystem:
     def height(self, v: Vector) -> int:
         return sum(v)
 
+    def _roots(self) -> _RootTable:
+        """The root table _table: the positive roots and the length classes of all
+        roots, built on the first root read and checked against N then.
 
-@cache
-def _root_table(rs: RootSystem) -> _RootTable:
-    """The positive roots and the length classes of all roots, checked against N.
-
-    s_i permutes the positive roots other than alpha_i, and every positive
-    root that is not simple has some s_i lowering it to a positive root, so
-    the simple roots reach them all without leaving the positive cone. An
-    image that is not positive is an error in the table, not a root.
-    """
-    long = max(rs._norms)
-    classes = {a: LONG if m == long else SHORT for a, m in zip(rs.simples, rs._norms)}
-    frontier = list(rs.simples)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, simple in enumerate(rs.simples):
-                c = rs._pair(v, i)
-                if c and v != simple:
-                    img = v[:i] + (v[i] - c,) + v[i + 1:]
-                    if img not in classes:
-                        if img[i] < 0:
-                            raise AssertionError(
-                                f"s_{i + 1}{v} = {img} is not positive in {rs.rstype}"
-                            )
-                        classes[img] = classes[v]
-                        nxt.append(img)
-        frontier = nxt
-    pos = tuple(sorted(classes, key=lambda r: (sum(r), r)))
-    if len(pos) != rs._n_positive:
-        raise AssertionError(
-            f"{len(pos)} positive roots in {rs.rstype}, "
-            f"but the Coxeter number gives {rs._n_positive}"
-        )
-    for r in pos:
-        if any(a < b for a, b in zip(pos[-1], r)):
-            raise AssertionError(f"no coefficientwise-maximal root in {rs.rstype}")
-    lengths = dict(classes)
-    for r, cls in classes.items():
-        lengths[tuple(-c for c in r)] = cls
-    return _RootTable(pos, MappingProxyType(lengths))
+        s_i permutes the positive roots other than alpha_i, and every positive
+        root that is not simple has some s_i lowering it to a positive root, so
+        the simple roots reach them all without leaving the positive cone. An
+        image that is not positive is an error in the table, not a root.
+        """
+        if self._table is not None:
+            return self._table
+        long = max(self._norms)
+        classes = {a: LONG if m == long else SHORT for a, m in zip(self.simples, self._norms)}
+        frontier = list(self.simples)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for i, simple in enumerate(self.simples):
+                    c = self._pair(v, i)
+                    if c and v != simple:
+                        img = v[:i] + (v[i] - c,) + v[i + 1:]
+                        if img not in classes:
+                            if img[i] < 0:
+                                raise AssertionError(
+                                    f"s_{i + 1}{v} = {img} is not positive in {self.rstype}"
+                                )
+                            classes[img] = classes[v]
+                            nxt.append(img)
+            frontier = nxt
+        pos = tuple(sorted(classes, key=lambda r: (sum(r), r)))
+        if len(pos) != self._n_positive:
+            raise AssertionError(
+                f"{len(pos)} positive roots in {self.rstype}, "
+                f"but the Coxeter number gives {self._n_positive}"
+            )
+        for r in pos:
+            if any(a < b for a, b in zip(pos[-1], r)):
+                raise AssertionError(f"no coefficientwise-maximal root in {self.rstype}")
+        lengths = dict(classes)
+        for r, cls in classes.items():
+            lengths[tuple(-c for c in r)] = cls
+        self._table = _RootTable(pos, MappingProxyType(lengths))
+        return self._table
 
 
 @cache
 def build(rstype: RootSystemType) -> RootSystem:
-    """Construct (and memoize) the root system of the given type."""
+    """The root system of the given type, one per type: the only module-level cache."""
     return RootSystem(rstype)
 
 

@@ -17,7 +17,7 @@ Admissibility is decided on the Dynkin diagram, with theta = -w0:
     product of the commuting groups of the components of Pi.
 
 No element is built for this: one walk of the negative of a weight that is
-regular on Pi, by descents in Pi (weyl._walk, cached per (rs, Pi)), gives
+regular on Pi, by descents in Pi (weyl._walk, memoized on rs per Pi), gives
 -w_Pi as a permutation of Pi and a reduced word for w_Pi, and theta is the
 same walk on the whole diagram.
 

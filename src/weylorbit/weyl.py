@@ -32,17 +32,14 @@ itself where one element is applied again and again. The certificate
 checker, which would apply each element once, walks roots instead.
 theta = -w0 is no element: it is the permutation of _walk taken on the
 whole diagram.
-What depends only on the root system (the walk of each parabolic subgroup
-and theta) is memoized by functools.cache, keyed on the immutable root
-system, as rootsys memoizes the root table; nothing is stored on the root
-system itself, and the identity is built fresh on each call. An element's
-point never changes and its view is a pure function of it, so all of this
-is safe to use concurrently.
+What depends only on the root system (the walk of each parabolic subgroup,
+and so theta) is memoized in its memo _walks, keyed on pi, and dies with it;
+the identity is built fresh on each call. Fills are idempotent, a point never
+changes and a view is a pure function of it, so all of this is thread-safe.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from operator import mul
 
 from . import intmat
@@ -218,7 +215,6 @@ def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
     return tuple(letters)
 
 
-@cache
 def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], dict[int, int]]:
     """A reduced word b_1 ... b_k for w_Pi and -w_Pi as a permutation of pi, off one walk.
 
@@ -230,6 +226,8 @@ def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], dict[int
     on pi gives v_j = lambda_{theta_Pi(j)}. pi need not be connected: W_Pi is
     the product of the commuting groups of its components.
     """
+    if pi in rs._walks:
+        return rs._walks[pi]
     order = sorted(pi)
     v = [0] * rs.rank
     for k, j in enumerate(order, 1):
@@ -238,7 +236,7 @@ def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], dict[int
     perm = {j: order[v[j - 1] - 1] for j in order if 0 < v[j - 1] <= len(order)}
     if sorted(perm.values()) != order:
         raise AssertionError("-w_Pi does not permute the simple roots of pi")
-    return letters, perm
+    return rs._walks.setdefault(pi, (letters, perm))
 
 
 def is_involution(w: WeylElement) -> bool:
@@ -325,7 +323,6 @@ def rank_one_minus(w: WeylElement) -> int:
     )
 
 
-@cache
 def theta(rs: RootSystem) -> dict[int, int]:
     """The diagram automorphism -w0 as a permutation of simple indices."""
-    return _walk(rs, frozenset(range(1, rs.rank + 1)))[1]
+    return _walk(rs, rs._diagram)[1]

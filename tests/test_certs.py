@@ -16,6 +16,7 @@ from weylorbit import (
     apply,
     build,
     build_named,
+    enumerate_pi,
     from_word,
     is_admissible,
     mutate_sigma,
@@ -54,6 +55,7 @@ from conftest import (
 )
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
+COVERAGE_FILE = Path(__file__).resolve().parent / "cert_coverage.json"
 
 G2 = RootSystemType("G", 2)
 
@@ -560,6 +562,41 @@ def test_certificate_existence_on_seeded_rank_7_and_8_keys(name):
             assert verify(ExclusionCert(rs.rstype, pi, gamma, word)).passed, word
         verdicts.add(exists)
     assert verdicts == {True, False}
+
+
+def _coverage():
+    """Per shipped type: [keys, keys admitting a certificate, shipped keys, repeated certificates].
+
+    A key is a table-row pi with a positive root gamma outside its subsystem;
+    it admits a certificate exactly when w(gamma) is not +-gamma.
+    """
+    shipped = {}
+    for cert in _shipped_certs():
+        shipped.setdefault(str(cert.rstype), []).append((cert.pi, cert.gamma))
+    counts = {}
+    for name, found in shipped.items():
+        rs = build_named(name)
+        keys = {
+            (row.pi, gamma)
+            for row in enumerate_pi(rs)
+            for gamma in rs.positive_roots
+            if not rs.support(gamma) <= row.pi
+        }
+        assert set(found) <= keys, name  # every shipped key is on a table row
+        certifiable = sum(
+            1
+            for pi, gamma in keys
+            if _w_of(rs, pi, gamma) not in (gamma, tuple(-c for c in gamma))
+        )
+        counts[name] = [len(keys), certifiable, len(set(found)), len(found) - len(set(found))]
+    return counts
+
+
+def test_certificate_coverage_is_pinned():
+    # a catalog change that adds or drops keys, or repeats one, shows in COVERAGE_FILE
+    want = json.loads(COVERAGE_FILE.read_text())
+    assert _coverage() == want
+    assert [sum(c[k] for c in want.values()) for k in range(4)] == [3227, 2012, 1423, 54]
 
 
 def test_shipped_keys_meet_the_existence_criterion():

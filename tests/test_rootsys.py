@@ -1,5 +1,7 @@
 """Root table construction and queries."""
 
+import gc
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +16,13 @@ from weylorbit import (
     enumerate_pi,
     from_word,
     highest_root,
+    is_admissible,
     parse_certs,
     reduced_word,
     rootsys,
     spherical_datum,
     subsystem_positive_roots,
+    theta,
     verify,
 )
 from weylorbit.cli import main
@@ -123,9 +127,9 @@ def test_closure_rejects_an_image_that_is_not_positive():
     # a wrong sign in the Cartan data sends s_2(alpha_1) to (1, -1)
     rs = RootSystem.__new__(RootSystem)
     rs.rstype, rs.simples, rs._norms = RootSystemType("A", 2), ((1, 0), (0, 1)), (2, 2)
-    rs.neighbours = (((0, 2), (1, 1)), ((0, 1), (1, 2)))
+    rs.neighbours, rs._table = (((0, 2), (1, 1)), ((0, 1), (1, 2))), None
     with pytest.raises(AssertionError, match="is not positive"):
-        rootsys._root_table(rs)
+        rs.positive_roots
 
 
 @pytest.mark.parametrize("name", ALL_TYPES)
@@ -310,29 +314,31 @@ def test_cartan_matrix_matches_the_plate_vectors(rstype):
 @pytest.mark.parametrize("name", ALL_TYPES)
 def test_root_table_is_built_on_first_read(name):
     # the table rows, the filters and the walks read only the diagram data:
-    # the memo gains no entry until the first root read, and then exactly one
+    # the table slot stays empty until the first root read, and then it keeps its table
     built = build_named(name)
     want_rows, want_roots = [d.as_dict() for d in enumerate_pi(built)], built.positive_roots
-    entries = rootsys._root_table.cache_info
     rs = RootSystem(RootSystemType.from_string(name))
-    before = entries().currsize
     rows = [d.as_dict() for d in enumerate_pi(rs)]
     for row in rows:
         assert spherical_datum(rs, row["pi"]).as_dict() == row
-    assert entries().currsize == before
+    assert vars(rs)["_table"] is None
     assert rows == want_rows
     assert rs.positive_roots == want_roots
-    assert entries().currsize == before + 1
+    table = vars(rs)["_table"]
+    assert table is not None
     assert highest_root(rs) == want_roots[-1] and rs.is_positive_root(want_roots[0])
     assert len(rs.lengths) == 2 * len(want_roots)
-    assert entries().currsize == before + 1
+    assert vars(rs)["_table"] is table
+    assert rs.positive_roots is table.positive_roots and rs.lengths is table.lengths
 
 
-def test_reads_and_walks_write_nothing_on_the_root_system(capsys):
-    # the root system holds only its diagram data; every derived table is a memo
+def test_reads_and_walks_write_only_their_memos_on_the_root_system(capsys):
+    # the root system holds its diagram data and two memos, the walks and the
+    # root table; a memo only gains entries, and nothing else is written
     certs = parse_certs((CERT_DIR / "f4.certs.json").read_text())
     systems = (build_named("E8"), build(certs[0].rstype))
     before = [dict(vars(rs)) for rs in systems]
+    walks = [dict(rs._walks) for rs in systems]
     e8 = systems[0]
     assert e8.is_positive_root(highest_root(e8))
     assert main(["tables", "--max-rank", "8", "--format", "json"]) == 0
@@ -341,10 +347,34 @@ def test_reads_and_walks_write_nothing_on_the_root_system(capsys):
     assert len(reduced_word(w)) == w.length
     assert apply(w, e8.simples[0]) == w.cols[0]
     assert all(verify(cert).passed for cert in certs)
-    for rs, attrs in zip(systems, before):
-        assert vars(rs) == attrs
-        assert all(vars(rs)[name] is value for name, value in attrs.items())
-    assert not hasattr(e8, "_table")
+    for rs, attrs, walked in zip(systems, before, walks):
+        assert vars(rs).keys() == attrs.keys()
+        assert all(vars(rs)[name] is value for name, value in attrs.items() if name != "_table")
+        assert rs._table is not None
+        assert attrs["_table"] is None or attrs["_table"] is rs._table
+        assert all(rs._walks[pi] is walk for pi, walk in walked.items()) and rs._walks
+
+
+def _exercised(name):
+    """A weak reference to a root system built directly and run through every memo."""
+    rs = RootSystem(RootSystemType.from_string(name))
+    rows = enumerate_pi(rs)
+    for row in rows:
+        assert spherical_datum(rs, row.pi).as_dict() == row.as_dict()
+    assert is_admissible(rs, rows[-1].pi) and len(theta(rs)) == rs.rank
+    assert all(rs.is_positive_root(r) for r in rs.positive_roots)
+    w = from_word(rs, list(range(1, rs.rank + 1)) * 3)
+    assert len(reduced_word(w)) == w.length
+    return weakref.ref(rs)
+
+
+@pytest.mark.parametrize("name", ["A8", "B8", "C8", "D8", "E8", "F4", "G2"])
+def test_a_root_system_built_directly_dies_with_its_memos(name):
+    # the walks and the root table are memos on the instance, not module caches
+    # keyed on it, so nothing outlives the last reference to the root system
+    ref = _exercised(name)
+    gc.collect()
+    assert ref() is None
 
 
 def test_a_wrong_coxeter_number_fails_the_first_root_read(monkeypatch):

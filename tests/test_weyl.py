@@ -23,7 +23,7 @@ from weylorbit import (
     theta,
 )
 
-from weylorbit import intmat, weyl
+from weylorbit import RootSystem, intmat, weyl
 from weylorbit.weyl import WeylElement, rmul_s
 
 from conftest import (
@@ -289,14 +289,17 @@ def test_peel_is_bounded(a3, monkeypatch):
         reduced_word(s2)
     with pytest.raises(AssertionError, match="within N = 6 letters"):
         from_columns(a3, cols)  # given no length, the point is peeled when built
+    # the walks fill a memo on the root system, so a fresh one meets the bare walk
+    fresh = RootSystem(a3.rstype)
+    fresh.row_neighbours = a3.row_neighbours
     with pytest.raises(AssertionError, match="within N = 6 letters"):
-        weyl._walk.__wrapped__(a3, frozenset({1, 3}))  # past the cache
+        weyl._walk(fresh, frozenset({1, 3}))
     with pytest.raises(AssertionError, match="within N = 6 letters"):
-        weyl._walk.__wrapped__(a3, frozenset({1, 2, 3}))
-    # theta reads _walk off the module, so it meets the bare walk too
-    monkeypatch.setattr(weyl, "_walk", weyl._walk.__wrapped__)
+        weyl._walk(fresh, frozenset({1, 2, 3}))
+    # theta reads the walk of the whole diagram, which a failed walk left unfilled
     with pytest.raises(AssertionError, match="within N = 6 letters"):
-        weyl.theta.__wrapped__(a3)
+        weyl.theta(fresh)
+    assert not fresh._walks
 
 
 def test_point_walks_with_no_update_give_no_verdict(monkeypatch):
