@@ -41,7 +41,7 @@ import reprlib
 from random import Random
 from typing import NamedTuple
 
-from .rootsys import RootSystem, RootSystemType, Vector, build, subsystem_positive_roots
+from .rootsys import RootSystem, RootSystemType, Vector, _Record, build, subsystem_positive_roots
 from .spherical import ENUMERATION_MAX_RANK, _theta_agrees_on
 from .weyl import _walk, theta
 
@@ -50,13 +50,13 @@ class CertError(ValueError):
     """Malformed certificate data; message carries position and label."""
 
 
-class ExclusionCert:
+class ExclusionCert(_Record):
     """A certificate, checked when it is built: a defect raises CertError.
 
     rstype must be a RootSystemType and label a str, so that certs_to_json
     writes what parse_certs reads back. pi is normalised to a frozenset, and
     gamma, sigma_word and the expected_cond2 entries to tuples of exact ints.
-    Immutable; equal fields give equal certificates, which hash alike.
+    Immutable; equal fields give equal certificates, which hash alike (_Record).
     """
 
     __slots__ = ("rstype", "pi", "gamma", "sigma_word", "expected_cond2", "label")
@@ -100,34 +100,10 @@ class ExclusionCert:
             for v in expected_cond2:
                 if len(v) != rs.rank:
                     raise CertError(f"expected_cond2 entry {list(v)} has wrong rank")
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (rstype, pi, gamma, word, expected_cond2, label)):
-            object.__setattr__(self, name, value)
-        return self
+        return cls._fill(rstype, pi, gamma, word, expected_cond2, label)
 
     def _values(self) -> tuple:
         return (self.rstype, self.pi, self.gamma, self.sigma_word, self.expected_cond2, self.label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
-        return f"{type(self).__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._values()
 
     def as_dict(self) -> dict:
         out = {

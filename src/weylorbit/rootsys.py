@@ -31,10 +31,13 @@ column views of weyl and every quantity of certs.verify go through it. Both
 are unchecked; a word's letters are checked when the Weyl element or the
 certificate is built. In fundamental-weight coordinates, s_b negates entry b
 of an orbit point (the Cartan diagonal is 2) and moves v_j -= v_b <alpha_b,
-alpha_j^vee> over the row neighbours j != b of b: weyl._descend, bruhat_leq,
-the word walk _times_word, demazure_mul and the spherical table rows do this
-inside their loops, and weyl._reflect_point is the single step of the
-involution step.
+alpha_j^vee> over the row neighbours j != b of b: the walks _times_word,
+_descend and bruhat_leq of weyl, and demazure_mul, do this inside their loops,
+and all else goes through them.
+
+RootSystemType and the certificates of certs are records checked when they
+are built, and share one protocol, _Record: immutable, and compared, hashed,
+shown and pickled by their fields.
 """
 
 # annotations are not postponed: NamedTuple would compile each string field annotation on import
@@ -59,12 +62,52 @@ _RANK_RULES = {
 }
 
 
-class RootSystemType:
+class _Record:
+    """The protocol of a record checked when it is built: immutable, over the
+    fields its _values() returns in __slots__ order.
+
+    Two records are equal, and hash alike, exactly when they are of one class
+    with equal fields; a record never equals a tuple. A copy or a pickle
+    rebuilds it through its constructor, so a bad field raises there too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _fill(cls, *values):
+        """A new record holding values, written past the frozen __setattr__."""
+        self = object.__new__(cls)
+        for name, value in zip(cls.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class RootSystemType(_Record):
     """A simple type such as B3: family letter plus rank.
 
-    Immutable. It is the cache key of build, so two types are equal, and
-    hash alike, exactly when they are of this class with the same family and
-    rank.
+    It is the cache key of build, so two types are equal, and hash alike,
+    exactly when they have the same family and rank (_Record).
     """
 
     __slots__ = ("family", "rank")
@@ -80,30 +123,10 @@ class RootSystemType:
         # type() and not isinstance(): a bool is an int, and True would build A1
         if type(rank) is not int or not rule(rank):
             raise ValueError(f"rank {rank} is not valid for family {family}")
-        self = object.__new__(cls)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        return self
+        return cls._fill(family, rank)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank) == (other.family, other.rank)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(family={self.family!r}, rank={self.rank!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.family, self.rank)
+    def _values(self) -> tuple:
+        return (self.family, self.rank)
 
     @classmethod
     def from_string(cls, text: str) -> "RootSystemType":

@@ -21,14 +21,14 @@ regular on Pi, by descents in Pi (weyl._walk, memoized on rs per Pi), gives
 -w_Pi as a permutation of Pi and a reduced word for w_Pi, and theta is the
 same walk on the whole diagram.
 
-A table row needs no element either, and no root beyond the simple ones.
-With that word, l(w) = N - l(w_Pi), with N = n h / 2 the number of positive
-roots, read off the Coxeter number h (RootSystem._n_positive). Taking -rho,
-the point of w0, through its letters gives the orbit point
-w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho) of w, whose peel is the reduced word
-of w. The same letters let the certificate checker apply w to a root as
--theta(w_Pi(x)), so this module builds and caches nothing. The rank is read
-off theta:
+A table row needs no root beyond the simple ones, and walks no point itself:
+from_word takes that word to the involution w_Pi, so w has the orbit point
+w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho), the negated point of w_Pi, and the
+length l(w) = N - l(w_Pi), with N = n h / 2 the number of positive roots,
+read off the Coxeter number h (RootSystem._n_positive); the row's word is
+reduced_word(w). The same letters let the certificate checker apply w to a
+root as -theta(w_Pi(x)), so this module caches nothing. The rank is read off
+theta:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
 
@@ -60,7 +60,7 @@ walked.
 from typing import NamedTuple
 
 from .rootsys import RootSystem
-from .weyl import _walk, _word_at, theta
+from .weyl import WeylElement, _walk, from_word, reduced_word, theta
 
 ENUMERATION_MAX_RANK = 8
 
@@ -196,25 +196,19 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 
 def _datum(rs: RootSystem, pi: frozenset[int], letters: tuple[int, ...]) -> SphericalDatum:
     """The row of an admissible pi, off theta and a reduced word for w_Pi: its walk, or for a
-    union its pieces' walks one after another; -rho walks it inline (module docstring)."""
-    row_neighbours = rs.row_neighbours
-    end = [-1] * rs.rank
-    for b in letters:
-        b -= 1
-        vb = end[b]
-        end[b] = -vb
-        for j, a in row_neighbours[b]:
-            end[j] -= vb * a
-    length = rs._n_positive - len(letters)
+    union its pieces' walks one after another (module docstring)."""
+    w_pi = from_word(rs, letters)
+    # the point of w0 w_Pi is -w_Pi(rho), the negated point of the involution w_Pi
+    w = WeylElement(rs, tuple(-x for x in w_pi.v), rs._n_positive - w_pi.length)
     swaps = sum(1 for i, j in theta(rs).items() if i < j and i not in pi)
     rk = rs.rank - len(pi) - swaps
     return SphericalDatum(
         rs=rs,
         pi=pi,
-        w_word=_word_at(rs, end),
-        length=length,
+        w_word=reduced_word(w),
+        length=w.length,
         rank_one_minus=rk,
-        dimension=length + rk,
+        dimension=w.length + rk,
         central=(len(pi) == rs.rank),
     )
 

@@ -5,23 +5,23 @@ coordinates. W acts simply transitively on the regular weights, so v alone
 identifies w: equality and hashing compare points, and the identity is
 rho = (1, ..., 1). The entry v_b = <rho, w(alpha_b)^vee> has the sign of
 w(alpha_b), so s_b is a right descent of w exactly when v_b < 0, and w * s_b
-has the point s_b(v), v_b negated and its row neighbours updated, which moves
-the length by one. Every element carries its length: each constructor knows
-it, and a point given without one must hold rank exact ints and is peeled at
-once, so a point that is no element's is rejected when it is built.
-One bounded walk, _descend, applies s_b for the first b of an index order
-with v_b < 0 until none is left, doing the point update in its own loop.
-Peeling v down to rho gives reduced words; walking the negative of a weight
-that is regular on a subset Pi, by descents in Pi, gives a reduced word for
-the parabolic longest element w_Pi and -w_Pi as a permutation of Pi (_walk).
-These walks mutate one list and return their letters. The Bruhat check is
-one walk of its own over two points: it peels w by the same first descent
-and lowers u beside it, both updates inline, and builds no letter list.
-rmul_s and from_word are one walk, _times_word, that takes one copy of the
-point through a word (for rmul_s, one letter), checking each letter and doing
-the update in its own loop, and builds a single element at the end; the
-0-Hecke product walks its point along a reduced word of its right factor, the
-update inline. None of this builds a matrix.
+has the point s_b(v): v_b negated and v_j -= v_b <alpha_b, alpha_j^vee> over
+the row neighbours j of b, which moves the length by one. Every element
+carries its length: each constructor knows it, and a point given without one
+must hold rank exact ints and is peeled at once, so a point that is no
+element's is rejected when it is built.
+That step is written inline, with no call per letter, in four hot walks and
+nowhere else; all other code, the involution step and the spherical table
+rows too, goes through them. _times_word takes one copy of the point through
+a checked word and builds a single element at the end (rmul_s, from_word).
+_descend applies s_b for the first b of an index order with v_b < 0 until
+none is left: peeling v down to rho gives reduced words, and walking the
+negative of a weight that is regular on a subset Pi, by descents in Pi, gives
+a reduced word for the parabolic longest element w_Pi and -w_Pi as a
+permutation of Pi (_walk). bruhat_leq peels w by the same first descent and
+lowers u beside it, and builds no letter list. The 0-Hecke product of
+demazure walks its point along a reduced word of its right factor. None of
+this builds a matrix.
 The columns cols[i-1] = w(alpha_i) in the simple-root basis (the matrix of w
 on the root lattice) are a view kept on the element: each simple root walked
 once along a reduced word by the root-coordinate kernel of rootsys. apply
@@ -104,9 +104,9 @@ def _times_word(w: WeylElement, word) -> WeylElement:
     """w * s_{a_1} s_{a_2} ...: each letter checked and applied to one mutable point.
 
     s_b lengthens w by one when v_b > 0 and shortens it otherwise; one element
-    is built at the end. The check and the update of _reflect_point run inside
-    the loop, with no call per letter; a bad letter goes to rs._check_index,
-    which raises its message.
+    is built at the end. The check and the point update (v_b negated, then its
+    row neighbours) run inside the loop, with no call per letter; a bad letter
+    goes to rs._check_index, which raises its message.
     """
     rs = w.rs
     n = rs.rank
@@ -145,15 +145,6 @@ def apply(w: WeylElement, v: Vector) -> Vector:
 def from_word(rs: RootSystem, word) -> WeylElement:
     """Product s_{a_1} s_{a_2} ... for word = [a_1, a_2, ...]."""
     return _times_word(identity(rs), word)
-
-
-def _reflect_point(rs: RootSystem, v: list[int], b: int) -> None:
-    """v <- s_b(v) in place, for a 0-based b: v_b negated (<alpha_b, alpha_b^vee> = 2),
-    and v_j -= v_b <alpha_b, alpha_j^vee> over the row neighbours j != b."""
-    vb = v[b]
-    v[b] = -vb
-    for j, a in rs.row_neighbours[b]:
-        v[j] -= vb * a
 
 
 def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
@@ -205,14 +196,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     Always returns the lexicographically-first descent at each step, so the
     result is deterministic.
     """
-    return _word_at(w.rs, list(w.v))
-
-
-def _word_at(rs: RootSystem, v: list[int]) -> tuple[int, ...]:
-    """reduced_word of the element whose orbit point is v; v is consumed."""
-    letters = _peel(rs, v)
-    letters.reverse()
-    return tuple(letters)
+    return tuple(reversed(_peel(w.rs, list(w.v))))
 
 
 def _walk(rs: RootSystem, pi: frozenset[int]) -> tuple[tuple[int, ...], dict[int, int]]:

@@ -7,9 +7,9 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from functools import cache
 from math import factorial
 import signal
+import weakref
 
 import pytest
 from hypothesis import strategies as st
@@ -45,6 +45,24 @@ TABLE_TYPES = (
     + [f"D{n}" for n in range(4, 9)]
     + ["E6", "F4", "G2"]
 )
+
+
+def per_root_system(fn):
+    """Memoize fn(rs, *args) in a memo of rs's own, which dies with it.
+
+    functools.cache would key on rs and keep every root system it is passed
+    alive for the session. The memo is keyed on the instance, not on its type,
+    since faulty instances of valid types are built with a patched plate.
+    """
+    memos = weakref.WeakKeyDictionary()
+
+    def memoized(rs, *args):
+        memo = memos.setdefault(rs, {})
+        if args not in memo:
+            memo[args] = fn(rs, *args)
+        return memo[args]
+
+    return memoized
 
 
 def rows(w):
@@ -114,6 +132,16 @@ def reflect(rs, v, i):
     return tuple(x - c if j == i - 1 else x for j, x in enumerate(v))
 
 
+def point_walk(rs, v, word):
+    """The point v, in fundamental-weight coordinates, taken through s_{a_1}, s_{a_2}, ...
+    in turn: s_i takes v_j to v_j - v_i <alpha_i, alpha_j^vee> over the whole Cartan
+    row i, whose diagonal 2 negates v_i."""
+    for i in word:
+        vi = v[i - 1]
+        v = tuple(x - vi * a for x, a in zip(v, rs.cartan[i - 1]))
+    return tuple(v)
+
+
 def depth(rs, beta):
     """Minimal length of an element sending the positive root beta negative.
 
@@ -142,7 +170,7 @@ def inverse(w):
     return from_word(w.rs, reversed(reduced_word(w)))
 
 
-@cache
+@per_root_system
 def _reflection_closure(rs):
     """Every root, as the closure of the simple roots under the simple reflections."""
     roots = set(rs.simples)
@@ -311,7 +339,7 @@ def candidate_columns(rs, pi):
     return _candidate_columns(rs, frozenset(pi))
 
 
-@cache
+@per_root_system
 def _candidate_columns(rs, pi):
     return column_product(column_longest(rs, range(1, rs.rank + 1)), column_longest(rs, pi))
 
@@ -422,7 +450,7 @@ def column_longest(rs, pi):
     return _column_longest(rs, frozenset(pi))
 
 
-@cache
+@per_root_system
 def _column_longest(rs, pi):
     order = sorted(pi)
     cols = rs.simples
@@ -535,7 +563,7 @@ def certificate_word(rs, pi, gamma):
     return None
 
 
-@cache
+@per_root_system
 def root_permutations(rs):
     """For each s_i, its action on all roots as a dict, from the closure of the simple roots."""
     return [{r: reflect(rs, r, i) for r in _reflection_closure(rs)} for i in range(1, rs.rank + 1)]

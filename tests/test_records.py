@@ -2,6 +2,7 @@
 equality, hashing, copying and repr, and an import of the CLI that stays light."""
 
 import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +64,13 @@ RECORD_NAMES = [
     "VerifySummary",
 ]
 
+# the records checked when built, each with the other one, and a field value that
+# its constructor refuses, with a part of the message it raises
+CHECKED = {
+    "RootSystemType": ("ExclusionCert", "rank", 0, "rank 0 is not valid"),
+    "ExclusionCert": ("RootSystemType", "gamma", (9, 9), "not a positive root"),
+}
+
 
 # the names are static so that a fault in building a record fails its tests,
 # not the collection of the whole suite
@@ -94,7 +102,23 @@ def test_record_contract(name):
         first = next(iter(stored))
         with pytest.raises(AttributeError):
             setattr(by_keyword, first, stored[first])
+        with pytest.raises(AttributeError):
+            delattr(by_keyword, first)
         assert getattr(by_keyword, first) == stored[first]
+
+    # a checked record is no tuple and equals no record of the other class, and
+    # a pickle rebuilds it through its constructor, so a field corrupted past
+    # the checks raises there
+    if name in CHECKED:
+        other_name, field, bad, message = CHECKED[name]
+        other_cls, other_given, _, _ = records[other_name]
+        assert by_keyword != tuple(stored.values())
+        assert by_keyword != other_cls(**other_given)
+        assert pickle.loads(pickle.dumps(by_keyword)) == by_keyword
+        object.__setattr__(by_keyword, field, bad)
+        dumped = pickle.dumps(by_keyword)
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(dumped)
 
 
 @pytest.fixture(scope="module")

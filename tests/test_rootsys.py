@@ -31,10 +31,12 @@ from weylorbit.rootsys import _RANK_RULES, LONG, SHORT
 from conftest import (
     ALL_TYPES,
     brute_min_length_to_negative,
+    candidate_columns,
     depth,
     is_root,
     pairing_closure,
     reflect,
+    root_permutations,
 )
 
 CERT_DIR = Path(__file__).resolve().parent.parent / "certs"
@@ -375,6 +377,19 @@ def test_a_root_system_built_directly_dies_with_its_memos(name):
     ref = _exercised(name)
     gc.collect()
     assert ref() is None
+
+
+def test_a_root_system_dies_with_the_test_oracles_memos():
+    # the oracles of conftest memoize per instance as well: a memo keyed on
+    # the root system would keep each one a test passes them alive
+    refs = []
+    for _ in range(20):
+        rs = RootSystem(RootSystemType.from_string("F4"))
+        assert len(candidate_columns(rs, {2, 3})) == len(root_permutations(rs)) == rs.rank
+        refs.append(weakref.ref(rs))
+    del rs
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 20
 
 
 def test_a_wrong_coxeter_number_fails_the_first_root_read(monkeypatch):

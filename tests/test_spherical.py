@@ -21,7 +21,7 @@ from weylorbit import (
 from weylorbit import intmat, spherical
 from weylorbit.rootsys import RootSystem
 from weylorbit.spherical import _connected, _theta_agrees_on
-from weylorbit.weyl import _reflect_point, _walk
+from weylorbit.weyl import _walk
 
 from conftest import (
     ALL_TYPES,
@@ -42,6 +42,7 @@ from conftest import (
     members,
     one_plus,
     passes_quali_no,
+    point_walk,
     type_a_cascade,
 )
 
@@ -81,11 +82,8 @@ def test_diagram_rule_matches_matrix_rule(name):
             assert w_pi.length == len(letters) == inversion_count(w_pi), pi
             # -rho, the point of w0, taken through the letters is the point of
             # w0 w_Pi, a dense product
-            end = [-1] * rs.rank
-            for b in letters:
-                _reflect_point(rs, end, b - 1)
             w = candidate(rs, pi)
-            assert w.v == tuple(end), pi
+            assert w.v == point_walk(rs, (-1,) * rs.rank, letters), pi
             assert w.length == len(rs.positive_roots) - len(letters) == inversion_count(w), pi
 
 

@@ -49,6 +49,7 @@ from conftest import (
     longest,
     one_minus,
     passes_quali_no,
+    point_walk,
     rmul_s_fold,
     row_apply,
     row_group,
@@ -175,11 +176,9 @@ def test_longest_element_parabolic(b3):
     def w_pi(pi):
         letters, _ = weyl._walk(b3, frozenset(pi))
         w = from_word(b3, letters)
-        end = [-1] * b3.rank
-        for b in letters:
-            weyl._reflect_point(b3, end, b - 1)
         assert w.length == len(letters)
-        assert tuple(end) == candidate(b3, pi).v == tuple(-x for x in w.v)
+        end = point_walk(b3, (-1,) * b3.rank, letters)
+        assert end == candidate(b3, pi).v == tuple(-x for x in w.v)
         return w
 
     assert w_pi([]) == identity(b3)
@@ -280,10 +279,8 @@ def test_orbit_walks_match_column_oracles_seeded(name, count):
 def test_peel_is_bounded(a3, monkeypatch):
     # without the bound, an orbit-point update that does nothing would walk forever;
     # _descend does the update in its own loop, negating v_b and then going over
-    # row_neighbours, so each row b is made ((b, -2),), which restores v_b, as
-    # well as emptying _reflect_point
+    # row_neighbours, so each row b is made ((b, -2),), which restores v_b
     s2, cols = simple(a3, 2), longest(a3).cols
-    monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
     monkeypatch.setattr(a3, "row_neighbours", tuple(((b, -2),) for b in range(a3.rank)))
     with pytest.raises(AssertionError, match="within N = 6 letters"):
         reduced_word(s2)
@@ -315,7 +312,6 @@ def test_point_walks_with_no_update_give_no_verdict(monkeypatch):
         if 0 < u.length <= w.length
     ]
     assert {column_bruhat_leq(u, w) for u, w in pairs} == {True, False}
-    monkeypatch.setattr(weyl, "_reflect_point", lambda rs, v, b: None)
     monkeypatch.setattr(rs, "row_neighbours", tuple(((b, -2),) for b in range(rs.rank)))
     for u, w in pairs:
         with pytest.raises(AssertionError, match="within N = 36 letters|away from rho"):
@@ -356,7 +352,7 @@ def test_peel_rejects_a_dominant_point_other_than_rho(a3):
     with pytest.raises(AssertionError, match="did not reach rho"):
         WeylElement(a3, (1, 0, 1))
     with pytest.raises(AssertionError, match="did not reach rho"):
-        weyl._word_at(a3, [1, 0, 1])
+        weyl._peel(a3, [1, 0, 1])
 
 
 @pytest.mark.parametrize(
