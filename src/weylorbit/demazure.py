@@ -47,17 +47,18 @@ def demazure_mul(w1: WeylElement, w2: WeylElement) -> WeylElement:
     result is never shorter than either factor, and its length is that of w1
     plus the letters applied.
     """
-    if w1.rs.rstype != w2.rs.rstype:
+    if w1.rs is not w2.rs and w1.rs.rstype != w2.rs.rstype:
         raise ValueError("elements live in different root systems")
     rs = w1.rs
     row_neighbours = rs.row_neighbours
     v = list(w1.v)
     length = w1.length
     for b in reduced_word(w2):
-        x = v[b - 1]
+        b -= 1
+        x = v[b]
         if x > 0:
-            v[b - 1] = -x
-            for j, a in row_neighbours[b - 1]:
+            v[b] = -x
+            for j, a in row_neighbours[b]:
                 v[j] -= x * a
             length += 1
     return WeylElement(rs, tuple(v), length)

@@ -22,13 +22,12 @@ regular on Pi, by descents in Pi (weyl._walk, memoized on rs per Pi), gives
 same walk on the whole diagram.
 
 A table row needs no root beyond the simple ones, and walks no point itself:
-from_word takes that word to the involution w_Pi, so w has the orbit point
-w^-1(rho) = w_Pi(w0(rho)) = -w_Pi(rho), the negated point of w_Pi, and the
-length l(w) = N - l(w_Pi), with N = n h / 2 the number of positive roots,
-read off the Coxeter number h (RootSystem._n_positive); the row's word is
-reduced_word(w). The same letters let the certificate checker apply w to a
-root as -theta(w_Pi(x)), so this module caches nothing. The rank is read off
-theta:
+weyl._times_word takes that word once from w0, the point -rho of length
+N = n h / 2, the number of positive roots (RootSystem._n_positive), to
+w = w0 w_Pi, each letter one shorter; the row's word is reduced_word(w). The
+same letters let the certificate checker apply w to a root as
+-theta(w_Pi(x)), so this module caches nothing. The rank is read off theta,
+which the caller passes in:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
 
@@ -60,7 +59,7 @@ walked.
 from typing import NamedTuple
 
 from .rootsys import RootSystem
-from .weyl import WeylElement, _walk, from_word, reduced_word, theta
+from .weyl import WeylElement, _times_word, _walk, reduced_word, theta
 
 ENUMERATION_MAX_RANK = 8
 
@@ -113,18 +112,17 @@ def _members(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _quali_witness(rs: RootSystem, pi: int) -> tuple[int, int] | None:
+def _quali_witness(rs: RootSystem, pi: int, perm: dict[int, int]) -> tuple[int, int] | None:
     """Diagram filter on the isolated roots of pi, a bit mask (bit i - 1 for alpha_i).
 
     An isolated root of pi is an a in pi with no Cartan neighbour in pi. pi
     fails exactly when some isolated a admits a distinct simple b of the same
-    length with w0(alpha_b) = -alpha_b, that is theta(b) = b, b adjacent to
-    a, and b orthogonal to every other element of pi; the witness (a, b) with
-    the smallest such a, then the smallest b, is returned then, and None when
-    pi passes. Simple roots are orthogonal exactly when their Cartan entry is
-    zero, so all of this is read off the closed neighbourhood masks rs._near.
+    length with w0(alpha_b) = -alpha_b, that is perm[b] = b (perm = theta), b
+    adjacent to a, and b orthogonal to every other element of pi; the witness
+    (a, b) with the smallest such a, then the smallest b, is returned, or None
+    when pi passes. Simple roots are orthogonal exactly when their Cartan entry
+    is zero, so all of this is read off the closed neighbourhood masks rs._near.
     """
-    perm = theta(rs)
     near, norms = rs._near, rs._norms
     for a, m in enumerate(near):
         # a lies in pi and is isolated: its closed neighbourhood meets pi in a alone
@@ -181,8 +179,8 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     stack = [(0, 0, 0, ())]
     while stack:
         start, pi, blocked, letters = stack.pop()
-        if _quali_witness(rs, pi) is None:
-            found.append(_datum(rs, _members(pi), letters))
+        if _quali_witness(rs, pi, perm) is None:
+            found.append(_datum(rs, _members(pi), letters, perm))
         for k in range(start, len(pieces)):
             comp, closed, more = pieces[k]
             if not comp & blocked:
@@ -194,13 +192,14 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     return found
 
 
-def _datum(rs: RootSystem, pi: frozenset[int], letters: tuple[int, ...]) -> SphericalDatum:
-    """The row of an admissible pi, off theta and a reduced word for w_Pi: its walk, or for a
-    union its pieces' walks one after another (module docstring)."""
-    w_pi = from_word(rs, letters)
-    # the point of w0 w_Pi is -w_Pi(rho), the negated point of the involution w_Pi
-    w = WeylElement(rs, tuple(-x for x in w_pi.v), rs._n_positive - w_pi.length)
-    swaps = sum(1 for i, j in theta(rs).items() if i < j and i not in pi)
+def _datum(
+    rs: RootSystem, pi: frozenset[int], letters: tuple[int, ...], perm: dict[int, int]
+) -> SphericalDatum:
+    """The row of an admissible pi, off perm = theta(rs) and a reduced word for w_Pi: its
+    walk, or for a union its pieces' walks one after another (module docstring)."""
+    # w0 has the point -rho and length N; each letter of w_Pi shortens it by one
+    w = _times_word(WeylElement(rs, (-1,) * rs.rank, rs._n_positive), letters)
+    swaps = sum(1 for i, j in perm.items() if i < j and i not in pi)
     rk = rs.rank - len(pi) - swaps
     return SphericalDatum(
         rs=rs,
@@ -217,4 +216,4 @@ def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     pi = rs._check_subset(pi)
     if not _theta_agrees_on(rs, pi):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
-    return _datum(rs, pi, _walk(rs, pi)[0])
+    return _datum(rs, pi, _walk(rs, pi)[0], theta(rs))

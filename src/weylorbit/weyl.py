@@ -3,13 +3,16 @@
 An element w is stored as its orbit point v = w^-1(rho) in fundamental-weight
 coordinates. W acts simply transitively on the regular weights, so v alone
 identifies w: equality and hashing compare points, and the identity is
-rho = (1, ..., 1). The entry v_b = <rho, w(alpha_b)^vee> has the sign of
-w(alpha_b), so s_b is a right descent of w exactly when v_b < 0, and w * s_b
-has the point s_b(v): v_b negated and v_j -= v_b <alpha_b, alpha_j^vee> over
-the row neighbours j of b, which moves the length by one. Every element
-carries its length: each constructor knows it, and a point given without one
-must hold rank exact ints and is peeled at once, so a point that is no
-element's is rejected when it is built.
+rho = (1, ..., 1). Equality, bruhat_leq and the 0-Hecke product of demazure
+tell root systems apart by instance first, and compare their types only when
+the instances differ (build gives one instance per type). The entry
+v_b = <rho, w(alpha_b)^vee> has the sign of w(alpha_b), so s_b is a right
+descent of w exactly when v_b < 0, and w * s_b has the point s_b(v): v_b
+negated and v_j -= v_b <alpha_b, alpha_j^vee> over the row neighbours j of
+b, which moves the length by one. Every element carries its length: each
+constructor knows it, and a point given without one must hold rank exact
+ints and is peeled at once, so a point that is no element's is rejected
+when it is built.
 That step is written inline, with no call per letter, in four hot walks and
 nowhere else; all other code, the involution step and the spherical table
 rows too, goes through them. _times_word takes one copy of the point through
@@ -66,7 +69,7 @@ class WeylElement:
     def __eq__(self, other):
         return (
             isinstance(other, WeylElement)
-            and self.rs.rstype == other.rs.rstype
+            and (self.rs is other.rs or self.rs.rstype == other.rs.rstype)
             and self.v == other.v
         )
 
@@ -185,7 +188,7 @@ def _peel(rs: RootSystem, v: list[int]) -> list[int]:
     element's) is an error.
     """
     letters = _descend(rs, v, range(rs.rank))
-    if any(x != 1 for x in v):
+    if v.count(1) != len(v):
         raise AssertionError("peel did not reach rho")
     return letters
 
@@ -252,7 +255,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     the bound of N letters, and the answer is False. No letter list is built
     and no column is read.
     """
-    if u.rs.rstype != w.rs.rstype:
+    if u.rs is not w.rs and u.rs.rstype != w.rs.rstype:
         raise ValueError("elements live in different root systems")
     left = u.length
     if left > w.length:
@@ -266,7 +269,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
             if x < 0:
                 break
         else:
-            if any(x != 1 for x in vw):
+            if vw.count(1) != len(vw):
                 raise AssertionError("peel did not reach rho")
             return False
         if not steps:
@@ -285,7 +288,7 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
         else:
             for j, a in row_neighbours[b]:
                 vw[j] -= x * a
-    if any(x != 1 for x in vu):
+    if vu.count(1) != len(vu):
         raise AssertionError("u reached length 0 away from rho")
     return True
 

@@ -268,8 +268,9 @@ def members(m):
 
 def passes_quali_no(rs, pi):
     """(passes, witness) of the quali-no filter on pi, by spherical._quali_witness on its
-    bit mask (bit i - 1 for alpha_i)."""
-    witness = _quali_witness(rs, sum(1 << i - 1 for i in rs._check_subset(pi)))
+    bit mask (bit i - 1 for alpha_i), with theta read off the columns of w0."""
+    pi = sum(1 << i - 1 for i in rs._check_subset(pi))
+    witness = _quali_witness(rs, pi, column_theta(rs))
     return witness is None, witness
 
 

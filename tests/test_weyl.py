@@ -23,7 +23,7 @@ from weylorbit import (
     theta,
 )
 
-from weylorbit import RootSystem, intmat, weyl
+from weylorbit import RootSystem, build, intmat, weyl
 from weylorbit.weyl import WeylElement, rmul_s
 
 from conftest import (
@@ -368,6 +368,64 @@ def test_point_from_outside_must_be_rank_exact_ints(a3, v):
         WeylElement(a3, (1, 0, 1))
     e = WeylElement(a3, [1, 1, 1])
     assert e == identity(a3) and e.v == (1, 1, 1) and type(e.v) is tuple
+
+
+@pytest.mark.parametrize("names", [("B3", "C3"), ("A3", "E8")], ids=["same-rank", "other-rank"])
+def test_walks_refuse_elements_of_different_root_systems(names):
+    # B3 and C3 have the same rank, so nothing but the guard tells their points
+    # apart; an A3 point read against an E8 word would raise an IndexError
+    left, right = (build_named(name) for name in names)
+    for u, w in [
+        (identity(left), identity(right)),
+        (from_word(left, [1, 2]), from_word(right, [1, 2])),
+        (from_word(left, [3, 2, 1]), longest(right)),
+    ]:
+        for a, b in [(u, w), (w, u)]:
+            with pytest.raises(ValueError, match="different root systems"):
+                demazure_mul(a, b)
+            with pytest.raises(ValueError, match="different root systems"):
+                bruhat_leq(a, b)
+            assert a != b
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "E6"])
+def test_walks_take_elements_of_one_type_on_two_instances(name):
+    # the guard tests rs identity first, and compares types only when the
+    # instances differ: an element on a directly built root system of the same
+    # type gives the answers it gives on the shared instance of build
+    shared = build_named(name)
+    direct = RootSystem(shared.rstype)
+    assert build(shared.rstype) is shared and direct is not shared
+    rng = random.Random(f"two instances {name}")
+    words = [[rng.randint(1, shared.rank) for _ in range(rng.randrange(12))] for _ in range(12)]
+    words.append(list(reduced_word(longest(shared))))
+    for word_u, word_w in combinations(words, 2):
+        u, w = from_word(shared, word_u), from_word(shared, word_w)
+        u2, w2 = from_word(direct, word_u), from_word(direct, word_w)
+        assert u == u2 and u2 == u and hash(u) == hash(u2)
+        for a, b in [(u, w2), (u2, w), (u2, w2)]:
+            for x, y, want_x, want_y in [(a, b, u, w), (b, a, w, u)]:
+                product, want = demazure_mul(x, y), demazure_mul(want_x, want_y)
+                assert (product.v, product.length) == (want.v, want.length)
+                assert product == want and want == product
+                assert bruhat_leq(x, y) is bruhat_leq(want_x, want_y)
+                assert (x == y) is (want_x == want_y)
+
+
+def test_bruhat_checks_u_reaches_rho(a3):
+    # a carried length that is wrong: the point of s_1 given length 0, so u
+    # reaches length 0 at once, away from rho
+    u = WeylElement(a3, rmul_s(identity(a3), 1).v, 0)
+    with pytest.raises(AssertionError, match="u reached length 0 away from rho"):
+        bruhat_leq(u, longest(a3))
+
+
+def test_bruhat_checks_w_reaches_rho(a3):
+    # a dominant point other than rho, given a length and so not peeled when
+    # built: w's walk stops there before u reaches length 0
+    w = WeylElement(a3, (1, 0, 1), 3)
+    with pytest.raises(AssertionError, match="peel did not reach rho"):
+        bruhat_leq(rmul_s(identity(a3), 1), w)
 
 
 def test_point_walks_build_no_columns(monkeypatch):
