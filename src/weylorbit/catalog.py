@@ -1,11 +1,17 @@
 """Built-in exclusion certificates.
 
 The classical-type families follow closed-form patterns in the rank, so the
-catalog constructs them programmatically; the G2 and F4 lists are fixed
-tables. Each family emits each certificate once, and every one is checked
-by :func:`weylorbit.certs.verify` at construction time, its condition-2
-audit list too when it has one, so a transcription slip in this file fails
-fast instead of shipping.
+catalog builds them from root shapes, each defined once as a function that
+returns gamma with its sigma word; the G2 and F4 lists are fixed tables. Each
+family emits each certificate once, and every one is checked by
+:func:`weylorbit.certs.verify` at construction time, its condition-2 audit
+list too when it has one, so a transcription slip in this file fails fast
+instead of shipping.
+
+54 keys (type, pi, gamma) carry two certificates. In B and C, isolated roots
+a < b of the alternating pi both reach the chain alpha_{a+1} + .. + alpha_{b-1},
+alone (a's mu', b's mu) or extended through alpha_b by the tail (a's nu' or
+delta, b's nu). The two F4 repeats are table rows giving one key two words.
 """
 
 from __future__ import annotations
@@ -18,21 +24,45 @@ from .rootsys import RootSystemType
 from .spherical import ENUMERATION_MAX_RANK
 
 
-def _chain(n: int, lo: int, hi: int, coeff: int = 1) -> list[int]:
-    """Coefficient vector with `coeff` on positions lo..hi (1-based, inclusive)."""
-    return [coeff if lo <= k <= hi else 0 for k in range(1, n + 1)]
-
-
-def _add(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
 def _asc(lo: int, hi: int) -> list[int]:
     return list(range(lo, hi + 1))
 
 
 def _desc(hi: int, lo: int) -> list[int]:
     return list(range(hi, lo - 1, -1))
+
+
+def _root(n: int, *runs) -> list[int]:
+    """Rank-n coefficients: per run (lo, hi, coeff), coeff on positions lo..hi (1-based)."""
+    return [sum(c for lo, hi, c in runs if lo <= k <= hi) for k in range(1, n + 1)]
+
+
+# -- root shapes: each returns (gamma, sigma word) --------------------------
+
+
+def _up(n: int, lo: int, hi: int):
+    """The chain alpha_lo + .. + alpha_hi, climbed from lo."""
+    return _root(n, (lo, hi, 1)), _asc(lo, hi)
+
+
+def _down(n: int, lo: int, hi: int):
+    """The chain alpha_lo + .. + alpha_hi, descended from hi."""
+    return _root(n, (lo, hi, 1)), _desc(hi, lo)
+
+
+def _b_nu(n: int, j: int, i: int):
+    """B_n: alpha_j + .. + alpha_i + 2 (alpha_{i+1} + .. + alpha_n)."""
+    return _root(n, (j, i, 1), (i + 1, n, 2)), _asc(j, n) + _desc(n - 1, i + 1)
+
+
+def _c_nu(n: int, j: int, i: int):
+    """C_n: alpha_j + .. + alpha_i + 2 (alpha_{i+1} + .. + alpha_{n-1}) + alpha_n."""
+    return _root(n, (j, i, 1), (i + 1, n - 1, 2), (n, n, 1)), _asc(j, n - 1) + _desc(n, i + 1)
+
+
+def _c_double(n: int, j: int):
+    """C_n: 2 (alpha_j + .. + alpha_{n-1}) + alpha_n."""
+    return _root(n, (j, n - 1, 2), (n, n, 1)), _desc(n, j)
 
 
 def _checked(rstype, pi, gamma, word, label, out, expected_cond2=None) -> None:
@@ -97,8 +127,7 @@ def f4_certificates() -> list[ExclusionCert]:
     t = RootSystemType("F", 4)
     out = []
     for pi, gamma, word in _F4_TABLE:
-        label = f"F4 pi={pi} gamma={list(gamma)} via {word}"
-        _checked(t, pi, gamma, word, label, out)
+        _checked(t, pi, gamma, word, f"F4 pi={pi} gamma={list(gamma)} via {word}", out)
     return out
 
 
@@ -115,13 +144,9 @@ def a_certificates(n: int) -> list[ExclusionCert]:
         pi = list(range(l, n - l + 2))
         for i in range(l, n - l + 2):
             for s in range(1, l):
-                gamma = _chain(n, s, i - 1)
-                label = f"A{n} pi={pi} i={i} left t={s}"
-                _checked(t, pi, gamma, _asc(s, i - 1), label, out)
+                _checked(t, pi, *_up(n, s, i - 1), f"A{n} pi={pi} i={i} left t={s}", out)
             for s in range(n - l + 2, n + 1):
-                gamma = _chain(n, i + 1, s)
-                label = f"A{n} pi={pi} i={i} right t={s}"
-                _checked(t, pi, gamma, _desc(s, i + 1), label, out)
+                _checked(t, pi, *_down(n, i + 1, s), f"A{n} pi={pi} i={i} right t={s}", out)
 
     # torus-rank family: chains alpha_j + .. + alpha_s not fixed by -w0
     for l in list(range(2, (n + 1) // 2 + 1)) + [(n + 3) // 2]:
@@ -133,29 +158,13 @@ def a_certificates(n: int) -> list[ExclusionCert]:
                 straddle = j <= l - 1 and s >= n - l + 1
                 left = j < s <= l - 2
                 right = n - l + 3 <= j < s
-                if not (straddle or left or right):
-                    continue
-                gamma = _chain(n, j, s)
-                word = _asc(j, s) if s > n - j + 1 else _desc(s, j)
-                label = f"A{n} pi={pi} torus chain {j}..{s}"
-                _checked(t, pi, gamma, word, label, out)
+                if straddle or left or right:
+                    shape = _up if s > n - j + 1 else _down
+                    _checked(t, pi, *shape(n, j, s), f"A{n} pi={pi} torus chain {j}..{s}", out)
     return out
 
 
 # -- type B families --------------------------------------------------------
-
-
-def _b_pi1_certs(t, n, l, pi, out):
-    """pi containing the tail {l..n}: exclusions for alpha_i, l <= i <= n-1."""
-    for i in range(l, n):
-        for j in range(1, l):
-            gamma = _chain(n, j, i - 1)
-            label = f"B{n} pi={pi} i={i} mu j={j}"
-            _checked(t, pi, gamma, _asc(j, i - 1), label, out)
-            gamma = _add(_chain(n, j, i), _chain(n, i + 1, n, 2))
-            word = _asc(j, n) + _desc(n - 1, i + 1)
-            label = f"B{n} pi={pi} i={i} nu j={j}"
-            _checked(t, pi, gamma, word, label, out)
 
 
 def b_certificates(n: int) -> list[ExclusionCert]:
@@ -163,44 +172,35 @@ def b_certificates(n: int) -> list[ExclusionCert]:
     t = RootSystemType("B", n)
     out = []
 
-    # pi = {l..n}
+    # pi = {l..n}: exclusions for alpha_i, l <= i <= n-1, then the short-root
+    # ones for alpha_n; for l < n the doubled chain is the i = n-1 nu above
     for l in range(2, n + 1):
         pi = list(range(l, n + 1))
-        _b_pi1_certs(t, n, l, pi, out)
-        # short-root exclusions for alpha_n; for l < n the doubled chain is
-        # the i = n-1 nu certificate above
+        tag = f"B{n} pi={pi}"
+        for i in range(l, n):
+            for j in range(1, l):
+                _checked(t, pi, *_up(n, j, i - 1), f"{tag} i={i} mu j={j}", out)
+                _checked(t, pi, *_b_nu(n, j, i), f"{tag} i={i} nu j={j}", out)
         for j in range(1, l):
-            gamma = _chain(n, j, n - 1)
-            label = f"B{n} pi={pi} alpha_n chain j={j}"
-            _checked(t, pi, gamma, _asc(j, n - 1), label, out)
+            _checked(t, pi, *_up(n, j, n - 1), f"{tag} alpha_n chain j={j}", out)
             if l == n:
-                gamma = _add(_chain(n, j, n - 1), _chain(n, n, n, 2))
-                label = f"B{n} pi={pi} alpha_n doubled j={j}"
-                _checked(t, pi, gamma, _asc(j, n - 1) + [n], label, out)
+                _checked(t, pi, *_b_nu(n, j, n - 1), f"{tag} alpha_n doubled j={j}", out)
 
     # pi = {1, 3, .., 2k-1} + {2k+1 .. n}
     for k in range(1, n // 2 + 1):
-        l = 2 * k + 1
-        pi = list(range(1, 2 * k, 2)) + list(range(l, n + 1))
+        pi = list(range(1, 2 * k, 2)) + list(range(2 * k + 1, n + 1))
         for i in range(1, 2 * k, 2):
+            tag = f"B{n} pi={pi} iso i={i}"
             for j in range(1, i - 1):
-                gamma = _chain(n, j, i - 1)
-                label = f"B{n} pi={pi} iso i={i} mu j={j}"
-                _checked(t, pi, gamma, _asc(j, i - 1), label, out)
+                _checked(t, pi, *_up(n, j, i - 1), f"{tag} mu j={j}", out)
             for j in range(i + 2, n + 1):
-                gamma = _chain(n, i + 1, j)
-                label = f"B{n} pi={pi} iso i={i} mu' j={j}"
-                _checked(t, pi, gamma, _desc(j, i + 1), label, out)
+                _checked(t, pi, *_down(n, i + 1, j), f"{tag} mu' j={j}", out)
             for j in range(1, i):
-                gamma = _add(_chain(n, j, i), _chain(n, i + 1, n, 2))
-                word = _asc(j, n) + _desc(n - 1, i + 1)
-                label = f"B{n} pi={pi} iso i={i} nu j={j}"
-                _checked(t, pi, gamma, word, label, out)
+                _checked(t, pi, *_b_nu(n, j, i), f"{tag} nu j={j}", out)
             for j in range(i + 2, n + 1):
-                gamma = _add(_chain(n, i + 1, j - 1), _chain(n, j, n, 2))
+                gamma = _root(n, (i + 1, j - 1, 1), (j, n, 2))
                 word = _asc(j - 1, n - 1) + _desc(n, i + 1)
-                label = f"B{n} pi={pi} iso i={i} nu' j={j}"
-                _checked(t, pi, gamma, word, label, out)
+                _checked(t, pi, gamma, word, f"{tag} nu' j={j}", out)
     return out
 
 
@@ -215,62 +215,36 @@ def c_certificates(n: int) -> list[ExclusionCert]:
     # pi = {l..n}
     for l in range(2, n + 1):
         pi = list(range(l, n + 1))
+        tag = f"C{n} pi={pi}"
         for j in range(1, l):
-            gamma = _chain(n, j, n - 1)
-            label = f"C{n} pi={pi} alpha_n mu j={j}"
-            _checked(t, pi, gamma, _asc(j, n - 1), label, out)
+            _checked(t, pi, *_up(n, j, n - 1), f"{tag} alpha_n mu j={j}", out)
         for i in range(l, n):
             for j in range(1, l):
-                gamma = _chain(n, j, i - 1)
-                label = f"C{n} pi={pi} i={i} mu j={j}"
-                _checked(t, pi, gamma, _asc(j, i - 1), label, out)
-                gamma = _add(
-                    _add(_chain(n, j, i), _chain(n, i + 1, n - 1, 2)),
-                    _chain(n, n, n),
-                )
-                word = _asc(j, n - 1) + _desc(n, i + 1)
-                label = f"C{n} pi={pi} i={i} nu j={j}"
-                _checked(t, pi, gamma, word, label, out)
+                _checked(t, pi, *_up(n, j, i - 1), f"{tag} i={i} mu j={j}", out)
+                _checked(t, pi, *_c_nu(n, j, i), f"{tag} i={i} nu j={j}", out)
 
     # pi = {1, 3, .., 2k-1} + {2k+1 .. n}
     for k in range(1, n // 2 + 1):
         l = 2 * k + 1
         pi = list(range(1, 2 * k, 2)) + list(range(l, n + 1))
         for i in range(1, 2 * k, 2):
+            tag = f"C{n} pi={pi} iso i={i}"
             for j in range(1, min(l, i)):
-                gamma = _chain(n, j, i - 1)
-                label = f"C{n} pi={pi} iso i={i} mu j={j}"
-                _checked(t, pi, gamma, _asc(j, i - 1), label, out)
+                _checked(t, pi, *_up(n, j, i - 1), f"{tag} mu j={j}", out)
             for j in range(i + 2, n):
-                gamma = _chain(n, i + 1, j)
-                label = f"C{n} pi={pi} iso i={i} mu' j={j}"
-                _checked(t, pi, gamma, _desc(j, i + 1), label, out)
+                _checked(t, pi, *_down(n, i + 1, j), f"{tag} mu' j={j}", out)
             # at j = n the doubled part of delta is empty and the chain up to
             # alpha_n is handled by the delta word, not the plain descent
             for j in range(i + 2, n + 1):
-                gamma = _add(
-                    _add(_chain(n, i + 1, j - 1), _chain(n, j, n - 1, 2)),
-                    _chain(n, n, n),
-                )
+                gamma = _root(n, (i + 1, j - 1, 1), (j, n - 1, 2), (n, n, 1))
                 word = _asc(j - 1, n - 1) + _desc(n, i + 1)
-                label = f"C{n} pi={pi} iso i={i} delta j={j}"
-                _checked(t, pi, gamma, word, label, out)
+                _checked(t, pi, gamma, word, f"{tag} delta j={j}", out)
             for j in range(1, i):
-                gamma = _add(
-                    _add(_chain(n, j, i), _chain(n, i + 1, n - 1, 2)),
-                    _chain(n, n, n),
-                )
-                word = _asc(j, n - 1) + _desc(n, i + 1)
-                label = f"C{n} pi={pi} iso i={i} nu j={j}"
-                _checked(t, pi, gamma, word, label, out)
-            gamma = _add(_chain(n, i + 1, n - 1, 2), _chain(n, n, n))
-            label = f"C{n} pi={pi} iso i={i} nu_ii-alpha_i"
-            _checked(t, pi, gamma, _desc(n, i + 1), label, out)
+                _checked(t, pi, *_c_nu(n, j, i), f"{tag} nu j={j}", out)
+            _checked(t, pi, *_c_double(n, i + 1), f"{tag} nu_ii-alpha_i", out)
         # an even j is the nu_ii-alpha_i certificate of i = j-1 above
         for j in range(1, min(l, n), 2):
-            gamma = _add(_chain(n, j, n - 1, 2), _chain(n, n, n))
-            label = f"C{n} pi={pi} doubled chain j={j}"
-            _checked(t, pi, gamma, _desc(n, j), label, out)
+            _checked(t, pi, *_c_double(n, j), f"C{n} pi={pi} doubled chain j={j}", out)
     return out
 
 
@@ -283,15 +257,10 @@ def shipped_files() -> dict[str, list[ExclusionCert]]:
         "g2_pi1.certs.json": g2_pi1_certificates(),
         "f4.certs.json": f4_certificates(),
     }
-    for fam, builder, lo in (
-        ("a", a_certificates, 2),
-        ("b", b_certificates, 2),
-        ("c", c_certificates, 2),
-    ):
-        certs = []
-        for n in range(lo, ENUMERATION_MAX_RANK + 1):
-            certs.extend(builder(n))
-        files[f"{fam}n.certs.json"] = certs
+    for fam, builder in (("a", a_certificates), ("b", b_certificates), ("c", c_certificates)):
+        files[f"{fam}n.certs.json"] = [
+            cert for n in range(2, ENUMERATION_MAX_RANK + 1) for cert in builder(n)
+        ]
     return files
 
 

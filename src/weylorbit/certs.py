@@ -16,8 +16,9 @@ gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}) are computed for audit and,
 when an expected list is supplied, compared against it. A certificate passes
 when 1, 3 and 4 hold.
 
-Conditions 3 and 4 are decided on the root beta = sigma^-1(alpha) alone, by
-x s_beta x^-1 = s_{x beta} for x in W. Condition 3 asks for sigma(w beta).
+Conditions 1, 3 and 4 are decided on the root beta = sigma^-1(alpha) alone.
+Condition 1 holds exactly when beta = -gamma. The others use
+x s_beta x^-1 = s_{x beta} for x in W: condition 3 asks for sigma(w beta).
 For condition 4, sigma^-1 (sigma w sigma^-1 s_alpha) sigma = w s_beta, and w
 is an involution for admissible pi, so (w s_beta)^2 = s_{w beta} s_beta; that
 is the identity exactly when w beta = +-beta.
@@ -274,9 +275,9 @@ def verify(cert: ExclusionCert) -> CertReport:
 
     word = cert.sigma_word
     alpha_top = rs.simples[word[0] - 1]
-    right_first = word[::-1]
-
-    cond1 = _reflect_along(rs, cert.gamma, right_first) == _negate(alpha_top)
+    # sigma(gamma) = -alpha exactly when gamma = -sigma^-1(alpha) = -beta
+    beta = _reflect_along(rs, alpha_top, word)
+    cond1 = beta == _negate(cert.gamma)
 
     # gamma'_j = s_{i_1} ... s_{i_j}(alpha_{i_{j+1}}), i_1 = word[-1]: the simple
     # root at position p = t - 1 - j walked by the j letters after it
@@ -288,11 +289,10 @@ def verify(cert: ExclusionCert) -> CertReport:
     if cert.expected_cond2 is not None:
         cond2_match = sorted(witnesses) == sorted(cert.expected_cond2)
 
-    beta = _reflect_along(rs, alpha_top, word)
     w_pi_beta = _reflect_along(rs, beta, reversed(_walk(rs, cert.pi)[0]))
     perm = theta(rs)
     w_beta = tuple(-w_pi_beta[perm[k] - 1] for k in range(1, rs.rank + 1))
-    image = _reflect_along(rs, w_beta, right_first)
+    image = _reflect_along(rs, w_beta, word[::-1])
     cond3 = all(c >= 0 for c in image) and image != alpha_top
     cond4 = w_beta not in (beta, _negate(beta))
 

@@ -355,6 +355,19 @@ def test_catalog_main_refuses_options_and_extra_arguments(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_catalog_main_writes_exactly_the_shipped_files(tmp_path, capsys):
+    # CI diffs the regenerated files; this runs write_files in the suite too
+    assert catalog_main([str(tmp_path)]) == 0
+    counts = {"an": 213, "bn": 610, "cn": 630, "f4": 19, "g2": 2, "g2_pi1": 3}
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}.certs.json: {count} certificates" for name, count in counts.items()
+    ] + ["total: 1477"]
+    names = [f"{name}.certs.json" for name in counts]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (CERT_DIR / name).read_bytes(), name
+
+
 def test_shipped_g2_file_has_two_entries():
     certs = parse_certs((CERT_DIR / "g2.certs.json").read_text())
     assert len(certs) == 2
@@ -597,6 +610,35 @@ def test_certificate_coverage_is_pinned():
     want = json.loads(COVERAGE_FILE.read_text())
     assert _coverage() == want
     assert [sum(c[k] for c in want.values()) for k in range(4)] == [3227, 2012, 1423, 54]
+
+
+def test_repeated_keys_are_named():
+    # the 54 keys (type, pi, gamma) with two certificates: in B and C, a pair
+    # "iso i=a" (primed shape) and "iso i=b" (unprimed), a < b isolated in pi,
+    # whose gamma chain joins alpha_a to alpha_b; in F4, two table rows
+    by_key = {}
+    for cert in _shipped_certs():
+        by_key.setdefault((cert.rstype, cert.pi, cert.gamma), []).append(cert)
+    repeats = {key: certs for key, certs in by_key.items() if len(certs) > 1}
+    kinds = {}
+    for (rstype, pi, gamma), certs in repeats.items():
+        assert len(certs) == 2, certs[0].label
+        if str(rstype) == "F4":
+            kind = "F4"
+        else:
+            prefix = f"{rstype} pi={sorted(pi)} iso "
+            assert all(c.label.startswith(prefix) for c in certs), certs[0].label
+            found = [re.fullmatch(r"i=(\d+) (\S+) j=(\d+)", c.label[len(prefix):]) for c in certs]
+            (a, primed, ja), (b, plain, jb) = sorted((int(m[1]), m[2], int(m[3])) for m in found)
+            assert a < b and {a, b} <= pi and not {a - 1, a + 1, b - 1, b + 1} & pi, certs[0].label
+            # gamma starts at alpha_{a+1} (b's j); its chain ends at alpha_{b-1}
+            # (a's mu') or runs on through alpha_b (a's nu' or delta)
+            assert jb == a + 1 and ja == (b - 1 if primed == "mu'" else b + 1), certs[0].label
+            support = {k for k, c in enumerate(gamma, 1) if c}
+            assert min(support) == a + 1 and set(range(a + 1, b)) <= support, certs[0].label
+            kind = f"{rstype.family} {primed}/{plain}"
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {"B mu'/mu": 6, "B nu'/nu": 20, "C mu'/mu": 6, "C delta/nu": 20, "F4": 2}
 
 
 def test_shipped_keys_meet_the_existence_criterion():
