@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from random import Random
 
@@ -85,6 +86,33 @@ def _emit(rows: list[list], header: list[str], fmt: str, json_payload) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
+def _rows_json(rows: list[dict]) -> str:
+    """Exactly json.dumps(rows, indent=1) for flat dicts of bool, int, str and int-list values.
+
+    indent sends json.dumps to its pure-Python encoder; here each int list is one
+    join and each string goes through json's C escaper, so no scalar passes
+    through json.dumps. Any other value type raises TypeError.
+    """
+    out = []
+    for row in rows:
+        fields = []
+        for key, value in row.items():
+            kind = type(value)
+            if kind is int:
+                text = str(value)
+            elif kind is list:
+                text = "[\n   " + ",\n   ".join(map(str, value)) + "\n  ]" if value else "[]"
+            elif kind is str:
+                text = encode_basestring_ascii(value)
+            elif kind is bool:
+                text = "true" if value else "false"
+            else:
+                raise TypeError(f"cannot write {kind.__name__} value of {key!r}")
+            fields.append(f"  {encode_basestring_ascii(key)}: {text}")
+        out.append(" {\n" + ",\n".join(fields) + "\n }" if fields else " {}")
+    return "[\n" + ",\n".join(out) + "\n]" if out else "[]"
+
+
 def _cmd_roots(args) -> int:
     rs = _build(args.type)
     rows = [
@@ -129,12 +157,21 @@ def _pi_row(entry: dict) -> list:
             entry["dimension"], "yes" if entry["central"] else "no"]
 
 
+def _emit_pi(dicts: list[dict], fmt: str, typed: bool) -> None:
+    """pi and tables output, from SphericalDatum.as_dict() rows: JSON through _rows_json,
+    and cells, led by the type when typed, built only for table and tsv."""
+    if fmt == "json":
+        print(_rows_json(dicts))
+        return
+    if typed:
+        _emit([[d["type"], *_pi_row(d)] for d in dicts], ["type", *_PI_HEADER], fmt, None)
+    else:
+        _emit([_pi_row(d) for d in dicts], _PI_HEADER, fmt, None)
+
+
 def _cmd_pi(args) -> int:
     rs = _build(args.type)
-    data = spherical.enumerate_pi(rs)
-    dicts = [d.as_dict() for d in data]
-    rows = [_pi_row(d) for d in dicts]
-    _emit(rows, _PI_HEADER, args.format, dicts)
+    _emit_pi([d.as_dict() for d in spherical.enumerate_pi(rs)], args.format, typed=False)
     return 0
 
 
@@ -218,15 +255,8 @@ def _cmd_tables(args) -> int:
         if valid(n)
     ]
 
-    all_payload = []
-    rows = []
-    for rstype in types:
-        rs = build(rstype)
-        for d in spherical.enumerate_pi(rs):
-            entry = d.as_dict()
-            all_payload.append(entry)
-            rows.append([str(rstype), *_pi_row(entry)])
-    _emit(rows, ["type", *_PI_HEADER], args.format, all_payload)
+    dicts = [d.as_dict() for rstype in types for d in spherical.enumerate_pi(build(rstype))]
+    _emit_pi(dicts, args.format, typed=True)
     return 0
 
 

@@ -18,16 +18,23 @@ Admissibility is decided on the Dynkin diagram, with theta = -w0:
 
 No element is built for this: one walk of the negative of a weight that is
 regular on Pi, by descents in Pi (weyl._walk, memoized on rs per Pi), gives
--w_Pi as a permutation of Pi and a reduced word for w_Pi, and theta is the
-same walk on the whole diagram.
+-w_Pi as a permutation of Pi, and theta is the same walk on the whole
+diagram. Its letters, a reduced word for w_Pi, are read only by the
+certificate checker, which applies w to a root as -theta(w_Pi(x)).
 
-A table row needs no root beyond the simple ones, and walks no point itself:
-weyl._times_word takes that word once from w0, the point -rho of length
-N = n h / 2, the number of positive roots (RootSystem._n_positive), to
-w = w0 w_Pi, each letter one shorter; the row's word is reduced_word(w). The
-same letters let the certificate checker apply w to a root as
--theta(w_Pi(x)), so this module caches nothing. The rank is read off theta,
-which the caller passes in:
+A table row is one walk of its own, and builds no element. theta maps an
+admissible Pi to itself, so w0 w_Pi w0 = w_Pi and w = w_Pi w0 is the shortest
+element of both w W_Pi and W_Pi w (Bjorner-Brenti, Combinatorics of Coxeter
+Groups, 2.4). Let lambda be the sum of the omega_i with i not in Pi. The
+point of w at lambda is w^-1(lambda) = -lambda, -1 off Pi and 0 on Pi, and
+w^-1 keeps the roots of Pi positive, so an entry b is negative exactly when
+s_b is a right descent of what is left of w. weyl._descend from -lambda, by
+the first descent in index order, therefore takes off the letters that
+peeling the orbit point of w gives, and stops at lambda, the only dominant
+point of the orbit; the row checks that it did, under the bound of
+N = n h / 2 letters (RootSystem._n_positive). The word is the letters
+reversed and the length their number. This module caches nothing. The rank
+is read off theta, which the caller passes in:
 
   rk(1 - w) = n - |Pi| - #{2-cycles of theta outside Pi}   (Pi admissible).
 
@@ -49,9 +56,9 @@ theta|C = -w_C. So it grows the connected subsets of the diagram once, as
 int bit masks (bit i - 1 for alpha_i), walks -w_C only on those that theta
 maps to themselves, and recurses over unions of the pieces that pass, each
 added only clear of the closed neighbourhoods of those already taken, which
-yields each admissible Pi once. A union's row reads its pieces' letters one
-after another, a reduced word of w_Pi as the pieces commute, so no union is
-walked.
+yields each admissible Pi once. A union is admissible because its pieces
+are, so _walk runs on connected subsets only; every row, a union's too, is
+its own walk of -lambda.
 """
 
 # annotations are not postponed: NamedTuple would compile each string field annotation on import
@@ -59,7 +66,7 @@ walked.
 from typing import NamedTuple
 
 from .rootsys import RootSystem
-from .weyl import WeylElement, _times_word, _walk, reduced_word, theta
+from .weyl import _descend, _walk, theta
 
 ENUMERATION_MAX_RANK = 8
 
@@ -159,7 +166,7 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
 
     The empty set and the full diagram always appear; the latter is flagged
     central (its element is the identity). Each pi is built once, as a union
-    of its components, whose letters its row reads (module docstring).
+    of its components, and its row is one walk (module docstring).
     """
     if rs.rank > ENUMERATION_MAX_RANK:
         raise ValueError(
@@ -169,22 +176,22 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     perm = theta(rs)
     # theta maps a subset to itself when it holds both or neither of each 2-cycle
     swapped = [1 << i - 1 | 1 << j - 1 for i, j in perm.items() if i < j]
-    pieces = []
-    for comp, closed in _connected(rs).items():
-        if all(comp & s in (0, s) for s in swapped):
-            letters, twist = _walk(rs, _members(comp))
-            if twist.items() <= perm.items():
-                pieces.append((comp, closed, letters))
+    pieces = [
+        (comp, closed)
+        for comp, closed in _connected(rs).items()
+        if all(comp & s in (0, s) for s in swapped)
+        and _walk(rs, _members(comp))[1].items() <= perm.items()
+    ]
     found = []
-    stack = [(0, 0, 0, ())]
+    stack = [(0, 0, 0)]
     while stack:
-        start, pi, blocked, letters = stack.pop()
+        start, pi, blocked = stack.pop()
         if _quali_witness(rs, pi, perm) is None:
-            found.append(_datum(rs, _members(pi), letters, perm))
+            found.append(_datum(rs, _members(pi), perm))
         for k in range(start, len(pieces)):
-            comp, closed, more = pieces[k]
+            comp, closed = pieces[k]
             if not comp & blocked:
-                stack.append((k + 1, pi | comp, blocked | closed, letters + more))
+                stack.append((k + 1, pi | comp, blocked | closed))
     found.sort(key=lambda d: (d.dimension, len(d.pi), sorted(d.pi)))
     full = frozenset(range(1, rs.rank + 1))
     if not any(d.pi == frozenset() for d in found) or not any(d.pi == full for d in found):
@@ -192,22 +199,25 @@ def enumerate_pi(rs: RootSystem) -> list[SphericalDatum]:
     return found
 
 
-def _datum(
-    rs: RootSystem, pi: frozenset[int], letters: tuple[int, ...], perm: dict[int, int]
-) -> SphericalDatum:
-    """The row of an admissible pi, off perm = theta(rs) and a reduced word for w_Pi: its
-    walk, or for a union its pieces' walks one after another (module docstring)."""
-    # w0 has the point -rho and length N; each letter of w_Pi shortens it by one
-    w = _times_word(WeylElement(rs, (-1,) * rs.rank, rs._n_positive), letters)
+def _datum(rs: RootSystem, pi: frozenset[int], perm: dict[int, int]) -> SphericalDatum:
+    """The row of an admissible pi, off perm = theta(rs) and one walk of -lambda, where
+    lambda is 1 off pi and 0 on pi, up to lambda (module docstring)."""
+    lam = [0 if i in pi else 1 for i in range(1, rs.rank + 1)]
+    v = [-x for x in lam]
+    letters = _descend(rs, v, range(rs.rank))
+    # the only dominant point of the orbit of -lambda is lambda
+    if v != lam:
+        raise AssertionError("row walk did not reach lambda")
     swaps = sum(1 for i, j in perm.items() if i < j and i not in pi)
     rk = rs.rank - len(pi) - swaps
+    length = len(letters)
     return SphericalDatum(
         rs=rs,
         pi=pi,
-        w_word=reduced_word(w),
-        length=w.length,
+        w_word=tuple(reversed(letters)),
+        length=length,
         rank_one_minus=rk,
-        dimension=w.length + rk,
+        dimension=length + rk,
         central=(len(pi) == rs.rank),
     )
 
@@ -216,4 +226,4 @@ def spherical_datum(rs: RootSystem, pi) -> SphericalDatum:
     pi = rs._check_subset(pi)
     if not _theta_agrees_on(rs, pi):
         raise ValueError(f"pi={sorted(pi)} is not admissible in {rs.rstype}")
-    return _datum(rs, pi, _walk(rs, pi)[0], theta(rs))
+    return _datum(rs, pi, theta(rs))

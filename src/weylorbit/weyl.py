@@ -21,7 +21,8 @@ _descend applies s_b for the first b of an index order with v_b < 0 until
 none is left: peeling v down to rho gives reduced words, and walking the
 negative of a weight that is regular on a subset Pi, by descents in Pi, gives
 a reduced word for the parabolic longest element w_Pi and -w_Pi as a
-permutation of Pi (_walk). bruhat_leq peels w by the same first descent and
+permutation of Pi (_walk); walking -lambda, lambda 0 on Pi and 1 elsewhere,
+gives the word of a spherical table row for Pi. bruhat_leq peels w by the same first descent and
 lowers u beside it, and builds no letter list. The 0-Hecke product of
 demazure walks its point along a reduced word of its right factor. None of
 this builds a matrix.
@@ -154,14 +155,18 @@ def _descend(rs: RootSystem, v: list[int], order) -> list[int]:
     """Walk v in place by s_b, b the first 0-based index in order with v_b < 0;
     return the letters b + 1.
 
-    v is regular for the subgroup generated by the indices in order, so it is
-    u^-1(mu) for one u in that subgroup and mu in its dominant chamber
-    (mu = rho for an orbit point). Each letter is a right descent of u and
-    shortens it by one, so more than N = rs._n_positive letters (the number of
-    positive roots, from the Coxeter number) is an error (v is no such point,
-    or an update was wrong), not a loop. The point update runs inside the
-    loop (v_b negated, then its row neighbours), with no call per letter, as
-    in _times_word.
+    v is u^-1(mu) for u in the subgroup generated by the indices in order and
+    mu with no negative entry at those indices, u taken shortest among the
+    elements that send mu to v. For mu = rho, an orbit point, u is the element
+    itself; mu may also be zero at some indices (a table row walks -lambda,
+    zero on pi), and then u is the shortest element of its coset of the
+    stabiliser of mu. Either way v_b < 0 exactly when s_b is a right descent of
+    u, and each letter shortens u by one, so more than N = rs._n_positive
+    letters (the number of positive roots, from the Coxeter number) is an
+    error (v is no such point, or an update was wrong), not a loop. The walk
+    stops at mu; checking that is the caller's. The point update runs inside
+    the loop (v_b negated, then its row neighbours), with no call per letter,
+    as in _times_word.
     """
     row_neighbours = rs.row_neighbours
     letters = []

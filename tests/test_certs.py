@@ -168,6 +168,16 @@ def test_parse_rejects_inexact_fields(field, value):
         parse_certs(json.dumps([entry]))
 
 
+def test_expected_cond2_entry_of_wrong_rank_is_refused():
+    message = r"expected_cond2 entry \[1, 0, 0\] has wrong rank$"
+    with pytest.raises(CertError, match=f"^{message}"):
+        ExclusionCert(G2, [2], (3, 1), [2, 1], expected_cond2=[(1, 0), (1, 0, 0)])
+    good = {"type": "G2", "pi": [2], "gamma": [3, 1], "sigma": [2, 1]}
+    bad = {**good, "expected_cond2": [[1, 0], [1, 0, 0]], "label": "long"}
+    with pytest.raises(CertError, match=rf"^cert #1 \(long\): {message}"):
+        parse_certs(json.dumps([good, bad]))
+
+
 @pytest.mark.parametrize("label", [None, ["x"], 7, {"a": "b"}])
 def test_parse_rejects_non_string_label(label):
     # null used to become the label 'None' and ["x"] the label "['x']"

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from weylorbit import cli, rootsys
+from weylorbit import build_named, cli, enumerate_pi, rootsys
 from weylorbit.cli import main
 
-from conftest import cert_documents
+from conftest import ALL_TYPES, cert_documents
 
 REPO = Path(__file__).resolve().parent.parent
 G2_FILE = str(REPO / "certs" / "g2.certs.json")
@@ -52,6 +52,42 @@ def test_tables_json_is_pinned(capsys):
     assert status == 0
     data = out.encode()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (57930, TABLES_SHA256)
+
+
+# The two text formats of the same sweep, pinned the same way: their cells are
+# built apart from the JSON rows.
+TABLES_TABLE_SHA256 = "964b2f1037fd246a2f3d98ce5ead1d53bf881a445a2b92645acd526f99cf3f02"
+TABLES_TSV_SHA256 = "5b7d8cf833c6cd82fefa856f13749729935b571ddd05124d496dbbd44db2e246"
+
+
+@pytest.mark.parametrize(
+    "fmt, size, digest",
+    [("table", 11648, TABLES_TABLE_SHA256), ("tsv", 4219, TABLES_TSV_SHA256)],
+)
+def test_tables_text_is_pinned(capsys, fmt, size, digest):
+    status, out, _ = run(capsys, "tables", "--max-rank", "8", "--format", fmt)
+    assert status == 0
+    data = out.encode()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+# The row writer of pi and tables against json.dumps(rows, indent=1), its oracle.
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_rows_json_matches_json_dumps(name):
+    rows = [d.as_dict() for d in enumerate_pi(build_named(name))]
+    assert cli._rows_json(rows) == json.dumps(rows, indent=1)
+
+
+def test_rows_json_matches_json_dumps_on_the_table_and_edge_rows():
+    table = [d.as_dict() for name in ALL_TYPES for d in enumerate_pi(build_named(name))]
+    # a string that needs escaping: a quote, a backslash, a non-ASCII letter, a newline
+    odd = {"type": 'say "x" \\ \u00c5\n', "pi": [], "w_word": [-3, 10], "length": -1,
+           "central": False, "": True}
+    for rows in (table, [], [odd], [{}], [odd, {}, table[0]]):
+        assert cli._rows_json(rows) == json.dumps(rows, indent=1)
+    for value in (1.5, None, (1, 2), {"a": 1}):
+        with pytest.raises(TypeError, match="cannot write"):
+            cli._rows_json([{"x": value}])
 
 
 # weyl and step JSON, pinned: the matrix, the words and the step candidates are

@@ -154,6 +154,24 @@ def test_enumerate_pi_walks_no_disconnected_subset(monkeypatch, name):
     assert bool(disconnected) == (name in ("B8", "C8", "D8", "E7")), disconnected
 
 
+def test_row_walk_is_checked_at_its_end(monkeypatch):
+    # a row walks -lambda (-1 off pi, 0 on pi) and must stop at lambda; with each
+    # point update made v_b -> -2 v_b (row ((b, 1),)), every entry off pi doubles
+    # once and the walk stops at 2 lambda, where only the end check refuses it
+    rs = RootSystem(build_named("A3").rstype)
+    assert spherical_datum(rs, {2}).length == 5
+    enumerate_pi(rs)  # fills the walks of the pieces and theta, which rows do not read
+    monkeypatch.setattr(rs, "row_neighbours", tuple(((b, 1),) for b in range(rs.rank)))
+    with pytest.raises(AssertionError, match="row walk did not reach lambda"):
+        spherical_datum(rs, {2})
+    with pytest.raises(AssertionError, match="row walk did not reach lambda"):
+        enumerate_pi(rs)
+    # an update that does nothing (row ((b, -2),)) runs into the bound of N letters
+    monkeypatch.setattr(rs, "row_neighbours", tuple(((b, -2),) for b in range(rs.rank)))
+    with pytest.raises(AssertionError, match="within N = 6 letters"):
+        spherical_datum(rs, {2})
+
+
 def test_dimension_is_twice_the_involution_walk():
     """l(w) + rk(1 - w) is twice the number of steps that walk w down to 1.
 
